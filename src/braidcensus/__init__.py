@@ -67,6 +67,7 @@ from .graphs import (
     Graph,
     Graph6Error,
     InputError,
+    InternalError,
     UnsupportedError,
     ball,
     canonical_code,

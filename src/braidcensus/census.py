@@ -29,7 +29,6 @@ per candidate.  It shares no traversal logic with the fast engine.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,14 +159,11 @@ class TreeStats:
 # ======================================================================
 
 
-def _cycle_roots(g: Graph) -> list[tuple[int, int]]:
-    """All (anchor, first-neighbor) DFS roots, the unit of parallel work."""
-    roots = []
+def _scan_roots(g: Graph, by_length: dict[int, int], visit) -> None:
+    """Run the DFS from every (anchor, first-neighbor) root."""
     for a in range(g.n):
-        above = -1 << (a + 1)
-        for u1 in bits_of(g.adj[a] & above):
-            roots.append((a, u1))
-    return roots
+        for u1 in bits_of(g.adj[a] & (-1 << (a + 1))):
+            _scan_root(g, a, u1, by_length, visit)
 
 
 def _scan_root(g: Graph, a: int, u1: int, by_length: dict[int, int], visit) -> None:
@@ -196,48 +192,16 @@ def _scan_root(g: Graph, a: int, u1: int, by_length: dict[int, int], visit) -> N
             stack.append((z, new_blocked, depth + 1, mask | (1 << z)))
 
 
-def _count_chunk(args) -> dict[int, int]:
-    n, adj, roots = args
-    g = Graph(n, adj)
+def count_induced_cycles(g: Graph) -> CycleCensus:
+    """Exact census of induced cycles (triangles included)."""
     by_length: dict[int, int] = {}
-    for a, u1 in roots:
-        _scan_root(g, a, u1, by_length, None)
-    return by_length
-
-
-def count_induced_cycles(g: Graph, threads: int = 1) -> CycleCensus:
-    """Exact census of induced cycles (triangles included).
-
-    threads > 1 partitions the DFS roots across worker processes; counts
-    merge by addition, so the result is identical for any worker count.
-    Worth it only for large inputs; falls back to serial if the pool
-    cannot be spawned.
-    """
-    roots = _cycle_roots(g)
-    if threads > 1 and len(roots) >= 4:
-        chunk_count = min(len(roots), threads * 4)
-        chunks = [roots[i::chunk_count] for i in range(chunk_count)]
-        try:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                parts = list(pool.map(_count_chunk, [(g.n, g.adj, c) for c in chunks]))
-        except OSError:
-            parts = None  # pool unavailable (sandboxes); do it here
-        if parts is not None:
-            merged: dict[int, int] = {}
-            for part in parts:
-                for length, count in part.items():
-                    merged[length] = merged.get(length, 0) + count
-            return CycleCensus(merged)
-    by_length: dict[int, int] = {}
-    for a, u1 in roots:
-        _scan_root(g, a, u1, by_length, None)
+    _scan_roots(g, by_length, None)
     return CycleCensus(by_length)
 
 
 def visit_induced_cycles(g: Graph, visit) -> None:
     """Call visit(vertex_mask, length) once per induced cycle."""
-    for a, u1 in _cycle_roots(g):
-        _scan_root(g, a, u1, {}, visit)
+    _scan_roots(g, {}, visit)
 
 
 def count_cycles_through(g: Graph, v: int) -> CycleCensus:

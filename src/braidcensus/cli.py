@@ -5,7 +5,11 @@ Every subcommand writes exactly one line to standard output: a graph6
 code or a JSON document with counts as decimal strings.  Diagnostics go
 to the error stream.  Exit codes: 0 success, 2 for any input problem
 (unparseable flags, bad graphs, violated preconditions), 3 when a
---expect assertion fails.
+--expect assertion fails, 4 when an internal cross-check fails (a bug,
+reported instead of a result).
+
+Only verify runs worker processes (--threads, one per CPU by default);
+every other subcommand runs in the calling process.
 
 Graph input is one --input value: either a literal graph6 code or a
 path to a file whose first non-empty line is one.  Subcommands that
@@ -49,6 +53,7 @@ from .graphs import (
     Graph,
     Graph6Error,
     InputError,
+    InternalError,
     UnsupportedError,
     parse_graph6,
     to_graph6,
@@ -67,10 +72,7 @@ CHECKPOINT_DIR_VAR = "BRAIDCENSUS_CHECKPOINT_DIR"
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_EXPECT = 3
-
-
-def _default_threads() -> int:
-    return os.cpu_count() or 1
+EXIT_INTERNAL = 4
 
 
 def _emit(doc: dict) -> None:
@@ -148,7 +150,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 def _cmd_count(args: argparse.Namespace) -> int:
     g = _graph_argument(args)
-    census = count_induced_cycles(g, threads=args.threads)
+    census = count_induced_cycles(g)
     _emit(census.to_json_dict(n=g.n))
     return EXIT_OK
 
@@ -193,7 +195,7 @@ def _cmd_game(args: argparse.Namespace) -> int:
 
 def _cmd_atypical(args: argparse.Namespace) -> int:
     g = _load_graph(args.input)
-    report = atypical_set(g, args.v, threads=args.threads)
+    report = atypical_set(g, args.v)
     _emit(report.to_json_dict())
     return EXIT_OK
 
@@ -310,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("count", help="induced cycle census of one graph")
     _add_graph_source(sub, family_too=True)
-    sub.add_argument("--threads", type=int, default=_default_threads())
     sub.set_defaults(handler=_cmd_count)
 
     sub = subs.add_parser("paths", help="induced x-y path census")
@@ -333,13 +334,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("atypical", help="classify every eligible probe")
     sub.add_argument("--input", required=True, help="graph6 code or file")
     sub.add_argument("--v", type=int, required=True)
-    sub.add_argument("--threads", type=int, default=_default_threads())
     sub.set_defaults(handler=_cmd_atypical)
 
     sub = subs.add_parser("verify", help="exhaustive sweep of all graphs")
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--quantity", required=True, choices=QUANTITIES)
-    sub.add_argument("--threads", type=int, default=_default_threads())
+    sub.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     sub.add_argument("--long-run", action="store_true", dest="long_run")
     sub.add_argument("--shards", type=int, default=1)
     sub.add_argument("--shard", type=int, default=0)
@@ -367,6 +367,9 @@ def main(argv: list[str] | None = None) -> int:
     except (InputError, Graph6Error, UnsupportedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except InternalError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

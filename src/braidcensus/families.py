@@ -30,7 +30,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .graphs import Graph, InputError, mask_of
+from .graphs import Graph, InputError, InternalError, mask_of
 
 FAMILY_TAGS = ("H", "G", "E", "F", "F_odd", "F_even", "G_script")
 
@@ -200,12 +200,18 @@ _G_SPECIALS = {0: [2, 2, 2], 1: [2, 2], 2: [2], 3: [], 4: [4], 5: [4, 4]}
 _E_SPECIALS = {0: [], 1: [4], 2: [4, 4], 3: [2, 2, 2], 4: [2, 2], 5: [2]}
 
 
+def _threes(rest: int, what: str) -> list[int]:
+    """rest vertices as 3-clusters; a remainder means a residue table
+    row is wrong, which is a bug, not bad input."""
+    if rest < 0 or rest % 3:
+        raise InternalError(f"residue table broken for {what}: {rest} left over")
+    return [3] * (rest // 3)
+
+
 def _cyclic_sizes(n: int, specials: list[int], who: str) -> tuple[int, ...]:
     if n < 14:
         raise InputError(f"build_{who} needs n >= 14, got {n}")
-    rest = n - sum(specials)
-    assert rest % 3 == 0, f"residue table broken for n={n}"
-    return tuple(specials + [3] * (rest // 3))
+    return tuple(specials + _threes(n - sum(specials), f"{who} at n={n}"))
 
 
 def g_sizes(n: int) -> tuple[int, ...]:
@@ -259,9 +265,8 @@ def f_central_multisets(n: int, parity: str = "all") -> list[tuple[int, ...]]:
         raise InputError(f"parity must be all|odd|even, got {parity!r}")
     out = []
     for specials in options:
-        rest = budget - sum(specials)
-        assert rest >= 0 and rest % 3 == 0, f"table broken for n={n} {parity}"
-        out.append(tuple(sorted(specials + [3] * (rest // 3))))
+        threes = _threes(budget - sum(specials), f"F {parity} at n={n}")
+        out.append(tuple(sorted(specials + threes)))
     return out
 
 
@@ -317,9 +322,8 @@ def script_g_multisets(n: int) -> list[tuple[int, ...]]:
         raise InputError(f"script-G needs n >= 14, got {n}")
     out = [tuple(sorted(g_sizes(n)))]
     if n % 6 == 5:
-        rest = n - 8
-        assert rest % 3 == 0
-        out.append(tuple(sorted([2, 2, 2, 2] + [3] * (rest // 3))))
+        threes = _threes(n - 8, f"G_script at n={n}")
+        out.append(tuple(sorted([2, 2, 2, 2] + threes)))
     return out
 
 

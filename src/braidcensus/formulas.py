@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graphs import InputError
+from .graphs import InputError, InternalError
 
 # Cycles shorter than ALPHA * n are "short"; their total is bounded by a
 # crude binomial sum that is still exponentially smaller than 3^(n/3).
@@ -42,7 +42,8 @@ class RealBound:
 
 
 def _pow3(k: int) -> int:
-    assert k >= 0, f"negative exponent {k} means a residue rule is wrong"
+    if k < 0:
+        raise InternalError(f"negative exponent {k} means a residue rule is wrong")
     return 3 ** k
 
 

@@ -27,7 +27,6 @@ structural fingerprint typicality forces.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .graphs import Graph, InputError, ball, bits_of, distance, is_connected, mask_of, vertices_of
@@ -229,16 +228,7 @@ class AtypicalReport:
         }
 
 
-def _probe_chunk(args: tuple[Graph, int, tuple[int, ...]]) -> list[tuple[int, bool]]:
-    g, v, probes = args
-    out = []
-    for w in probes:
-        builder, _, _ = _solve(g, v, ball(g, w, 4))
-        out.append((w, builder))
-    return out
-
-
-def atypical_set(g: Graph, v: int, threads: int = 1) -> AtypicalReport:
+def atypical_set(g: Graph, v: int) -> AtypicalReport:
     """Classify every vertex outside the radius-4 ball of v by solving
     the game once per probe."""
     _check_vertex(g, v)
@@ -246,25 +236,11 @@ def atypical_set(g: Graph, v: int, threads: int = 1) -> AtypicalReport:
         raise InputError("the game needs a connected graph")
     exempt_mask = ball(g, v, 4)
     probes = vertices_of(g.full_mask() & ~exempt_mask)
-    outcomes: dict[int, bool] = {}
-    if threads > 1 and len(probes) >= 2:
-        chunk_count = min(len(probes), threads * 4)
-        chunks = [
-            (g, v, probes[i::chunk_count]) for i in range(chunk_count)
-        ]
-        try:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                for part in pool.map(_probe_chunk, chunks):
-                    outcomes.update(part)
-        except OSError:
-            outcomes = {}
-    if not outcomes:
-        for w, builder in _probe_chunk((g, v, probes)):
-            outcomes[w] = builder
+    builder = {w: _solve(g, v, ball(g, w, 4))[0] for w in probes}
     return AtypicalReport(
         v=v,
-        atypical=tuple(w for w in probes if not outcomes[w]),
-        typical=tuple(w for w in probes if outcomes[w]),
+        atypical=tuple(w for w in probes if not builder[w]),
+        typical=tuple(w for w in probes if builder[w]),
         exempt=vertices_of(exempt_mask),
     )
 

@@ -47,6 +47,11 @@ class UnsupportedError(InputError):
     """Raised when an argument is valid but outside the supported range."""
 
 
+class InternalError(RuntimeError):
+    """Raised when an internal cross-check fails: a bug, never bad input.
+    Unlike assert, it also fires under python -O."""
+
+
 # ======================================================================
 # bitmask helpers
 # ======================================================================

@@ -214,41 +214,22 @@ def _match_families(g: Graph, p: ClusterPartition) -> list[FamilyId]:
 # ======================================================================
 
 
-def _complement_components(g: Graph) -> list[int]:
-    full = g.full_mask()
-    comps = []
-    left = full
-    while left:
-        start = left & -left
-        comp = start
-        frontier = start
-        while frontier:
-            v = (frontier & -frontier).bit_length() - 1
-            frontier &= frontier - 1
-            nbrs = ~g.adj[v] & full & ~(1 << v) & left & ~comp
-            comp |= nbrs
-            frontier |= nbrs
-        comps.append(comp)
-        left &= ~comp
-    return sorted(comps, key=lambda m: (m & -m))
-
-
-def _induced_components(g: Graph, mask: int) -> list[int]:
+def _components(rows: tuple[int, ...], mask: int) -> list[int]:
+    """Connected components of the subgraph induced by mask on the
+    adjacency rows, ordered by lowest vertex."""
     comps = []
     left = mask
     while left:
-        start = left & -left
-        comp = start
-        frontier = start
+        comp = frontier = left & -left
         while frontier:
             v = (frontier & -frontier).bit_length() - 1
             frontier &= frontier - 1
-            nbrs = g.adj[v] & mask & ~comp
+            nbrs = rows[v] & mask & ~comp
             comp |= nbrs
             frontier |= nbrs
         comps.append(comp)
         left &= ~comp
-    return sorted(comps, key=lambda m: (m & -m))
+    return comps
 
 
 def _common_outside(g: Graph, cluster_mask: int) -> int | None:
@@ -341,7 +322,9 @@ def candidate_cyclic_partitions(g: Graph, all_splits: bool = False):
             return part
         return None
 
-    comps = _complement_components(g)
+    full = g.full_mask()
+    complement = tuple(full & ~g.closed(v) for v in range(g.n))
+    comps = _components(complement, full)
     if len(comps) >= 3:
         rest = 0
         for m in comps[2:]:
@@ -363,7 +346,7 @@ def candidate_cyclic_partitions(g: Graph, all_splits: bool = False):
             first, second = sorted(groups.values(), key=lambda m: m & -m)
             splits = [(first, second)]
         elif len(groups) == 1:
-            comps_out = _induced_components(g, out)
+            comps_out = _components(g.adj, out)
             if len(comps_out) < 2:
                 continue
             rest = out & ~comps_out[0]

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,10 +36,12 @@ from .graphs import (
     CanonicalCode,
     Graph,
     InputError,
-    bits_of,
+    InternalError,
+    ball,
     canonical_code,
     graph_from_pair_bits,
     pair_order,
+    vertices_of,
 )
 from .recognition import verify_braid
 
@@ -267,13 +269,13 @@ def _audit(n: int, quantity: str, lo: int, hi: int) -> None:
         g = graph_from_pair_bits(n, code)
         vec = int(_values_for_codes(n, quantity, np.array([code]))[0])
         ref = quantity_of_graph(g, quantity)
-        assert vec == ref, (
-            f"engine mismatch at code {code}: vectorized {vec}, census {ref}"
-        )
+        if vec != ref:
+            raise InternalError(
+                f"engine mismatch at code {code}: vectorized {vec}, census {ref}"
+            )
         fast, slow = count_induced_cycles(g), slow_census(g)
-        assert fast.by_length == slow.by_length, (
-            f"cycle engines disagree at code {code}"
-        )
+        if fast.by_length != slow.by_length:
+            raise InternalError(f"cycle engines disagree at code {code}")
 
 
 # ======================================================================
@@ -329,7 +331,8 @@ def exhaustive_max(
         try:
             with ProcessPoolExecutor(max_workers=threads) as pool:
                 parts = list(pool.map(_scan_block, blocks))
-        except OSError:
+        except (OSError, BrokenExecutor):
+            # no pool here (sandboxes) or a worker died: scan in-process
             parts = [_scan_block(b) for b in blocks]
     else:
         parts = [_scan_block(b) for b in blocks]
@@ -349,9 +352,10 @@ def exhaustive_max(
     )
     for code in result.extremal_codes:
         achieved = quantity_of_graph(code.graph(), quantity)
-        assert achieved == best, (
-            f"post-sweep check failed: {code.g6} scores {achieved}, not {best}"
-        )
+        if achieved != best:
+            raise InternalError(
+                f"post-sweep check failed: {code.g6} scores {achieved}, not {best}"
+            )
     return result
 
 
@@ -447,13 +451,10 @@ class UniquenessReport:
 def _layers_from(g: Graph, x: int) -> list[tuple[int, ...]]:
     """Breadth-first distance layers seeded at x, as vertex tuples."""
     layers = []
-    prev, cur = 0, 1 << x
-    while cur:
-        layers.append(tuple(bits_of(cur)))
-        nxt = 0
-        for v in bits_of(cur):
-            nxt |= g.adj[v]
-        prev, cur = cur, nxt & ~(prev | cur)
+    inner, r = 0, 0
+    while (outer := ball(g, x, r)) != inner:
+        layers.append(vertices_of(outer & ~inner))
+        inner, r = outer, r + 1
     return layers
 
 

@@ -3,7 +3,8 @@
 Each test drives main() in process and checks the single output line
 (parsed JSON is compared as a document, so key order stays free) plus
 the exit code contract: 0 for success, 2 for input problems, 3 for a
-failed --expect assertion.
+failed --expect assertion.  Exit 4, a failed internal cross-check, is
+forced in test_sweep.py under python -O.
 """
 
 import json
@@ -177,8 +178,7 @@ def test_game_precondition_is_an_input_error(capsys):
 
 def test_atypical_golden(capsys):
     g6 = to_graph6(build_H(30)[0])
-    code, doc, _ = run_json(capsys, "atypical", "--input", g6, "--v", "0",
-                            "--threads", "1")
+    code, doc, _ = run_json(capsys, "atypical", "--input", g6, "--v", "0")
     assert code == 0
     assert doc["atypical"] == [15, 16, 17]
     assert doc["typical"] == []

@@ -10,6 +10,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from braidcensus import families
 from braidcensus.families import (
     BraidSpec,
     ClusterPartition,
@@ -29,7 +30,7 @@ from braidcensus.families import (
     script_g_multisets,
 )
 from braidcensus.formulas import f2, f2_even, f2_odd
-from braidcensus.graphs import Graph, InputError, ball
+from braidcensus.graphs import Graph, InputError, InternalError, ball
 
 
 def check_braid_structure(g: Graph, p: ClusterPartition, intra=None):
@@ -167,6 +168,12 @@ def test_g_and_e_sizes_by_residue():
     for f in (g_sizes, e_sizes):
         with pytest.raises(InputError):
             f(13)
+
+
+def test_broken_residue_table_is_an_internal_error(monkeypatch):
+    monkeypatch.setitem(families._G_SPECIALS, 2, [2, 2])
+    with pytest.raises(InternalError):
+        g_sizes(14)
 
 
 def test_build_g_full_intra_build_e_empty():

@@ -21,7 +21,8 @@ from braidcensus.formulas import (
     short_cycle_mass,
     vertex_cycle_bound,
 )
-from braidcensus.graphs import InputError
+from braidcensus.formulas import _pow3
+from braidcensus.graphs import InputError, InternalError
 
 
 def max_part_product(total: int, count_parity: str) -> int:
@@ -130,6 +131,12 @@ def test_domain_errors():
     ):
         with pytest.raises(InputError):
             bad_call()
+
+
+def test_negative_exponent_is_an_internal_error():
+    assert _pow3(0) == 1
+    with pytest.raises(InternalError):
+        _pow3(-1)
 
 
 def test_wrapper_types():

@@ -261,13 +261,6 @@ def test_verdict_label_invariance():
         assert mapped.winner == original.winner
 
 
-def test_atypical_worker_fanout_matches_serial():
-    g, _ = build_H(30)
-    serial = atypical_set(g, 0)
-    fanned = atypical_set(g, 0, threads=2)
-    assert fanned == serial
-
-
 # ======================================================================
 # local structure
 # ======================================================================

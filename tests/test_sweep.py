@@ -9,9 +9,15 @@ intra-edge variants of the admissible path braids.
 """
 
 import itertools
+import os
+import subprocess
+import sys
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+import braidcensus
+from braidcensus import sweep
 from braidcensus.families import member_of_F, build_H
 from braidcensus.formulas import f2
 from braidcensus.graphs import (
@@ -161,8 +167,75 @@ def test_odd_and_even_partition_the_total():
 # ======================================================================
 
 
-def test_determinism_across_worker_counts():
-    assert exhaustive_max(6, "p2") == exhaustive_max(6, "p2", threads=3)
+# n = 6 fits in one default-size block, which never reaches the pool;
+# smaller blocks make these sweeps fan out.
+SMALL_BLOCK_BITS = 12
+
+
+def test_determinism_across_worker_counts(monkeypatch):
+    serial = exhaustive_max(6, "p2")
+    monkeypatch.setattr(sweep, "BLOCK_BITS", SMALL_BLOCK_BITS)
+    assert exhaustive_max(6, "p2", threads=3) == serial
+
+
+def test_dead_worker_falls_back_to_the_serial_scan(monkeypatch):
+    maps = []
+
+    class DeadPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            maps.append(fn)
+            raise BrokenProcessPool("a worker was killed")
+
+    serial = exhaustive_max(6, "p2")
+    monkeypatch.setattr(sweep, "BLOCK_BITS", SMALL_BLOCK_BITS)
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", DeadPool)
+    assert exhaustive_max(6, "p2", threads=2) == serial
+    assert maps, "the sweep never reached the pool"
+
+
+# Run under python -O, where assert statements are stripped: the sweep's
+# cross-checks must still catch a per-graph engine that lies at n = 4,
+# in the library and through the CLI.
+LYING_ENGINE_SCRIPT = """
+import sys
+from braidcensus import sweep
+from braidcensus.cli import main
+from braidcensus.graphs import InternalError
+
+if __debug__:
+    sys.exit("assertions are on: run with python -O")
+honest = sweep.quantity_of_graph
+sweep.quantity_of_graph = lambda g, q: honest(g, q) + (g.n == 4)
+try:
+    sweep.exhaustive_max(4, "p2")
+except InternalError:
+    pass
+else:
+    sys.exit("exhaustive_max accepted a lying engine")
+sys.exit(main(["verify", "--n", "4", "--quantity", "p2"]))
+"""
+
+
+def test_cross_checks_survive_python_O():
+    src = os.path.dirname(os.path.dirname(braidcensus.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", LYING_ENGINE_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: internal check failed: ")
+    assert len(proc.stderr.splitlines()) == 1
 
 
 def test_shards_merge_to_the_full_sweep():
