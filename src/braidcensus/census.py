@@ -1,26 +1,52 @@
-"""Exact enumeration of induced cycles and induced s-t paths.
+"""Exact counts of induced cycles and induced x-y paths.
 
-Cycle engine.  Every chordless cycle has a unique *anchor* (its lowest
+Cycle search.  Every chordless cycle has a unique *anchor* (its lowest
 vertex id) and a unique orientation (the anchor's smaller cycle-neighbor
 comes first), so enumerating, per anchor a, the induced paths that start
 at a neighbor u1 of a, stay above a, avoid N[a], and finally close at a
 neighbor z of a with z > u1, visits each induced cycle exactly once.  The
 "avoid N[a]" rule makes a-chords impossible; ordinary chords are excluded
-by keeping a running closed-neighborhood mask of the path interior.  All
-of this is integer mask algebra: one AND per candidate set, popcounts for
-batch closure counting.
+by keeping a running closed-neighborhood mask `blocked` of the path.  A
+branch dies once every closing vertex is blocked.
 
-Path engine.  Induced x-y paths grow from x the same way; a branch dies
-as soon as y falls inside the interior's closed neighborhood (no
-completion can then reach y without a chord), which is the whole pruning
-story.  If xy is an edge, the single-edge path is the only induced x-y
-path (anything longer has the chord xy).
+Path search.  Induced x-y paths grow from x the same way, with y the only
+closing vertex: a branch dies as soon as y falls inside the path's closed
+neighborhood.  If xy is an edge, the single-edge path is the only induced
+x-y path (anything longer has the chord xy).
+
+Memo.  Within one search (one (a, u1) root, one x-y pair), let blocked be
+the closed neighborhood of the path before its endpoint cur (cur lies in
+it) and cands = adj[cur] & ~blocked the endpoint's usable neighbors, both
+restricted to the vertices the search may use.  What can still happen below the path depends on
+(cands, blocked) alone: the next blocked mask is blocked | cands, the
+closures are cands & close, and each child z starts from adj[z] & ~that.
+So the subtree below a state is cached under that key.  Twins share an
+entry: false twins have equal adjacency, and true twins, each inside the
+other's cands, are both blocked below the parent, so either way their
+states get equal keys.  Plain (adj[cur], blocked) would miss true twins.
+In a braid every cluster is a module of twins, which is why the ~3^(n/3)
+objects of H_n or of a path braid fold into a polynomial number of states.
+
+Packed histogram.  A cached value is the subtree's count per length, packed
+into one int with one field of n + 1 bits per length (no count reaches
+2^(n+1)): adding two histograms is an int add and one step deeper is a
+shift.  Each value is kept as (base, packed) with the lowest field of
+packed non-zero, so its size follows the spread of lengths and not the
+depth (a long path would otherwise store O(n^2) bits per entry).  Leaves,
+whose only contribution is their closure count, are folded into their
+parent and never stored.  The search is iterative, so depth is no limit.
+
+visit_induced_cycles walks every cycle and cannot fold; it keeps the plain
+search, and with it the per-vertex counts.  That walk, slow_census and the
+identity sum_v f(v) = sum_L L c_L are the independent checks on the memo.
 
 Path-tree statistics.  The x-y path tree is the rooted tree whose nodes
 are the growing induced paths, except that a node whose endpoint is
-adjacent to y has exactly one child, y itself.  We never materialize it;
-leaf counts, per-root-to-leaf child-count multisets (the forced unary
-y-step excluded), and the sibling-balance flag fall out of one recursion.
+adjacent to y has exactly one child, y itself.  We never materialize it.
+Leaf counts, the sibling-balance flag and the set of child-count multisets
+along root-to-leaf paths (the forced unary y-step excluded) are cached per
+(cands, blocked) the same way; a node's value holds the multisets of its
+root-to-leaf suffixes, each packed as an int of per-child-count fields.
 
 slow_census is the independent oracle: scan all 2^n vertex subsets with
 numpy, keep those inducing a 2-regular graph, and confirm connectivity
@@ -155,53 +181,136 @@ class TreeStats:
 
 
 # ======================================================================
-# induced cycle enumeration
+# the memoized path fold (cycle and path counts)
 # ======================================================================
 
 
-def _scan_roots(g: Graph, by_length: dict[int, int], visit) -> None:
-    """Run the DFS from every (anchor, first-neighbor) root."""
+def _fold(adj, above: int, stop: int, close: int, start: int, blocked: int,
+          width: int) -> tuple[int, int]:
+    """Packed length histogram of the induced paths that grow from start
+    inside `above` and end at a vertex of `close`.  `blocked` holds the
+    vertices of `above` the path up to start may no longer use (start
+    included).  A vertex of `stop` is never passed through.
+
+    Returns (base, packed): field k of packed << (width * base) counts the
+    completions whose closing vertex lies k steps beyond the vertex
+    before start.
+    """
+    memo: dict[tuple[int, int], tuple[int, int]] = {}
+    stack = []
+    # the current frame: memo key, blocked below it, children left, and
+    # its histogram as (base, packed); the first frame stands for the
+    # vertex before start
+    key, nb, todo, base, acc = None, blocked, 1 << start, 0, 0
+    while True:
+        if todo:
+            bit = todo & -todo
+            todo ^= bit
+            cands = adj[bit.bit_length() - 1] & above & ~nb
+            below = nb | cands
+            closed = (cands & close).bit_count()
+            # once every closing vertex is blocked, no extension can close
+            ext = cands & ~stop if close & ~below else 0
+            if not ext:
+                if not closed:
+                    continue
+                off, val = 2, closed
+            else:
+                child = (cands, nb)
+                hit = memo.get(child)
+                if hit is None:
+                    stack.append((key, nb, todo, base, acc))
+                    key, nb, todo = child, below, ext
+                    base, acc = (1, closed) if closed else (0, 0)
+                    continue
+                off, val = hit
+                if not val:
+                    continue
+                off += 1
+        else:
+            if not stack:
+                return base, acc
+            memo[key] = (base, acc)
+            off, val = base + 1, acc
+            key, nb, todo, base, acc = stack.pop()
+            if not val:
+                continue
+        # add val at offset off, keeping the lowest field of acc non-zero
+        # so that no value grows with the depth of the path
+        if not acc:
+            base, acc = off, val
+        elif off >= base:
+            acc += val << (width * (off - base))
+        else:
+            acc = (acc << (width * (base - off))) + val
+            base = off
+
+
+def _unpack(packed: int, width: int, shift: int) -> dict[int, int]:
+    """{k + shift: field k} over the non-zero fields of a packed histogram."""
+    out: dict[int, int] = {}
+    if not packed:
+        return out
+    k = ((packed & -packed).bit_length() - 1) // width
+    packed >>= width * k
+    mask = (1 << width) - 1
+    while packed:
+        count = packed & mask
+        if count:
+            out[k + shift] = count
+        packed >>= width
+        k += 1
+    return out
+
+
+# ======================================================================
+# induced cycles
+# ======================================================================
+
+
+def count_induced_cycles(g: Graph) -> CycleCensus:
+    """Exact census of induced cycles (triangles included)."""
+    adj = g.adj
+    width = g.n + 1
+    total = 0
     for a in range(g.n):
-        for u1 in bits_of(g.adj[a] & (-1 << (a + 1))):
-            _scan_root(g, a, u1, by_length, visit)
+        above = g.full_mask() & (-1 << (a + 1))
+        adj_a = adj[a]
+        for u1 in bits_of(adj_a & above):
+            close = adj_a & (-1 << (u1 + 1))
+            if close:
+                base, packed = _fold(adj, above, adj_a, close, u1, 1 << u1, width)
+                total += packed << (width * base)
+    # k steps from the anchor to the closing vertex make a (k + 1)-cycle
+    return CycleCensus(_unpack(total, width, 1))
 
 
-def _scan_root(g: Graph, a: int, u1: int, by_length: dict[int, int], visit) -> None:
+def _scan_root(g: Graph, a: int, u1: int, visit) -> None:
+    """Plain DFS from one (anchor, first-neighbor) root, calling
+    visit(vertex_mask, length) at every closure."""
     adj = g.adj
     above = (-1 << (a + 1)) & g.full_mask()
     adj_a = adj[a]
-    base = 1 << a  # cycle mask accumulates only in visit mode
 
     # Iterative DFS over (cur, blocked, depth, mask); blocked is the
     # closed neighborhood of the path vertices before cur.
-    stack = [(u1, 0, 1, base | (1 << u1))]
+    stack = [(u1, 0, 1, (1 << a) | (1 << u1))]
     above_u1 = (-1 << (u1 + 1)) & g.full_mask()
     while stack:
         cur, blocked, depth, mask = stack.pop()
         cands = adj[cur] & above & ~blocked
-        closures = cands & adj_a & above_u1
-        if closures:
-            if visit is None:
-                length = depth + 2
-                by_length[length] = by_length.get(length, 0) + closures.bit_count()
-            else:
-                for z in bits_of(closures):
-                    visit(mask | (1 << z), depth + 2)
+        for z in bits_of(cands & adj_a & above_u1):
+            visit(mask | (1 << z), depth + 2)
         new_blocked = blocked | adj[cur] | (1 << cur)
         for z in bits_of(cands & ~adj_a):
             stack.append((z, new_blocked, depth + 1, mask | (1 << z)))
 
 
-def count_induced_cycles(g: Graph) -> CycleCensus:
-    """Exact census of induced cycles (triangles included)."""
-    by_length: dict[int, int] = {}
-    _scan_roots(g, by_length, None)
-    return CycleCensus(by_length)
-
-
 def visit_induced_cycles(g: Graph, visit) -> None:
     """Call visit(vertex_mask, length) once per induced cycle."""
-    _scan_roots(g, {}, visit)
+    for a in range(g.n):
+        for u1 in bits_of(g.adj[a] & (-1 << (a + 1))):
+            _scan_root(g, a, u1, visit)
 
 
 def count_cycles_through(g: Graph, v: int) -> CycleCensus:
@@ -247,25 +356,15 @@ def _check_pair(g: Graph, x: int, y: int) -> None:
 def count_induced_st_paths(g: Graph, x: int, y: int) -> PathCensus:
     """Exact census of induced paths with endpoint set {x, y}."""
     _check_pair(g, x, y)
-    adj = g.adj
     ybit = 1 << y
-    if adj[x] & ybit:
+    if g.adj[x] & ybit:
         # the edge is the unique induced x-y path: anything longer
         # carries xy as a chord
         return PathCensus({1: 1})
-    by_length: dict[int, int] = {}
-    stack = [(x, 1 << x, 0)]
-    while stack:
-        cur, blocked, depth = stack.pop()
-        cands = adj[cur] & ~blocked
-        if cands & ybit:
-            by_length[depth + 1] = by_length.get(depth + 1, 0) + 1
-        new_blocked = blocked | adj[cur] | (1 << cur)
-        if new_blocked & ybit:
-            continue  # y swallowed: no extension can ever close
-        for z in bits_of(cands & ~ybit):
-            stack.append((z, new_blocked, depth + 1))
-    return PathCensus(by_length)
+    width = g.n + 1
+    base, packed = _fold(g.adj, g.full_mask(), ybit, ybit, x, 1 << x, width)
+    # k steps from the vertex before x to y make a path of k - 1 edges
+    return PathCensus(_unpack(packed << (width * base), width, -1))
 
 
 def p2_max(g: Graph, parity: str = "all") -> tuple[int, tuple[int, int]]:
@@ -296,37 +395,60 @@ def path_tree_stats(g: Graph, x: int, y: int) -> TreeStats:
     _check_pair(g, x, y)
     adj = g.adj
     ybit = 1 << y
-    multisets: set[tuple[int, ...]] = set()
-    balanced = True
-
-    # returns (leaf_count, y_leaf_count) of the subtree at (cur, blocked)
-    def walk(cur: int, blocked: int, acc: tuple[int, ...]) -> tuple[int, int]:
-        nonlocal balanced
-        if adj[cur] & ybit:
-            # unique child y, a y-leaf; the forced unary step is not
-            # recorded in the path's child-count multiset
-            multisets.add(tuple(sorted(acc)))
-            return 1, 1
-        cands = adj[cur] & ~blocked
-        if not cands:
-            multisets.add(tuple(sorted(acc)))
-            return 1, 0
-        d = cands.bit_count()
-        new_blocked = blocked | adj[cur] | (1 << cur)
-        acc_d = acc + (d,)
-        leaves = 0
-        y_counts = []
-        for z in bits_of(cands):
-            l, ly = walk(z, new_blocked, acc_d)
-            leaves += l
-            y_counts.append(ly)
-        total_y = sum(y_counts)
-        if total_y > 0 and len(set(y_counts)) > 1:
+    width = g.n.bit_length()
+    memo: dict[tuple[int, int], tuple[int, int, set[int], bool]] = {}
+    stack = []
+    # the current frame: memo key, blocked below it, children left, its
+    # child count as a packed multiset, then its running statistics:
+    # leaves, y-leaves, the first child's y-leaves, balanced, and the
+    # packed child-count multisets of its root-to-leaf suffixes.  The
+    # first frame stands for the vertex before x and counts nothing.
+    key, nb, todo, step = None, 1 << x, 1 << x, 0
+    leaves, y_leaves, first, balanced, suffixes = 0, 0, -1, True, set()
+    while True:
+        if todo:
+            bit = todo & -todo
+            todo ^= bit
+            z = bit.bit_length() - 1
+            cands = adj[z] & ~nb
+            if adj[z] & ybit or not cands:
+                # a y-leaf (z's unique child is y; that forced step is not
+                # recorded in the multiset) or a dead end
+                sub = (1, 1 if adj[z] & ybit else 0, None, True)
+            else:
+                child = (cands, nb)
+                sub = memo.get(child)
+                if sub is None:
+                    stack.append((key, nb, todo, step, leaves, y_leaves, first,
+                                  balanced, suffixes))
+                    key, nb, todo = child, nb | cands, cands
+                    step = 1 << (width * cands.bit_count())
+                    leaves, y_leaves, first, balanced, suffixes = 0, 0, -1, True, set()
+                    continue
+        else:
+            if not stack:
+                break
+            sub = memo[key] = (leaves, y_leaves, suffixes, balanced)
+            (key, nb, todo, step, leaves, y_leaves, first, balanced,
+             suffixes) = stack.pop()
+        sub_leaves, sub_y, sub_suffixes, sub_balanced = sub
+        leaves += sub_leaves
+        y_leaves += sub_y
+        # balanced: every node's children carry equal y-leaf counts
+        if first < 0:
+            first = sub_y
+        elif first != sub_y:
             balanced = False
-        return leaves, total_y
-
-    leaf_count, y_leaf_count = walk(x, 1 << x, ())
-    return TreeStats(leaf_count, y_leaf_count, frozenset(multisets), balanced)
+        balanced = balanced and sub_balanced
+        if sub_suffixes is None:
+            suffixes.add(step)
+        else:
+            suffixes.update(m + step for m in sub_suffixes)
+    multisets = frozenset(
+        tuple(d for d, count in _unpack(packed, width, 0).items() for _ in range(count))
+        for packed in suffixes
+    )
+    return TreeStats(leaves, y_leaves, multisets, balanced)
 
 
 # ======================================================================

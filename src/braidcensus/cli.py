@@ -19,7 +19,9 @@ exactly one input source must be given.
 Sharded sweeps checkpoint through the directory named by the
 BRAIDCENSUS_CHECKPOINT_DIR environment variable: each finished shard
 appends one "shard,max,codes..." line, completed shards are skipped on
-rerun, and --merge combines a fully checkpointed run.
+rerun, and --merge combines a fully checkpointed run.  Every line read
+back is checked (each code must be canonical and score the line's max)
+and lines for the same shard must agree; otherwise verify exits 2.
 """
 
 from __future__ import annotations
@@ -216,7 +218,11 @@ def _read_checkpoints(path: str, n: int, quantity: str, shards: int) -> dict:
                     shard, result = parse_checkpoint_line(
                         n, quantity, shards, line
                     )
-                    done[shard] = result
+                    if done.setdefault(shard, result) != result:
+                        raise InputError(
+                            f"checkpoint {path} has conflicting lines "
+                            f"for shard {shard}"
+                        )
     return done
 
 

@@ -350,13 +350,23 @@ def exhaustive_max(
         extremal_codes=frozenset(CanonicalCode(g6) for g6 in codes),
         graphs_scanned=scanned,
     )
-    for code in result.extremal_codes:
-        achieved = quantity_of_graph(code.graph(), quantity)
-        if achieved != best:
-            raise InternalError(
-                f"post-sweep check failed: {code.g6} scores {achieved}, not {best}"
-            )
+    misscored = _misscored(result)
+    if misscored:
+        raise InternalError(f"post-sweep check failed: {misscored}")
     return result
+
+
+def _misscored(result: SweepResult) -> str | None:
+    """Why the first extremal code that does not score the result's max on
+    n vertices fails, or None if every code does."""
+    for code in sorted(result.extremal_codes, key=lambda c: c.g6):
+        g = code.graph()
+        if g.n != result.n:
+            return f"{code.g6} has {g.n} vertices, not {result.n}"
+        achieved = quantity_of_graph(g, result.quantity)
+        if achieved != result.max.value:
+            return f"{code.g6} scores {achieved}, not {result.max.value}"
+    return None
 
 
 def merge_sweeps(parts: list[SweepResult]) -> SweepResult:
@@ -398,11 +408,15 @@ def parse_checkpoint_line(
     n: int, quantity: str, shards: int, line: str
 ) -> tuple[int, SweepResult]:
     """Rebuild (shard index, shard result) from a checkpoint line; the
-    scanned count is recomputed from the shard geometry."""
+    scanned count is recomputed from the shard geometry, and every code
+    must be canonical and score the line's max."""
     fields = line.strip().split(",")
     if len(fields) < 3:
         raise InputError(f"malformed checkpoint line: {line!r}")
-    shard, best = int(fields[0]), int(fields[1])
+    try:
+        shard, best = int(fields[0]), int(fields[1])
+    except ValueError:
+        raise InputError(f"malformed checkpoint line: {line!r}") from None
     lo, hi = shard_range(n, shards, shard)
     result = SweepResult(
         n=n,
@@ -411,6 +425,15 @@ def parse_checkpoint_line(
         extremal_codes=frozenset(CanonicalCode(g6) for g6 in fields[2:]),
         graphs_scanned=hi - lo,
     )
+    misscored = _misscored(result)
+    if misscored:
+        raise InputError(f"checkpoint line of shard {shard}: {misscored}")
+    for code in sorted(result.extremal_codes, key=lambda c: c.g6):
+        # an isomorphic relabeling would merge as one more extremal class
+        if canonical_code(code.graph()) != code:
+            raise InputError(
+                f"checkpoint line of shard {shard}: {code.g6} is not canonical"
+            )
     return shard, result
 
 

@@ -1,13 +1,17 @@
 """Census engine tests.
 
-The fast enumerators are checked three independent ways: a from-scratch
+The memoized counts are checked three independent ways: a from-scratch
 subset filter written here (shares no code with the package), the numpy
 slow_census oracle, and hand-pinned values for structured graphs whose
-counts have closed forms.
+counts have closed forms.  Random graphs rarely have twins, so the memo
+is also exercised on blow-ups of small graphs and on braids up to
+n = 120; path-tree statistics are checked against a plain recursive walk.
 """
 
 import itertools
+import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +30,17 @@ from braidcensus.census import (
     slow_census,
     visit_induced_cycles,
 )
-from braidcensus.families import build_H, f_central_sequences, member_of_F, random_intra
+from braidcensus.families import (
+    BraidSpec,
+    build_braid,
+    build_E,
+    build_G,
+    build_H,
+    f_central_multisets,
+    f_central_sequences,
+    member_of_F,
+    random_intra,
+)
 from braidcensus.formulas import f2, f2_even, f2_odd, m_lower, vertex_cycle_bound
 from braidcensus.graphs import Graph, InputError, UnsupportedError, bits_of, graph_from_pair_bits
 
@@ -112,11 +126,83 @@ def exploration_leaves(g: Graph, v: int) -> tuple[int, int]:
     return leaves, closures_total
 
 
+def recursive_tree_stats(g: Graph, x: int, y: int) -> TreeStats:
+    """The x-y path tree walked node by node, recursively, with no memo."""
+    adj = g.adj
+    ybit = 1 << y
+    multisets: set[tuple[int, ...]] = set()
+    balanced = True
+
+    # returns (leaf_count, y_leaf_count) of the subtree at (cur, blocked)
+    def walk(cur: int, blocked: int, acc: tuple[int, ...]) -> tuple[int, int]:
+        nonlocal balanced
+        if adj[cur] & ybit:
+            multisets.add(tuple(sorted(acc)))
+            return 1, 1
+        cands = adj[cur] & ~blocked
+        if not cands:
+            multisets.add(tuple(sorted(acc)))
+            return 1, 0
+        new_blocked = blocked | adj[cur] | (1 << cur)
+        acc_d = acc + (cands.bit_count(),)
+        leaves = 0
+        y_counts = []
+        for z in bits_of(cands):
+            l, ly = walk(z, new_blocked, acc_d)
+            leaves += l
+            y_counts.append(ly)
+        if sum(y_counts) > 0 and len(set(y_counts)) > 1:
+            balanced = False
+        return leaves, sum(y_counts)
+
+    leaf_count, y_leaf_count = walk(x, 1 << x, ())
+    return TreeStats(leaf_count, y_leaf_count, frozenset(multisets), balanced)
+
+
+def cyclic_braid_census(sizes: tuple[int, ...], clique: bool) -> dict[int, int]:
+    """Induced cycles of a cyclic braid with k >= 5 clusters, all of them
+    independent sets or all cliques.  Two vertices of one cluster are
+    twins, so a cycle through both is a triangle (cliques) or a C4
+    (independent sets: two adjacent clusters, or a wedge over one); every
+    other induced cycle takes one vertex per cluster around the ring."""
+    k = len(sizes)
+    pairs = [math.comb(s, 2) for s in sizes]
+    short = sum(
+        math.comb(sizes[i], 3) + pairs[i] * sizes[i - 1] + sizes[i] * pairs[i - 1]
+        if clique
+        else pairs[i] * pairs[i - 1] + pairs[i] * sizes[i - 1] * sizes[(i + 1) % k]
+        for i in range(k)
+    )
+    out = {3 if clique else 4: short}
+    out[k] = out.get(k, 0) + math.prod(sizes)
+    return {length: c for length, c in out.items() if c}
+
+
 @st.composite
 def graphs(draw, max_n=8):
     n = draw(st.integers(min_value=1, max_value=max_n))
     bits = draw(st.integers(min_value=0, max_value=(1 << (n * (n - 1) // 2)) - 1))
     return graph_from_pair_bits(n, bits)
+
+
+@st.composite
+def blow_ups(draw, max_n=14):
+    """A random base graph on k <= 6 vertices with each vertex replaced by
+    an independent set or a clique of twins, then relabeled: random G(n,p)
+    graphs almost never have twins, so they rarely exercise the memo."""
+    k = draw(st.integers(min_value=1, max_value=6))
+    base = graph_from_pair_bits(k, draw(st.integers(0, (1 << (k * (k - 1) // 2)) - 1)))
+    sizes = draw(st.lists(st.integers(1, min(4, max_n // k)), min_size=k, max_size=k))
+    cliques = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    home = [i for i, size in enumerate(sizes) for _ in range(size)]
+    order = draw(st.permutations(range(len(home))))
+    home = [home[v] for v in order]
+    edges = [
+        (u, v)
+        for u, v in itertools.combinations(range(len(home)), 2)
+        if (cliques[home[u]] if home[u] == home[v] else base.has_edge(home[u], home[v]))
+    ]
+    return Graph.from_edge_list(len(home), edges)
 
 
 def cycle_graph(n: int) -> Graph:
@@ -166,6 +252,43 @@ def test_cycle_census_matches_slow_oracle_random():
         g = graph_from_pair_bits(n, bits)
         fast = count_induced_cycles(g)
         assert fast.by_length == slow_census(g).by_length
+
+
+@settings(max_examples=150, deadline=None)
+@given(blow_ups())
+def test_cycle_census_twin_rich_matches_slow_oracle(g):
+    assert count_induced_cycles(g).by_length == slow_census(g).by_length
+
+
+def test_memo_matches_oracles_on_mid_size_random_graphs():
+    # below about ten vertices two DFS states with equal cands almost
+    # never differ in blocked, so a memo key that drops blocked passes
+    # every smaller test; at 12-14 vertices it fails here
+    rng = random.Random(0xB1A5)
+    for _ in range(40):
+        n = rng.randint(12, 14)
+        g = Graph.from_edge_list(
+            n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.3]
+        )
+        assert count_induced_cycles(g).by_length == slow_census(g).by_length
+        x, y = rng.sample(range(n), 2)
+        assert count_induced_st_paths(g, x, y).by_length == naive_path_census(g, x, y)
+        assert path_tree_stats(g, x, y) == recursive_tree_stats(g, x, y)
+
+
+def test_cycle_census_braids_at_scale():
+    # about 3^40 cycles at n = 120: only the memo can count them
+    for n in (30, 60, 90, 120):
+        g, part = build_H(n)
+        census = count_induced_cycles(g)
+        assert census.f == m_lower(n).value, f"H({n})"
+        assert census.by_length == cyclic_braid_census(part.sizes(), clique=False)
+        g, part = build_G(n)
+        assert count_induced_cycles(g).by_length == cyclic_braid_census(
+            part.sizes(), clique=True), f"G({n})"
+        g, part = build_E(n)
+        assert count_induced_cycles(g).by_length == cyclic_braid_census(
+            part.sizes(), clique=False), f"E({n})"
 
 
 def test_cycle_pins_small():
@@ -341,6 +464,15 @@ def test_path_census_symmetric(g, data):
     )
 
 
+@settings(max_examples=150, deadline=None)
+@given(blow_ups(max_n=12), st.data())
+def test_path_census_twin_rich_matches_naive(g, data):
+    if g.n < 2:
+        return
+    x, y = data.draw(st.lists(st.integers(0, g.n - 1), min_size=2, max_size=2, unique=True))
+    assert count_induced_st_paths(g, x, y).by_length == naive_path_census(g, x, y)
+
+
 def test_path_pins():
     p4 = path_graph(4)
     pc = count_induced_st_paths(p4, 0, 3)
@@ -426,9 +558,47 @@ def test_f_members_hit_parity_closed_forms():
         assert p2_max(even, "even")[0] == f2_even(n).value
 
 
+# the central-size multisets of every F, F_odd and F_even member at sizes
+# where the ~3^(n/3) paths are out of reach of enumeration; every residue
+# of n mod 6 occurs
+SCALE_SIZES = (30, 60, 90) + tuple(range(115, 121))
+CLOSED_FORMS = {"all": (f2, "p2"), "odd": (f2_odd, "p2_odd"), "even": (f2_even, "p2_even")}
+
+
+def f_members_at_scale(parity: str):
+    for n in SCALE_SIZES:
+        for central in f_central_multisets(n, parity):
+            for intra in ("empty", "full"):
+                spec = BraidSpec((1,) + central + (1,), cyclic=False, intra=intra)
+                yield n, build_braid(spec)[0]
+
+
+def test_f_members_hit_closed_forms_at_scale():
+    for parity, (formula, field) in CLOSED_FORMS.items():
+        for n, g in f_members_at_scale(parity):
+            pc = count_induced_st_paths(g, 0, n - 1)
+            assert getattr(pc, field) == formula(n).value, (parity, n)
+
+
 # ======================================================================
 # path-tree statistics
 # ======================================================================
+
+
+@settings(max_examples=150, deadline=None)
+@given(blow_ups(), st.data())
+def test_tree_stats_twin_rich_match_recursive_walk(g, data):
+    if g.n < 2:
+        return
+    x, y = data.draw(st.lists(st.integers(0, g.n - 1), min_size=2, max_size=2, unique=True))
+    assert path_tree_stats(g, x, y) == recursive_tree_stats(g, x, y)
+
+
+def test_tree_stats_f_members_at_scale():
+    for n, g in f_members_at_scale("all"):
+        stats = path_tree_stats(g, 0, n - 1)
+        assert stats.y_leaf_count == f2(n).value, n
+        assert stats.balanced, n
 
 
 def test_tree_stats_f8():
@@ -488,6 +658,46 @@ def test_extremal_members_balanced():
         for variant, _ in enumerate(f_central_sequences(n, "all")):
             g = member_of_F(n, "all", variant)[0]
             assert path_tree_stats(g, 0, n - 1).balanced, (n, variant)
+
+
+# ======================================================================
+# long inputs: no recursion limit, memory bounded
+# ======================================================================
+
+LONG_N = 1500
+LONG_PEAK_BYTES = 32 << 20
+
+
+def traced_peak(fn):
+    """(result, peak bytes allocated while fn ran)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_long_cycle():
+    g = cycle_graph(LONG_N)
+    census, peak = traced_peak(lambda: count_induced_cycles(g))
+    assert census.by_length == {LONG_N: 1}
+    assert peak < LONG_PEAK_BYTES
+
+
+def test_long_path_census():
+    g = path_graph(LONG_N)
+    pc, peak = traced_peak(lambda: count_induced_st_paths(g, 0, LONG_N - 1))
+    assert pc.by_length == {LONG_N - 1: 1}
+    assert peak < LONG_PEAK_BYTES
+
+
+def test_long_path_tree():
+    g = path_graph(LONG_N)
+    stats, peak = traced_peak(lambda: path_tree_stats(g, 0, LONG_N - 1))
+    # every vertex before the last interior one has one child
+    assert stats == TreeStats(1, 1, frozenset({(1,) * (LONG_N - 2)}), True)
+    assert peak < LONG_PEAK_BYTES
 
 
 # ======================================================================

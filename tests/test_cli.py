@@ -243,6 +243,57 @@ def test_verify_merge_needs_checkpoints(capsys, monkeypatch):
     assert code == 2
 
 
+def _checkpointed_n4(tmp_path, capsys, monkeypatch):
+    """Run both shards of the n = 4 p2 sweep; returns (args, checkpoint)."""
+    monkeypatch.setenv("BRAIDCENSUS_CHECKPOINT_DIR", str(tmp_path))
+    args = ("verify", "--n", "4", "--quantity", "p2", "--shards", "2")
+    for shard in range(2):
+        assert run_json(capsys, *args, "--shard", str(shard))[0] == 0
+    return args, tmp_path / "sweep_p2_n4_s2.txt"
+
+
+def test_verify_merge_rejects_bad_integers(tmp_path, capsys, monkeypatch):
+    args, checkpoint = _checkpointed_n4(tmp_path, capsys, monkeypatch)
+    with checkpoint.open("a") as fh:
+        fh.write("x,2,C~\n")
+    code, out, err = run(capsys, *args, "--merge")
+    assert code == 2 and out == ""
+    assert "malformed checkpoint line" in err and "Traceback" not in err
+
+
+def test_verify_merge_rejects_conflicting_duplicates(tmp_path, capsys, monkeypatch):
+    # K4 ("C~") really scores 1, so only the disagreement with the true
+    # shard-0 line (max 2) can reject this line
+    args, checkpoint = _checkpointed_n4(tmp_path, capsys, monkeypatch)
+    with checkpoint.open("a") as fh:
+        fh.write("0,1,C~\n")
+    code, out, err = run(capsys, *args, "--merge")
+    assert code == 2 and out == ""
+    assert "conflicting lines for shard 0" in err
+
+
+def test_verify_merge_rescores_extremal_codes(tmp_path, capsys, monkeypatch):
+    # a forged shard line claiming p2 = 5 for K4 used to merge to max 5
+    args, checkpoint = _checkpointed_n4(tmp_path, capsys, monkeypatch)
+    lines = checkpoint.read_text().splitlines()
+    checkpoint.write_text("0,5,C~\n" + "\n".join(lines[1:]) + "\n")
+    code, out, err = run(capsys, *args, "--merge")
+    assert code == 2 and out == ""
+    assert "C~ scores 1, not 5" in err
+
+
+def test_verify_merge_rejects_non_canonical_codes(tmp_path, capsys, monkeypatch):
+    # "Cl" is C] relabeled: it scores the max, but merged it would be
+    # reported as a third extremal class
+    args, checkpoint = _checkpointed_n4(tmp_path, capsys, monkeypatch)
+    lines = checkpoint.read_text().splitlines()
+    assert lines[0] == "0,2,C],C^"
+    checkpoint.write_text("0,2,C],C^,Cl\n" + "\n".join(lines[1:]) + "\n")
+    code, out, err = run(capsys, *args, "--merge")
+    assert code == 2 and out == ""
+    assert "Cl is not canonical" in err
+
+
 def test_verify_long_run_guard(capsys):
     code, out, err = run(capsys, "verify", "--n", "8", "--quantity", "m")
     assert code == 2 and "long_run" in err
