@@ -50,18 +50,23 @@ root-to-leaf suffixes, each packed as an int of per-child-count fields.
 
 slow_census is the independent oracle: scan all 2^n vertex subsets with
 numpy, keep those inducing a 2-regular graph, and confirm connectivity
-per candidate.  It shares no traversal logic with the fast engine.
+per candidate.  It shares no traversal logic with the fast engine.  It
+is the only part of this module that uses numpy and imports it when
+called, so the exact engines (and the CLI) load without it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .graphs import Graph, InputError, UnsupportedError, bits_of
 
 SLOW_CENSUS_MAX_N = 24
+
+# the census quantities a sweep can maximize (see sweep.quantity_of_graph)
+CYCLE_QUANTITIES = ("m", "m_odd", "m_even", "m_odd_holes")
+PATH_QUANTITIES = ("p2", "p2_odd", "p2_even")
+QUANTITIES = CYCLE_QUANTITIES + PATH_QUANTITIES
 
 
 # ======================================================================
@@ -461,6 +466,8 @@ _POP16 = None
 def _pop16():
     global _POP16
     if _POP16 is None:
+        import numpy as np
+
         table = np.zeros(1 << 16, dtype=np.uint8)
         for b in range(16):
             table[(np.arange(1 << 16) >> b) & 1 == 1] += 1
@@ -489,6 +496,8 @@ def _is_single_cycle(g: Graph, mask: int) -> bool:
 def slow_census(g: Graph, chunk_bits: int = 20) -> CycleCensus:
     """Subset-scan oracle: every vertex subset inducing a connected
     2-regular graph is one induced cycle.  Exponential; n <= 24 only."""
+    import numpy as np
+
     n = g.n
     if n > SLOW_CENSUS_MAX_N:
         raise UnsupportedError(f"slow_census supports n <= {SLOW_CENSUS_MAX_N}")

@@ -4,12 +4,15 @@ atypical, verify, formula.
 Every subcommand writes exactly one line to standard output: a graph6
 code or a JSON document with counts as decimal strings.  Diagnostics go
 to the error stream.  Exit codes: 0 success, 2 for any input problem
-(unparseable flags, bad graphs, violated preconditions), 3 when a
---expect assertion fails, 4 when an internal cross-check fails (a bug,
-reported instead of a result).
+(unparseable flags, bad graphs, violated preconditions, an input or
+checkpoint file that cannot be read or written), 3 when a --expect
+assertion fails, 4 when an internal cross-check fails (a bug, reported
+instead of a result).
 
-Only verify runs worker processes (--threads, one per CPU by default);
-every other subcommand runs in the calling process.
+Only verify imports the sweep, and with it numpy and the process pool;
+it runs worker processes (--threads, one per CPU by default).  Every
+other subcommand runs in the calling process and loads neither, which
+halves its start-up.
 
 Graph input is one --input value: either a literal graph6 code or a
 path to a file whose first non-empty line is one.  Subcommands that
@@ -18,10 +21,13 @@ exactly one input source must be given.
 
 Sharded sweeps checkpoint through the directory named by the
 BRAIDCENSUS_CHECKPOINT_DIR environment variable: each finished shard
-appends one "shard,max,codes..." line, completed shards are skipped on
-rerun, and --merge combines a fully checkpointed run.  Every line read
-back is checked (each code must be canonical and score the line's max)
-and lines for the same shard must agree; otherwise verify exits 2.
+appends one "shard,max,codes..." line in a single write, completed
+shards are skipped on rerun, and --merge combines a fully checkpointed
+run.  A last line without its newline is an append cut short by a
+killed shard: it counts as unwritten, so that shard reruns, and the next
+append cuts it off.  Every complete line read back is checked (each
+code must be canonical and score the line's max) and lines for the
+same shard must agree; otherwise verify exits 2.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ import json
 import os
 import sys
 
-from .census import count_induced_cycles, count_induced_st_paths
+from .census import QUANTITIES, count_induced_cycles, count_induced_st_paths
 from .families import (
     FAMILY_TAGS,
     ClusterPartition,
@@ -51,23 +57,8 @@ from .formulas import (
     vertex_cycle_bound,
 )
 from .game import atypical_set, solve_typical_game
-from .graphs import (
-    Graph,
-    Graph6Error,
-    InputError,
-    InternalError,
-    UnsupportedError,
-    parse_graph6,
-    to_graph6,
-)
+from .graphs import Graph, InputError, InternalError, parse_graph6, to_graph6
 from .recognition import classify_family_all, discover_cyclic_braid, verify_braid
-from .sweep import (
-    QUANTITIES,
-    checkpoint_line,
-    exhaustive_max,
-    merge_sweeps,
-    parse_checkpoint_line,
-)
 
 CHECKPOINT_DIR_VAR = "BRAIDCENSUS_CHECKPOINT_DIR"
 
@@ -210,10 +201,17 @@ def _checkpoint_path(n: int, quantity: str, shards: int) -> str | None:
 
 
 def _read_checkpoints(path: str, n: int, quantity: str, shards: int) -> dict:
+    """Finished shards by index.  A last line without its newline is an
+    append cut short by a killed shard: it counts as unwritten, so that
+    shard reruns."""
+    from .sweep import parse_checkpoint_line
+
     done = {}
     if os.path.isfile(path):
         with open(path, encoding="ascii") as fh:
             for line in fh:
+                if not line.endswith("\n"):
+                    break
                 if line.strip():
                     shard, result = parse_checkpoint_line(
                         n, quantity, shards, line
@@ -226,7 +224,30 @@ def _read_checkpoints(path: str, n: int, quantity: str, shards: int) -> dict:
     return done
 
 
+def _append_checkpoint(path: str, line: str) -> None:
+    """Append one finished shard's line in a single write on an O_APPEND
+    descriptor, under an exclusive lock so that shards finishing together
+    take turns.  A torn last line (see _read_checkpoints) is cut off
+    first: the new line starts on a fresh line, and the torn one cannot
+    turn into a complete, malformed line."""
+    import fcntl  # POSIX only; nothing else in the CLI needs it
+
+    fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        size = os.fstat(fd).st_size
+        keep = os.pread(fd, size, 0).rfind(b"\n") + 1
+        if keep < size:
+            os.ftruncate(fd, keep)
+        os.write(fd, (line + "\n").encode("ascii"))
+    finally:
+        os.close(fd)
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
+    # the sweep brings numpy and the process pool; only verify loads it
+    from .sweep import checkpoint_line, exhaustive_max, merge_sweeps
+
     if args.shards < 1:
         raise InputError("--shards must be at least 1")
     path = None
@@ -260,8 +281,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 shard=args.shard,
             )
             if path is not None:
-                with open(path, "a", encoding="ascii") as fh:
-                    fh.write(checkpoint_line(args.shard, result) + "\n")
+                _append_checkpoint(path, checkpoint_line(args.shard, result))
     _emit(result.to_json_dict())
     if args.expect is not None and result.max.value != args.expect:
         print(
@@ -370,7 +390,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (InputError, Graph6Error, UnsupportedError) as exc:
+    except (InputError, OSError, UnicodeDecodeError) as exc:
+        # OSError and UnicodeDecodeError: an --input file or a checkpoint
+        # that cannot be read or written, or is not ASCII
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InternalError as exc:

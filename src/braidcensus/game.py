@@ -142,24 +142,40 @@ def _solve(g: Graph, v: int, n4w: int) -> tuple[bool, tuple[int, ...], str | Non
     memo: dict[tuple[int, int], bool] = {}
 
     def builder_wins(seen: int, cur: int) -> bool:
-        moves = adj[cur] & ~seen
-        in_zone = (n4w >> cur) & 1
-        if in_zone and moves.bit_count() != 3:
-            return False
-        if not moves:
-            dominated = seen | adj[cur] | (1 << cur)
-            return not (n4w & ~dominated)
-        key = (seen, cur)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        grown = seen | adj[cur] | (1 << cur)
-        if in_zone:
-            win = all(builder_wins(grown, m) for m in bits_of(moves))
-        else:
-            win = any(builder_wins(grown, m) for m in bits_of(moves))
-        memo[key] = win
-        return win
+        # Depth-first over the moves in ascending order with an explicit
+        # stack, so the walk length is no limit.  The open node is (key,
+        # its grown seen set, moves not yet tried, in_zone); a blocker's
+        # node (in_zone) falls at its first losing child, a walker's node
+        # stands at its first winning one, and otherwise it takes the
+        # value of its last child.
+        stack = []
+        key = grown = todo = zone = None
+        while True:
+            moves = adj[cur] & ~seen
+            in_zone = (n4w >> cur) & 1
+            if in_zone and moves.bit_count() != 3:
+                win = False
+            elif not moves:
+                win = not (n4w & ~(seen | adj[cur] | (1 << cur)))
+            else:
+                win = memo.get((seen, cur))
+                if win is None:
+                    if key is not None:
+                        stack.append((key, grown, todo, zone))
+                    key, grown, todo, zone = (
+                        (seen, cur), seen | adj[cur] | (1 << cur), moves, in_zone)
+            while win is not None:
+                if key is None:
+                    return win
+                if win != zone or not todo:
+                    memo[key] = win
+                    key, grown, todo, zone = (
+                        stack.pop() if stack else (None, None, None, None))
+                else:
+                    win = None
+            bit = todo & -todo
+            todo ^= bit
+            seen, cur = grown, bit.bit_length() - 1
 
     # one optimal line: each active player takes its first winning move
     seen, cur = 0, v

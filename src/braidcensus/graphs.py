@@ -271,29 +271,25 @@ def graph_from_pair_bits(n: int, bits: int) -> Graph:
     rows = [0] * n
     t = 0
     for j in range(1, n):
-        for i in range(j):
-            if bits >> t & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-            t += 1
+        # column j holds the pairs (0, j) .. (j - 1, j)
+        col = bits >> t & ((1 << j) - 1)
+        rows[j] |= col
+        for i in bits_of(col):
+            rows[i] |= 1 << j
+        t += j
     return Graph(n, rows)
 
 
 def pair_bits_of(g: Graph) -> int:
     bits = 0
-    t = 0
-    for j in range(1, g.n):
-        row = g.adj[j]
-        for i in range(j):
-            if row >> i & 1:
-                bits |= 1 << t
-            t += 1
+    for j in range(g.n - 1, 0, -1):
+        bits = bits << j | (g.adj[j] & ((1 << j) - 1))
     return bits
 
 
 def to_graph6(g: Graph) -> str:
-    """Encode as graph6.  Supports n up to 258047 in principle; we only
-    ever emit small graphs but the size header follows the format."""
+    """Encode as graph6, n up to 258047 (the 4-byte size header covers
+    n >= 63).  Linear in the code length."""
     n = g.n
     if n <= 62:
         head = chr(n + 63)
@@ -302,16 +298,13 @@ def to_graph6(g: Graph) -> str:
     else:
         raise UnsupportedError(f"graph6 size header for n={n} not supported")
     k = n * (n - 1) // 2
-    bits = pair_bits_of(g)
-    body = []
-    for c in range((k + 5) // 6):
-        chunk = 0
-        for b in range(6):
-            t = 6 * c + b
-            if t < k and bits >> t & 1:
-                chunk |= 1 << (5 - b)
-        body.append(chr(chunk + 63))
-    return head + "".join(body)
+    # the pair bits first pair first, padded to whole 6-bit groups, each
+    # group read with its first bit high
+    stream = format(pair_bits_of(g), f"0{k}b")[::-1] + "0" * (-k % 6) if k else ""
+    body = "".join(
+        chr(int(stream[i:i + 6], 2) + 63) for i in range(0, len(stream), 6)
+    )
+    return head + body
 
 
 def parse_graph6(text: str) -> Graph:
@@ -348,19 +341,17 @@ def parse_graph6(text: str) -> Graph:
         raise Graph6Error(
             f"graph6 body for n={n} needs {need} bytes, got {len(body)}", pos
         )
-    bits = 0
+    groups = []
     for c_i, ch in enumerate(body):
         c = ord(ch)
         if not 63 <= c <= 126:
             raise Graph6Error(f"bad graph6 body byte {c!r}", pos + c_i)
-        chunk = c - 63
-        for b in range(6):
-            t = 6 * c_i + b
-            if chunk >> (5 - b) & 1:
-                if t >= k:
-                    raise Graph6Error("nonzero padding bits", pos + c_i)
-                bits |= 1 << t
-    return graph_from_pair_bits(n, bits)
+        groups.append(format(c - 63, "06b"))
+    stream = "".join(groups)
+    if "1" in stream[k:]:
+        # padding fills the last byte only
+        raise Graph6Error("nonzero padding bits", pos + len(body) - 1)
+    return graph_from_pair_bits(n, int(stream[:k][::-1] or "0", 2))
 
 
 # ======================================================================

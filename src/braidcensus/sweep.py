@@ -29,7 +29,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .census import count_induced_cycles, count_induced_st_paths, p2_max, slow_census
+from .census import (
+    CYCLE_QUANTITIES,
+    PATH_QUANTITIES,
+    QUANTITIES,
+    count_induced_cycles,
+    count_induced_st_paths,
+    p2_max,
+    slow_census,
+)
 from .families import ClusterPartition, f_central_sequences
 from .formulas import ExactCount
 from .graphs import (
@@ -51,10 +59,6 @@ BLOCK_BITS = 16
 AUDIT_SAMPLES = 10
 # pattern tables larger than this many index bits switch to binary search
 TABLE_BITS_CAP = 16
-
-CYCLE_QUANTITIES = ("m", "m_odd", "m_even", "m_odd_holes")
-PATH_QUANTITIES = ("p2", "p2_odd", "p2_even")
-QUANTITIES = CYCLE_QUANTITIES + PATH_QUANTITIES
 
 
 # ======================================================================

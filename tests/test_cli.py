@@ -8,12 +8,17 @@ forced in test_sweep.py under python -O.
 """
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import braidcensus
 from braidcensus.cli import main
 from braidcensus.families import build_H
 from braidcensus.graphs import to_graph6
+from braidcensus.sweep import exhaustive_max
 
 
 def run(capsys, *argv):
@@ -294,6 +299,46 @@ def test_verify_merge_rejects_non_canonical_codes(tmp_path, capsys, monkeypatch)
     assert "Cl is not canonical" in err
 
 
+def test_verify_torn_checkpoint_line_reruns_its_shard(tmp_path, capsys, monkeypatch):
+    # a shard killed mid-append leaves its line without the newline; that
+    # line is unwritten, and the next append cuts it off
+    monkeypatch.setenv("BRAIDCENSUS_CHECKPOINT_DIR", str(tmp_path))
+    args = ("verify", "--n", "5", "--quantity", "m", "--shards", "3")
+    checkpoint = tmp_path / "sweep_m_n5_s3.txt"
+    checkpoint.write_text("1,10")
+    code, out, err = run(capsys, *args, "--merge")
+    assert code == 2 and "missing shards [0, 1, 2]" in err
+    for shard in range(3):
+        assert run_json(capsys, *args, "--shard", str(shard))[0] == 0
+        lines = checkpoint.read_text().split("\n")
+        assert lines[-1] == "" and len(lines) == shard + 2
+        assert "1,10" not in lines
+    code, merged, _ = run_json(capsys, *args, "--merge")
+    assert code == 0
+    assert merged == exhaustive_max(5, "m").to_json_dict()
+
+    # torn again after the three lines: merge still sees every shard
+    with checkpoint.open("a") as fh:
+        fh.write("1,10")
+    assert run_json(capsys, *args, "--merge")[1] == merged
+    # but a complete line that is malformed is an error
+    with checkpoint.open("a") as fh:
+        fh.write("\n")
+    code, out, err = run(capsys, *args, "--merge")
+    assert code == 2 and out == ""
+    assert "malformed checkpoint line: '1,10\\n'" in err
+
+
+def test_verify_unreadable_checkpoints_are_input_errors(tmp_path, capsys, monkeypatch):
+    args, checkpoint = _checkpointed_n4(tmp_path, capsys, monkeypatch)
+    checkpoint.write_bytes(checkpoint.read_bytes() + b"1,2,C\xff\n")
+    code, out, err = run(capsys, *args, "--merge")
+    assert code == 2 and out == "" and err.startswith("error: ")
+    monkeypatch.setenv("BRAIDCENSUS_CHECKPOINT_DIR", str(tmp_path / "missing"))
+    code, out, err = run(capsys, *args, "--shard", "0")
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
 def test_verify_long_run_guard(capsys):
     code, out, err = run(capsys, "verify", "--n", "8", "--quantity", "m")
     assert code == 2 and "long_run" in err
@@ -340,6 +385,60 @@ def test_unknown_flags_and_commands_exit_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 2
+
+
+# ======================================================================
+# start-up
+# ======================================================================
+
+# what "from braidcensus import *" binds; the sweep's names among them
+# resolve on first use
+PUBLIC_NAMES = [
+    "AtypicalReport", "BraidSpec", "CanonicalCode", "ClusterPartition",
+    "CycleCensus", "ExactCount", "FAMILY_TAGS", "FamilyId", "GameState",
+    "GameVerdict", "Graph", "Graph6Error", "InputError", "InternalError",
+    "PathCensus", "QUANTITIES", "RealBound", "RecognitionReport",
+    "SweepResult", "TreeStats", "UniquenessReport", "UnsupportedError",
+    "apply_move", "atypical_set", "ball", "build_E", "build_G", "build_H",
+    "build_braid", "candidate_cyclic_partitions", "canonical_code", "census",
+    "classify_family_all", "count_cycles_through", "count_induced_cycles",
+    "count_induced_st_paths", "cycles_per_vertex", "discover_cyclic_braid",
+    "distance", "e_sizes", "exhaustive_max", "f2", "f2_even", "f2_odd",
+    "f_central_multisets", "f_central_sequences", "families", "formulas",
+    "g_sizes", "game", "graph_from_pair_bits", "graphs", "h_sizes", "is_bad",
+    "is_connected", "legal_moves", "local_structure", "m_lower",
+    "maximal_3braids", "member_of_F", "members_of_script_G", "merge_sweeps",
+    "p2_max", "pair_bits_of", "parse_graph6", "path_tree_stats",
+    "quantity_of_graph", "recognition", "script_g_multisets",
+    "short_cycle_mass", "slow_census", "solve_typical_game", "sweep",
+    "to_graph6", "verify_braid", "verify_extremal_uniqueness",
+    "vertex_cycle_bound", "visit_induced_cycles",
+]
+
+IMPORT_SCRIPT = """
+import json, sys
+import braidcensus, braidcensus.cli
+heavy = ("numpy", "multiprocessing", "concurrent.futures.process")
+print(json.dumps([m for m in heavy if m in sys.modules]))
+names = {}
+exec("from braidcensus import *", names)
+print(json.dumps(sorted(k for k in names if k != "__builtins__")))
+print(braidcensus.exhaustive_max(4, "m").max.value)
+"""
+
+
+def test_import_leaves_numpy_and_the_pool_unloaded():
+    # every subcommand but verify starts without numpy or a process pool
+    src = os.path.dirname(os.path.dirname(braidcensus.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_SCRIPT], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    heavy, names, m4 = proc.stdout.splitlines()
+    assert json.loads(heavy) == []
+    assert json.loads(names) == PUBLIC_NAMES == sorted(braidcensus.__all__)
+    assert m4 == str(exhaustive_max(4, "m").max.value)
 
 
 def test_garbage_graph6_is_an_input_error(capsys):

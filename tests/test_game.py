@@ -10,14 +10,21 @@ its radius-4 ball.
 """
 
 import itertools
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from braidcensus import cli
 from braidcensus.families import BraidSpec, build_braid, build_H
 from braidcensus.game import (
+    REASON_BAD_VERTEX,
+    REASON_UNSEEN_VERTEX,
     GameState,
     GameVerdict,
+    _solve,
     apply_move,
     atypical_set,
     is_bad,
@@ -25,7 +32,15 @@ from braidcensus.game import (
     local_structure,
     solve_typical_game,
 )
-from braidcensus.graphs import Graph, InputError, ball, mask_of
+from braidcensus.graphs import (
+    Graph,
+    InputError,
+    ball,
+    bits_of,
+    graph_from_pair_bits,
+    mask_of,
+    to_graph6,
+)
 
 
 def graph_from_edges(n: int, edges) -> Graph:
@@ -95,6 +110,52 @@ def replay(g: Graph, v: int, w: int, verdict: GameVerdict) -> None:
         assert legal_moves(g, last) == 0
         dominated = last.seen | g.adj[last.current] | (1 << last.current)
         assert n4w & ~dominated
+
+
+def recursive_solve(g: Graph, v: int, n4w: int):
+    """The solver as plain recursion, kept as the reference for the
+    explicit-stack search: same memo key, same move order, same
+    short-circuits.  Its depth grows with the walk, so it only serves
+    short walks."""
+    adj = g.adj
+    memo = {}
+
+    def builder_wins(seen, cur):
+        moves = adj[cur] & ~seen
+        in_zone = (n4w >> cur) & 1
+        if in_zone and moves.bit_count() != 3:
+            return False
+        if not moves:
+            return not (n4w & ~(seen | adj[cur] | (1 << cur)))
+        key = (seen, cur)
+        if key in memo:
+            return memo[key]
+        grown = seen | adj[cur] | (1 << cur)
+        if in_zone:
+            win = all(builder_wins(grown, m) for m in bits_of(moves))
+        else:
+            win = any(builder_wins(grown, m) for m in bits_of(moves))
+        memo[key] = win
+        return win
+
+    seen, cur, trace, reason = 0, v, [v], None
+    while True:
+        moves = adj[cur] & ~seen
+        in_zone = (n4w >> cur) & 1
+        if in_zone and moves.bit_count() != 3:
+            reason = REASON_BAD_VERTEX
+            break
+        if not moves:
+            if n4w & ~(seen | adj[cur] | (1 << cur)):
+                reason = REASON_UNSEEN_VERTEX
+            break
+        grown = seen | adj[cur] | (1 << cur)
+        want = not in_zone
+        pick = next((m for m in bits_of(moves) if builder_wins(grown, m) == want),
+                    (moves & -moves).bit_length() - 1)
+        seen, cur = grown, pick
+        trace.append(pick)
+    return reason is None, tuple(trace), reason
 
 
 # ======================================================================
@@ -259,6 +320,58 @@ def test_verdict_label_invariance():
         original = solve_typical_game(g, 0, w)
         mapped = solve_typical_game(g2, perm[0], perm[w])
         assert mapped.winner == original.winner
+
+
+@st.composite
+def game_inputs(draw):
+    """A graph on up to 14 vertices, a start and any probe zone: the
+    solver itself needs neither connectivity nor distance."""
+    n = draw(st.integers(2, 14))
+    g = graph_from_pair_bits(n, draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1)))
+    v, w = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    return g, v, ball(g, w, draw(st.integers(0, 4)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(game_inputs())
+def test_stack_solver_matches_recursive_reference(case):
+    g, v, n4w = case
+    assert _solve(g, v, n4w) == recursive_solve(g, v, n4w)
+
+
+def test_stack_solver_matches_recursive_reference_on_braids():
+    for g in (build_custom34()[0], build_H(30)[0], build_H(36)[0], build_H(45)[0]):
+        for w in range(g.n):
+            n4w = ball(g, w, 4)
+            assert _solve(g, 0, n4w) == recursive_solve(g, 0, n4w), w
+
+
+def test_long_walks():
+    # the recursive solver raised RecursionError from about 400 vertices
+    path = path_graph(1500)
+    verdict = solve_typical_game(path, 0, 1499)
+    assert verdict.winner == "Adversary" and verdict.reason == "bad-vertex-in-N4"
+    assert verdict.trace == tuple(range(1496))
+    verdict = solve_typical_game(cycle_graph(1500), 0, 750)
+    assert verdict.winner == "Adversary" and verdict.reason == "bad-vertex-in-N4"
+    assert verdict.trace == tuple(range(747))
+    report = atypical_set(path_graph(500), 0)
+    assert report.atypical == tuple(range(5, 500)) and report.typical == ()
+
+
+def test_cli_long_walks(tmp_path, capsys):
+    for name, g, w, steps in (("path", path_graph(1500), 1499, 1496),
+                              ("cycle", cycle_graph(1500), 750, 747)):
+        target = tmp_path / f"{name}.g6"
+        target.write_text(to_graph6(g) + "\n")
+        code = cli.main(["game", "--input", str(target), "--v", "0", "--w", str(w)])
+        out, err = capsys.readouterr()
+        assert code == 0, err
+        assert json.loads(out)["trace"] == list(range(steps))
+    target = tmp_path / "p500.g6"
+    target.write_text(to_graph6(path_graph(500)) + "\n")
+    assert cli.main(["atypical", "--input", str(target), "--v", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["atypical"] == list(range(5, 500))
 
 
 # ======================================================================

@@ -21,6 +21,7 @@ from braidcensus.graphs import (
     is_connected,
     mask_of,
     pair_bits_of,
+    pair_order,
     parse_graph6,
     to_graph6,
     vertices_of,
@@ -112,6 +113,24 @@ def test_graph6_matches_networkx(g):
     ours = to_graph6(g)
     ref = nx.to_graph6_bytes(to_nx(g), header=False).decode().strip()
     assert ours == ref, f"graph6 mismatch: ours={ours!r} ref={ref!r}"
+
+
+@given(graphs(max_n=40))
+@settings(max_examples=150, deadline=None)
+def test_pair_bits_follow_pair_order(g):
+    want = sum(1 << t for t, (i, j) in enumerate(pair_order(g.n)) if g.has_edge(i, j))
+    assert pair_bits_of(g) == want
+    assert graph_from_pair_bits(g.n, want) == g
+
+
+def test_graph6_of_a_long_path_matches_networkx():
+    # 1,500 vertices: 1,124,250 pair bits; the codec used to shift the
+    # whole packed integer once per bit and took over a minute here
+    n = 1500
+    g = Graph.from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
+    ours = to_graph6(g)
+    assert ours == nx.to_graph6_bytes(to_nx(g), header=False).decode().strip()
+    assert parse_graph6(ours) == g
 
 
 def test_graph6_long_size_header():
