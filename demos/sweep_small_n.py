@@ -1,6 +1,6 @@
 """Exhaustive sweeps over all small graphs, and what the winners look like.
 
-For n up to 7 we can scan every labeled graph and record which ones
+For n up to 7 we can score every graph up to isomorphism and record which ones
 achieve the maximum induced-path count between some vertex pair.  The
 sweep confirms the closed form and the uniqueness report shows that
 every winner is a path braid with one of the predicted central
@@ -20,9 +20,10 @@ from braidcensus import (
 # the maximum induced-path count over all graphs on n vertices
 # ----------------------------------------------------------------------
 
-# Each sweep packs graphs into blocks of edge-set codes and counts
-# induced paths for a whole block at once.  The value below is the
-# best count over every graph and every ordered endpoint pair.
+# Each sweep scores one graph per isomorphism class on n - 1 vertices
+# and neighbourhood of a new vertex, which covers every labelled graph
+# on n vertices up to isomorphism.  The value below is the best count
+# over every graph and every endpoint pair.
 
 for n in (4, 5, 6):
     result = exhaustive_max(n, "p2")

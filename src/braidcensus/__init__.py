@@ -6,7 +6,7 @@ families (cluster braids and the named families built from them),
 census (induced cycle and induced s-t path enumeration), formulas
 (closed-form counts and bounds), recognition (verifying and discovering
 braid structure), game (the Adversary/Builder walk game), sweep
-(exhaustive maxima over all labelled graphs on few vertices), and cli
+(exhaustive maxima over all graphs on few vertices), and cli
 (the command line surface over all of it).
 """
 
@@ -90,9 +90,9 @@ from .recognition import (
     verify_braid,
 )
 
-# The sweep loads numpy and the process pool, which only sweeps use; its
-# names resolve on first access (PEP 562) so that importing the package,
-# and with it every CLI subcommand but verify, stays light.
+# The sweep loads the process pool and, in its audit, numpy; its names
+# resolve on first access (PEP 562) so that importing the package, and
+# with it every CLI subcommand but verify, stays light.
 _SWEEP_NAMES = frozenset({
     "SweepResult",
     "UniquenessReport",

@@ -9,31 +9,33 @@ checkpoint file that cannot be read or written), 3 when a --expect
 assertion fails, 4 when an internal cross-check fails (a bug, reported
 instead of a result).
 
-Only verify imports the sweep, and with it numpy and the process pool;
-it runs worker processes (--threads, one per CPU by default).  Every
-other subcommand runs in the calling process and loads neither, which
-halves its start-up.
+Only verify imports the sweep, and with it the process pool; a sweep
+over more than 2^11 units runs worker processes (--threads, one per CPU
+by default), and its audit loads numpy.  Every other subcommand loads
+neither, which halves its start-up.
 
 Graph input is one --input value: either a literal graph6 code or a
 path to a file whose first non-empty line is one.  Subcommands that
 also accept --family/--n build the requested family member instead;
 exactly one input source must be given.
 
-Sharded sweeps checkpoint through the directory named by the
-BRAIDCENSUS_CHECKPOINT_DIR environment variable: each finished shard
-appends one "shard,max,codes..." line in a single write, completed
-shards are skipped on rerun, and --merge combines a fully checkpointed
-run.  A last line without its newline is an append cut short by a
-killed shard: it counts as unwritten, so that shard reruns, and the next
-append cuts it off.  Every complete line read back is checked (each
-code must be canonical and score the line's max) and lines for the
-same shard must agree; otherwise verify exits 2.
+Sharded sweeps checkpoint to sweep_<quantity>_n<n>_s<shards>_classes.txt
+in the directory named by BRAIDCENSUS_CHECKPOINT_DIR; the "_classes" tag
+keeps files of the older labelled-code shards, which covered other
+graphs, from being read.  The file is opened before the shard is swept,
+so a bad directory fails at once.  Each finished shard appends one
+"shard,max,codes..." line in a single write, completed shards are
+skipped on rerun, and --merge combines a fully checkpointed run.  A last
+line without its newline is an append cut short by a killed shard: it
+counts as unwritten, so that shard reruns, and the next append cuts it
+off.  Every complete line read back is checked (each code must be
+canonical and score the line's max) and lines for the same shard must
+agree; otherwise verify exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -99,12 +101,10 @@ def _build_family(tag: str, n: int, variant: int) -> tuple[Graph, ClusterPartiti
         parity = {"F": "all", "F_odd": "odd", "F_even": "even"}[tag]
         return member_of_F(n, parity=parity, variant=variant)
     if tag == "G_script":
-        member = next(
-            itertools.islice(members_of_script_G(n), variant, variant + 1), None
-        )
-        if member is None:
-            raise InputError(f"G_script at n={n} has no variant {variant}")
-        return member
+        for i, member in enumerate(members_of_script_G(n)):
+            if i == variant:
+                return member
+        raise InputError(f"G_script at n={n} has no variant {variant}")
     raise InputError(f"unknown family {tag!r}")
 
 
@@ -197,7 +197,9 @@ def _checkpoint_path(n: int, quantity: str, shards: int) -> str | None:
     directory = os.environ.get(CHECKPOINT_DIR_VAR)
     if directory is None:
         return None
-    return os.path.join(directory, f"sweep_{quantity}_n{n}_s{shards}.txt")
+    return os.path.join(
+        directory, f"sweep_{quantity}_n{n}_s{shards}_classes.txt"
+    )
 
 
 def _read_checkpoints(path: str, n: int, quantity: str, shards: int) -> dict:
@@ -245,7 +247,7 @@ def _append_checkpoint(path: str, line: str) -> None:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    # the sweep brings numpy and the process pool; only verify loads it
+    # the sweep brings the process pool; only verify loads it
     from .sweep import checkpoint_line, exhaustive_max, merge_sweeps
 
     if args.shards < 1:
@@ -272,6 +274,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         if args.shard in done:
             result = done[args.shard]
         else:
+            if path is not None:
+                # fail on the checkpoint before the sweep, not after it
+                flags = os.O_WRONLY | os.O_APPEND | os.O_CREAT
+                os.close(os.open(path, flags, 0o666))
             result = exhaustive_max(
                 args.n,
                 args.quantity,
@@ -387,6 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        # counts are exact: print them in full, however many digits
+        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)

@@ -124,6 +124,12 @@ class BraidSpec:
 MAX_BRAID_VERTICES = 128
 
 
+def _check_size(n: int) -> None:
+    # builders check first: sizes and orderings cost time even for n too big
+    if n > MAX_BRAID_VERTICES:
+        raise InputError(f"braid would have {n} > {MAX_BRAID_VERTICES} vertices")
+
+
 def _intra_pairs(spec_entry: IntraSpec, size: int, cluster_idx: int):
     if spec_entry == "empty":
         return []
@@ -148,8 +154,7 @@ def build_braid(spec: BraidSpec) -> tuple[Graph, ClusterPartition]:
             f"intra spec has {len(spec.intra)} entries for {len(sizes)} clusters"
         )
     n = sum(sizes)
-    if n > MAX_BRAID_VERTICES:
-        raise InputError(f"braid would have {n} > {MAX_BRAID_VERTICES} vertices")
+    _check_size(n)
     starts = []
     at = 0
     for s in sizes:
@@ -193,6 +198,7 @@ def h_sizes(n: int) -> tuple[int, ...]:
 
 def build_H(n: int) -> tuple[Graph, ClusterPartition]:
     """Empty cyclic braid with the all-cycles extremal size profile."""
+    _check_size(n)
     return build_braid(BraidSpec(h_sizes(n), cyclic=True, intra="empty"))
 
 
@@ -225,11 +231,13 @@ def e_sizes(n: int) -> tuple[int, ...]:
 def build_G(n: int) -> tuple[Graph, ClusterPartition]:
     """Full cyclic braid, odd-cycle extremal profile (special clusters
     consecutive at the lowest indices)."""
+    _check_size(n)
     return build_braid(BraidSpec(g_sizes(n), cyclic=True, intra="full"))
 
 
 def build_E(n: int) -> tuple[Graph, ClusterPartition]:
     """Empty cyclic braid, even-cycle extremal profile."""
+    _check_size(n)
     return build_braid(BraidSpec(e_sizes(n), cyclic=True, intra="empty"))
 
 
@@ -292,6 +300,7 @@ def member_of_F(
     """Build the variant-th braid of the requested path family, with
     singleton end clusters first and last.  Intra edges default empty;
     pass "full" or explicit per-central-cluster pairs to override."""
+    _check_size(n)
     seqs = f_central_sequences(n, parity)
     if not 0 <= variant < len(seqs):
         raise InputError(
@@ -371,6 +380,7 @@ def _necklace_classes(multiset: tuple[int, ...]) -> list[tuple[int, ...]]:
 def members_of_script_G(n: int) -> Iterator[tuple[Graph, ClusterPartition]]:
     """One representative per (size multiset, necklace placement,
     empty/full intra) for the odd-hole extremal family."""
+    _check_size(n)
     for multiset in script_g_multisets(n):
         for arrangement in _necklace_classes(multiset):
             for intra in ("empty", "full"):

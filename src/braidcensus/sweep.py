@@ -1,22 +1,33 @@
-"""Exhaustive ground truth over all labelled graphs on few vertices.
+"""Exhaustive ground truth over all graphs on few vertices.
 
-A sweep scans every edge-bit code on n vertices, evaluates one census
-quantity per graph, and reports the maximum together with the graphs
-achieving it, deduplicated up to isomorphism.  This is the oracle of
-last resort: the closed forms and the per-graph engines are checked
-against it at the only scale where "all graphs" is literal.
+A sweep evaluates one census quantity on every graph on n vertices and
+reports the maximum with the graphs achieving it, up to isomorphism:
+the oracle that checks the closed forms where "all graphs" is literal.
+It scores graphs with quantity_of_graph, the per-graph engines that also
+re-check its extremal codes and every checkpoint line.
 
-The scan is vectorized over blocks of codes by a subset-pattern trick.
-An induced cycle occupies a vertex subset S and forces an exact edge
-pattern there (the cycle's edges, nothing else), so the number of
-induced cycles in G is the number of pairs (S, cycle pattern on S)
-whose pattern equals G's restriction to S.  Induced x-y paths work the
-same way with path patterns anchored at x and y.  For a block of
-codes, the restriction to S packs into one small integer per code, and
-a 0/1 table indexed by packed pattern turns the whole block's counts
-into a single gather.  Blocks are contiguous code ranges, so workers
-own disjoint slices and merging is a (value, code-set) join; results
-are identical for any worker count.
+Classes.  _classes(k) holds one graph per isomorphism class on k
+vertices with its labelled count lab, the number of graphs on 0..k-1
+isomorphic to it.  It extends every class on k - 1 vertices by vertex
+k - 1 once per neighbourhood and deduplicates on canonical_code; lab of
+a class sums lab of the parents over the extensions landing on it.  The
+class counts must equal OEIS A000088, or the build raises InternalError.
+
+Units.  A sweep on n vertices scores every unit (class P on n - 1
+vertices, neighbourhood N of vertex n - 1), with no deduplication at
+level n.  A labelled graph is its restriction to 0..n-2 plus the
+neighbourhood of n - 1, and relabelling the restriction onto P maps
+exactly lab(P) labelled graphs, all isomorphic to it, onto each unit.
+So the best unit is the best graph, and graphs_scanned, the sum of
+lab(P) over the units, is 2^C(n,2) for a full sweep.  Only units at the
+maximum are canonicalized.  Unit u is (class u >> (n - 1), N = its low
+n - 1 bits); shards are contiguous unit ranges and pool tasks chunks of
+them, so any worker count and shard split gives the same result.
+
+Audit.  slow_census, the subset oracle, re-scores sampled units.  For a
+path quantity: G plus a vertex z adjacent to exactly x and y has one
+induced cycle with L + 2 vertices through z per induced x-y path of G
+with L edges, and no other cycle through z.
 """
 
 from __future__ import annotations
@@ -27,12 +38,11 @@ from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .census import (
     CYCLE_QUANTITIES,
     PATH_QUANTITIES,
     QUANTITIES,
+    PathCensus,
     count_induced_cycles,
     count_induced_st_paths,
     p2_max,
@@ -47,18 +57,17 @@ from .graphs import (
     InternalError,
     ball,
     canonical_code,
-    graph_from_pair_bits,
-    pair_order,
     vertices_of,
 )
 from .recognition import verify_braid
 
 SWEEP_MAX_N = 7
 LONG_RUN_MAX_N = 8
-BLOCK_BITS = 16
+# units per pool task: n <= 6 (at most 34 * 32 units) stays in-process
+CHUNK_BITS = 11
 AUDIT_SAMPLES = 10
-# pattern tables larger than this many index bits switch to binary search
-TABLE_BITS_CAP = 16
+# OEIS A000088: the number of isomorphism classes of graphs on k vertices
+A000088 = (1, 1, 2, 4, 11, 34, 156, 1044)
 
 
 # ======================================================================
@@ -95,191 +104,88 @@ class SweepResult:
 
 
 # ======================================================================
-# pattern plans
+# isomorphism classes, units and their scores
 # ======================================================================
 
 
-def _cycle_sizes(n: int, quantity: str) -> list[int]:
-    lo = 5 if quantity == "m_odd_holes" else 3
-    if quantity == "m":
-        step = 1
-    elif quantity == "m_even":
-        lo, step = 4, 2
-    else:
-        step = 2  # m_odd and m_odd_holes keep odd sizes only
-    return list(range(lo, n + 1, step))
-
-
-def _path_sizes(n: int, quantity: str) -> list[int]:
-    # parity is by vertex count: an s-vertex path has s - 1 edges
-    if quantity == "p2":
-        return list(range(2, n + 1))
-    lo = 3 if quantity == "p2_odd" else 2
-    return list(range(lo, n + 1, 2))
-
-
-def _local_positions(verts: tuple[int, ...], pidx: dict) -> tuple[int, ...]:
-    """Global pair-bit positions inside the subset, ascending; local bit
-    j of a packed pattern is the j-th of these."""
-    return tuple(
-        sorted(pidx[i, j] for i, j in itertools.combinations(verts, 2))
-    )
-
-
-def _pack_pattern(edges, positions: tuple[int, ...], pidx: dict) -> int:
-    local = {pos: j for j, pos in enumerate(positions)}
-    out = 0
-    for a, b in edges:
-        out |= 1 << local[pidx[min(a, b), max(a, b)]]
-    return out
-
-
-def _cycle_patterns(verts: tuple[int, ...], positions, pidx) -> list[int]:
-    """Every labelled cycle through all of `verts`, one per direction."""
-    first, rest = verts[0], verts[1:]
-    out = []
-    for perm in itertools.permutations(rest):
-        if len(perm) > 1 and perm[0] > perm[-1]:
-            continue  # the reversed traversal is the same cycle
-        order = (first,) + perm
-        edges = list(zip(order, order[1:] + (first,)))
-        out.append(_pack_pattern(edges, positions, pidx))
-    return out
-
-
-def _path_patterns(verts, x: int, y: int, positions, pidx) -> list[int]:
-    """Every labelled x-y path through all of `verts`."""
-    interior = tuple(v for v in verts if v != x and v != y)
-    out = []
-    for perm in itertools.permutations(interior):
-        order = (x,) + perm + (y,)
-        out.append(_pack_pattern(edges=list(zip(order, order[1:])),
-                                 positions=positions, pidx=pidx))
-    return out
+def _extend(parent: Graph, nbhd: int) -> Graph:
+    """parent plus a new last vertex adjacent to exactly the mask nbhd."""
+    k = parent.n
+    rows = [row | (nbhd >> v & 1) << k for v, row in enumerate(parent.adj)]
+    return Graph(k + 1, rows + [nbhd])
 
 
 @lru_cache(maxsize=None)
-def _plan(n: int, quantity: str) -> tuple:
-    """Per-subset work list.  Cycle quantities: (positions, patterns)
-    steps.  Path quantities: (positions, ((pair index, patterns), ...))
-    steps, so each subset is bit-packed once for all its endpoint pairs.
-    """
-    pidx = {pair: t for t, pair in enumerate(pair_order(n))}
-    steps = []
-    if quantity in CYCLE_QUANTITIES:
-        for s in _cycle_sizes(n, quantity):
-            for verts in itertools.combinations(range(n), s):
-                positions = _local_positions(verts, pidx)
-                patterns = tuple(sorted(_cycle_patterns(verts, positions, pidx)))
-                steps.append((positions, patterns))
-        return tuple(steps)
-    for s in _path_sizes(n, quantity):
-        for verts in itertools.combinations(range(n), s):
-            positions = _local_positions(verts, pidx)
-            per_pair = []
-            for x, y in itertools.combinations(verts, 2):
-                patterns = tuple(
-                    sorted(_path_patterns(verts, x, y, positions, pidx))
-                )
-                per_pair.append((pidx[x, y], patterns))
-            steps.append((positions, tuple(per_pair)))
-    return tuple(steps)
+def _classes(k: int) -> tuple[tuple[Graph, int], ...]:
+    """One (graph, labelled count) per isomorphism class on k vertices."""
+    if k == 1:
+        return ((Graph(1, (0,)), 1),)
+    found: dict[CanonicalCode, list] = {}
+    for parent, lab in _classes(k - 1):
+        for nbhd in range(1 << (k - 1)):
+            g = _extend(parent, nbhd)
+            found.setdefault(canonical_code(g), [g, 0])[1] += lab
+    if len(found) != A000088[k]:
+        raise InternalError(f"{len(found)} isomorphism classes on {k} "
+                            f"vertices, not {A000088[k]}")
+    return tuple((g, lab) for g, lab in found.values())
 
 
-# ======================================================================
-# vectorized block scan
-# ======================================================================
+def _unit_graph(n: int, unit: int) -> Graph:
+    parent = _classes(n - 1)[unit >> (n - 1)][0]
+    return _extend(parent, unit & ((1 << (n - 1)) - 1))
 
 
-def _pack_codes(codes: np.ndarray, positions: tuple[int, ...]) -> np.ndarray:
-    packed = np.zeros_like(codes)
-    for j, pos in enumerate(positions):
-        packed |= ((codes >> pos) & 1) << j
-    return packed
+def _labelled_count(n: int, lo: int, hi: int) -> int:
+    """How many labelled graphs the units [lo, hi) stand for."""
+    classes = _classes(n - 1)
+    return sum(classes[unit >> (n - 1)][1] for unit in range(lo, hi))
 
-
-def _pattern_hits(packed: np.ndarray, patterns: tuple[int, ...],
-                  width: int) -> np.ndarray:
-    """Per-code count of patterns equal to the packed restriction (0/1,
-    since patterns are distinct and the match is exact equality)."""
-    if width <= TABLE_BITS_CAP:
-        table = np.zeros(1 << width, dtype=np.int64)
-        table[list(patterns)] = 1
-        return table[packed]
-    arr = np.asarray(patterns, dtype=np.int64)
-    idx = np.minimum(np.searchsorted(arr, packed), len(arr) - 1)
-    return (arr[idx] == packed).astype(np.int64)
-
-
-def _values_for_codes(n: int, quantity: str, codes: np.ndarray) -> np.ndarray:
-    """The quantity of every code in the array, as one int64 array."""
-    plan = _plan(n, quantity)
-    if quantity in CYCLE_QUANTITIES:
-        total = np.zeros(len(codes), dtype=np.int64)
-        for positions, patterns in plan:
-            packed = _pack_codes(codes, positions)
-            total += _pattern_hits(packed, patterns, len(positions))
-        return total
-    per_pair = np.zeros((len(pair_order(n)), len(codes)), dtype=np.int64)
-    for positions, pair_steps in plan:
-        packed = _pack_codes(codes, positions)
-        for pair_t, patterns in pair_steps:
-            per_pair[pair_t] += _pattern_hits(packed, patterns, len(positions))
-    return per_pair.max(axis=0)
-
-
-def _scan_block(args: tuple) -> tuple[int, frozenset[str], int]:
-    """Worker unit: scan [start, stop) and return (block max, canonical
-    graph6 codes achieving it, codes scanned).  Module level so process
-    pools can pickle it."""
-    n, quantity, start, stop = args
-    codes = np.arange(start, stop, dtype=np.int64)
-    values = _values_for_codes(n, quantity, codes)
-    best = int(values.max())
-    achievers = codes[values == best]
-    canon = {
-        canonical_code(graph_from_pair_bits(n, int(c))).g6 for c in achievers
-    }
-    return best, frozenset(canon), len(codes)
-
-
-# ======================================================================
-# per-graph evaluation (audits and re-verification)
-# ======================================================================
+_CENSUS_FIELD = dict(m="f", m_odd="f_o", m_even="f_e", m_odd_holes="odd_holes",
+                     p2="p2", p2_odd="p2_odd", p2_even="p2_even")
 
 
 def quantity_of_graph(g: Graph, quantity: str) -> int:
     """The swept quantity of one graph, via the per-graph engines."""
     if quantity in CYCLE_QUANTITIES:
-        census = count_induced_cycles(g)
-        return {
-            "m": census.f,
-            "m_odd": census.f_o,
-            "m_even": census.f_e,
-            "m_odd_holes": census.odd_holes,
-        }[quantity]
+        return getattr(count_induced_cycles(g), _CENSUS_FIELD[quantity])
     if quantity not in PATH_QUANTITIES:
         raise InputError(f"unknown quantity {quantity!r}")
     parity = {"p2": "all", "p2_odd": "odd", "p2_even": "even"}[quantity]
     return p2_max(g, parity)[0]
 
 
+def _slow_quantity(g: Graph, quantity: str) -> int:
+    """The swept quantity of one graph, via the subset oracle alone."""
+    cycles = slow_census(g)
+    if quantity in CYCLE_QUANTITIES:
+        return getattr(cycles, _CENSUS_FIELD[quantity])
+    best = 0
+    for x, y in itertools.combinations(range(g.n), 2):
+        # the cycles through z with L + 2 vertices are the x-y paths with
+        # L edges (see the module docstring)
+        with_z = slow_census(_extend(g, 1 << x | 1 << y)).by_length
+        paths = PathCensus({
+            size - 2: count - cycles.by_length.get(size, 0)
+            for size, count in with_z.items()
+        })
+        best = max(best, getattr(paths, _CENSUS_FIELD[quantity]))
+    return best
+
+
 def _audit(n: int, quantity: str, lo: int, hi: int) -> None:
-    """Sampled cross-check: the vectorized engine, the per-graph engine,
-    and the independent subset oracle must agree on random codes."""
+    """Sampled cross-check: the per-graph engines and the independent
+    subset oracle must agree on random units of [lo, hi)."""
     rng = random.Random(f"sweep:{n}:{quantity}")
     for _ in range(AUDIT_SAMPLES):
-        code = rng.randrange(lo, hi)
-        g = graph_from_pair_bits(n, code)
-        vec = int(_values_for_codes(n, quantity, np.array([code]))[0])
-        ref = quantity_of_graph(g, quantity)
-        if vec != ref:
+        unit = rng.randrange(lo, hi)
+        g = _unit_graph(n, unit)
+        fast, slow = quantity_of_graph(g, quantity), _slow_quantity(g, quantity)
+        if fast != slow:
             raise InternalError(
-                f"engine mismatch at code {code}: vectorized {vec}, census {ref}"
+                f"engine mismatch at unit {unit}: census {fast}, "
+                f"subset oracle {slow}"
             )
-        fast, slow = count_induced_cycles(g), slow_census(g)
-        if fast.by_length != slow.by_length:
-            raise InternalError(f"cycle engines disagree at code {code}")
 
 
 # ======================================================================
@@ -287,12 +193,32 @@ def _audit(n: int, quantity: str, lo: int, hi: int) -> None:
 # ======================================================================
 
 
+def _scan_chunk(task: tuple) -> tuple[int, list[int]]:
+    """Pool task: the best value of the units [lo, hi) and the units at
+    it.  The task carries the parent classes of its units, from that of
+    unit lo on, so a worker builds no classes.  Module level so process
+    pools can pickle it."""
+    quantity, lo, hi, parents = task
+    width = parents[0].n
+    best, winners = -1, []
+    for unit in range(lo, hi):
+        parent = parents[(unit >> width) - (lo >> width)]
+        value = quantity_of_graph(_extend(parent, unit & ((1 << width) - 1)), quantity)
+        if value > best:
+            best, winners = value, [unit]
+        elif value == best:
+            winners.append(unit)
+    return best, winners
+
+
 def shard_range(n: int, shards: int, shard: int) -> tuple[int, int]:
-    """Half-open code range owned by one shard (contiguous, near-equal
-    slices of the 2^C(n,2) code space)."""
+    """Half-open unit range owned by one shard (contiguous, near-equal
+    slices of the A000088(n - 1) * 2^(n - 1) units)."""
     if shards < 1 or not 0 <= shard < shards:
         raise InputError(f"bad shard {shard} of {shards}")
-    total = 1 << (n * (n - 1) // 2)
+    if not 2 <= n <= LONG_RUN_MAX_N:
+        raise InputError(f"sweeps need 2 <= n <= {LONG_RUN_MAX_N}, got {n}")
+    total = A000088[n - 1] << (n - 1)
     lo = shard * total // shards
     hi = (shard + 1) * total // shards
     if lo == hi:
@@ -308,13 +234,13 @@ def exhaustive_max(
     shards: int = 1,
     shard: int = 0,
 ) -> SweepResult:
-    """Scan all labelled graphs on n vertices (or one shard of them) and
+    """Score all graphs on n vertices (or one shard of them) and
     maximize the quantity; path quantities maximize over unordered
     endpoint pairs within each graph first.
 
-    n <= 7 is always allowed; n = 8 needs long_run=True (a quarter
-    billion graphs).  Shards split the code space for checkpointed runs;
-    combine shard results with merge_sweeps.
+    n <= 7 is always allowed; n = 8 needs long_run=True (133,632 units
+    standing for a quarter billion labelled graphs).  Shards split the
+    units for checkpointed runs; combine shard results with merge_sweeps.
     """
     if quantity not in QUANTITIES:
         raise InputError(f"quantity must be one of {QUANTITIES}")
@@ -327,42 +253,41 @@ def exhaustive_max(
             + ("" if long_run else " (pass long_run=True up to n=8)")
         )
     lo, hi = shard_range(n, shards, shard)
-    blocks = [
-        (n, quantity, start, min(start + (1 << BLOCK_BITS), hi))
-        for start in range(lo, hi, 1 << BLOCK_BITS)
-    ]
-    if threads > 1 and len(blocks) > 1:
+    parents = [g for g, _ in _classes(n - 1)]
+    tasks = []
+    for start in range(lo, hi, 1 << CHUNK_BITS):
+        stop = min(start + (1 << CHUNK_BITS), hi)
+        span = parents[start >> (n - 1):((stop - 1) >> (n - 1)) + 1]
+        tasks.append((quantity, start, stop, span))
+    if threads > 1 and len(tasks) > 1:
         try:
             with ProcessPoolExecutor(max_workers=threads) as pool:
-                parts = list(pool.map(_scan_block, blocks))
+                parts = list(pool.map(_scan_chunk, tasks))
         except (OSError, BrokenExecutor):
             # no pool here (sandboxes) or a worker died: scan in-process
-            parts = [_scan_block(b) for b in blocks]
+            parts = [_scan_chunk(t) for t in tasks]
     else:
-        parts = [_scan_block(b) for b in blocks]
-    best = max(p[0] for p in parts)
-    codes = set()
-    for value, canon, _ in parts:
-        if value == best:
-            codes.update(canon)
-    scanned = sum(p[2] for p in parts)
+        parts = [_scan_chunk(t) for t in tasks]
+    best = max(value for value, _ in parts)
+    codes = {canonical_code(_unit_graph(n, unit))
+             for value, units in parts if value == best for unit in units}
     _audit(n, quantity, lo, hi)
     result = SweepResult(
         n=n,
         quantity=quantity,
         max=ExactCount(best),
-        extremal_codes=frozenset(CanonicalCode(g6) for g6 in codes),
-        graphs_scanned=scanned,
+        extremal_codes=frozenset(codes),
+        graphs_scanned=_labelled_count(n, lo, hi),
     )
-    misscored = _misscored(result)
-    if misscored:
-        raise InternalError(f"post-sweep check failed: {misscored}")
+    bad = _bad_code(result)
+    if bad:
+        raise InternalError(f"post-sweep check failed: {bad}")
     return result
 
 
-def _misscored(result: SweepResult) -> str | None:
-    """Why the first extremal code that does not score the result's max on
-    n vertices fails, or None if every code does."""
+def _bad_code(result: SweepResult) -> str | None:
+    """Why the first extremal code that is not a canonical code on n
+    vertices scoring the result's max fails, or None if every code is."""
     for code in sorted(result.extremal_codes, key=lambda c: c.g6):
         g = code.graph()
         if g.n != result.n:
@@ -370,6 +295,9 @@ def _misscored(result: SweepResult) -> str | None:
         achieved = quantity_of_graph(g, result.quantity)
         if achieved != result.max.value:
             return f"{code.g6} scores {achieved}, not {result.max.value}"
+        # an isomorphic relabeling would merge as one more extremal class
+        if canonical_code(g) != code:
+            return f"{code.g6} is not canonical"
     return None
 
 
@@ -378,14 +306,10 @@ def merge_sweeps(parts: list[SweepResult]) -> SweepResult:
     if not parts:
         raise InputError("nothing to merge")
     n, quantity = parts[0].n, parts[0].quantity
-    for p in parts:
-        if (p.n, p.quantity) != (n, quantity):
-            raise InputError("cannot merge sweeps of different (n, quantity)")
+    if any((p.n, p.quantity) != (n, quantity) for p in parts):
+        raise InputError("cannot merge sweeps of different (n, quantity)")
     best = max(p.max.value for p in parts)
-    codes: set[CanonicalCode] = set()
-    for p in parts:
-        if p.max.value == best:
-            codes.update(p.extremal_codes)
+    codes = {c for p in parts if p.max.value == best for c in p.extremal_codes}
     return SweepResult(
         n=n,
         quantity=quantity,
@@ -412,7 +336,7 @@ def parse_checkpoint_line(
     n: int, quantity: str, shards: int, line: str
 ) -> tuple[int, SweepResult]:
     """Rebuild (shard index, shard result) from a checkpoint line; the
-    scanned count is recomputed from the shard geometry, and every code
+    scanned count is recomputed from the shard's units, and every code
     must be canonical and score the line's max."""
     fields = line.strip().split(",")
     if len(fields) < 3:
@@ -427,17 +351,11 @@ def parse_checkpoint_line(
         quantity=quantity,
         max=ExactCount(best),
         extremal_codes=frozenset(CanonicalCode(g6) for g6 in fields[2:]),
-        graphs_scanned=hi - lo,
+        graphs_scanned=_labelled_count(n, lo, hi),
     )
-    misscored = _misscored(result)
-    if misscored:
-        raise InputError(f"checkpoint line of shard {shard}: {misscored}")
-    for code in sorted(result.extremal_codes, key=lambda c: c.g6):
-        # an isomorphic relabeling would merge as one more extremal class
-        if canonical_code(code.graph()) != code:
-            raise InputError(
-                f"checkpoint line of shard {shard}: {code.g6} is not canonical"
-            )
+    bad = _bad_code(result)
+    if bad:
+        raise InputError(f"checkpoint line of shard {shard}: {bad}")
     return shard, result
 
 

@@ -16,7 +16,9 @@ import pytest
 
 import braidcensus
 from braidcensus.cli import main
+from braidcensus import sweep
 from braidcensus.families import build_H
+from braidcensus.formulas import f2
 from braidcensus.graphs import to_graph6
 from braidcensus.sweep import exhaustive_max
 
@@ -69,6 +71,21 @@ def test_construct_bad_variant(capsys):
     code, _, err = run(capsys, "construct", "--family", "F", "--n", "6",
                        "--variant", "9")
     assert code == 2 and "variant" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "--family", "F_odd", "--n", "100003"),
+    ("construct", "--family", "F", "--n", "3000"),
+    ("construct", "--family", "H", "--n", "100000000"),
+    ("paths", "--family", "G", "--n", "500", "--x", "0", "--y", "1"),
+    ("construct", "--family", "G_script", "--n", "14", "--variant", "-1"),
+])
+def test_construct_oversized_families_exit_2(capsys, argv):
+    # refused before the sizes or orderings are computed: no recursion
+    # error and no long wait
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 # ======================================================================
@@ -218,7 +235,7 @@ def test_verify_sharded_checkpoints(tmp_path, capsys, monkeypatch):
     for shard in range(3):
         code, doc, _ = run_json(capsys, *args, "--shard", str(shard))
         assert code == 0
-    checkpoint = tmp_path / "sweep_p2_n5_s3.txt"
+    checkpoint = tmp_path / "sweep_p2_n5_s3_classes.txt"
     assert len(checkpoint.read_text().splitlines()) == 3
 
     # a completed shard is replayed from the checkpoint, not rescanned
@@ -254,7 +271,7 @@ def _checkpointed_n4(tmp_path, capsys, monkeypatch):
     args = ("verify", "--n", "4", "--quantity", "p2", "--shards", "2")
     for shard in range(2):
         assert run_json(capsys, *args, "--shard", str(shard))[0] == 0
-    return args, tmp_path / "sweep_p2_n4_s2.txt"
+    return args, tmp_path / "sweep_p2_n4_s2_classes.txt"
 
 
 def test_verify_merge_rejects_bad_integers(tmp_path, capsys, monkeypatch):
@@ -292,8 +309,8 @@ def test_verify_merge_rejects_non_canonical_codes(tmp_path, capsys, monkeypatch)
     # reported as a third extremal class
     args, checkpoint = _checkpointed_n4(tmp_path, capsys, monkeypatch)
     lines = checkpoint.read_text().splitlines()
-    assert lines[0] == "0,2,C],C^"
-    checkpoint.write_text("0,2,C],C^,Cl\n" + "\n".join(lines[1:]) + "\n")
+    assert lines[1] == "1,2,C],C^"
+    checkpoint.write_text(lines[0] + "\n1,2,C],C^,Cl\n")
     code, out, err = run(capsys, *args, "--merge")
     assert code == 2 and out == ""
     assert "Cl is not canonical" in err
@@ -304,7 +321,7 @@ def test_verify_torn_checkpoint_line_reruns_its_shard(tmp_path, capsys, monkeypa
     # line is unwritten, and the next append cuts it off
     monkeypatch.setenv("BRAIDCENSUS_CHECKPOINT_DIR", str(tmp_path))
     args = ("verify", "--n", "5", "--quantity", "m", "--shards", "3")
-    checkpoint = tmp_path / "sweep_m_n5_s3.txt"
+    checkpoint = tmp_path / "sweep_m_n5_s3_classes.txt"
     checkpoint.write_text("1,10")
     code, out, err = run(capsys, *args, "--merge")
     assert code == 2 and "missing shards [0, 1, 2]" in err
@@ -327,6 +344,34 @@ def test_verify_torn_checkpoint_line_reruns_its_shard(tmp_path, capsys, monkeypa
     code, out, err = run(capsys, *args, "--merge")
     assert code == 2 and out == ""
     assert "malformed checkpoint line: '1,10\\n'" in err
+
+
+def test_verify_ignores_labelled_scan_checkpoints(tmp_path, capsys, monkeypatch):
+    # a checkpoint of the older labelled-code shards sits under the
+    # untagged name; its line is well formed and scores its max (K5 has
+    # 10 triangles), but shard 0 now covers other graphs, so it must rerun
+    monkeypatch.setenv("BRAIDCENSUS_CHECKPOINT_DIR", str(tmp_path))
+    old = tmp_path / "sweep_m_n5_s3.txt"
+    old.write_text("0,10,D~{\n")
+    args = ("verify", "--n", "5", "--quantity", "m", "--shards", "3")
+    code, doc, _ = run_json(capsys, *args, "--shard", "0")
+    assert code == 0
+    assert doc == exhaustive_max(5, "m", shards=3, shard=0).to_json_dict()
+    assert doc["max"] != "10"
+    assert (tmp_path / "sweep_m_n5_s3_classes.txt").read_text().count("\n") == 1
+    assert old.read_text() == "0,10,D~{\n"
+
+
+def test_verify_checks_the_checkpoint_directory_before_the_sweep(
+    tmp_path, capsys, monkeypatch
+):
+    calls = []
+    monkeypatch.setattr(sweep, "exhaustive_max", lambda *a, **k: calls.append(a))
+    monkeypatch.setenv("BRAIDCENSUS_CHECKPOINT_DIR", str(tmp_path / "missing"))
+    code, out, err = run(capsys, "verify", "--n", "4", "--quantity", "p2",
+                         "--shards", "2", "--shard", "0")
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert calls == []
 
 
 def test_verify_unreadable_checkpoints_are_input_errors(tmp_path, capsys, monkeypatch):
@@ -355,6 +400,17 @@ def test_formula_golden(capsys):
     assert doc == {"name": "f2", "n": 30, "value": "26244"}
     code, doc, _ = run_json(capsys, "formula", "--name", "m_lower", "--n", "12")
     assert doc["value"] == "225"
+
+
+def test_formula_prints_values_past_the_int_digit_limit(capsys):
+    limit = sys.get_int_max_str_digits()
+    try:
+        code, doc, _ = run_json(capsys, "formula", "--name", "f2", "--n", "30000")
+        assert code == 0
+        assert doc["value"] == str(f2(30000).value)
+        assert len(doc["value"]) > 4300
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_formula_vertex_bound_needs_d(capsys):

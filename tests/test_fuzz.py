@@ -1,18 +1,25 @@
-"""Fuzzing of the graph6 parser and of the CLI's graph subcommands.
+"""Fuzzing of the graph6 parser and of the CLI.
 
 parse_graph6 must turn any string into a graph or raise InputError.  The
-CLI must answer any graph6 text and vertex arguments for count, paths,
-recognize, game and atypical with exit 0 and exactly one line on stdout,
-or with exit 2 and nothing on stdout; never with a traceback.
+CLI must answer with exit 0 and exactly one line on stdout, or with exit
+2 and nothing on stdout; never with a traceback.  That holds for any
+graph6 text and vertex arguments of count, paths, recognize, game and
+atypical, for any --family/--n/--variant of construct, count and paths,
+and for any checkpoint file read by verify --merge.
 """
 
 import contextlib
 import io
+import os
+import tempfile
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidcensus.cli import main
+from braidcensus.cli import CHECKPOINT_DIR_VAR, main
+from braidcensus.families import FAMILY_TAGS
+from braidcensus.sweep import checkpoint_line, exhaustive_max
 from braidcensus.graphs import (
     Graph,
     InputError,
@@ -110,3 +117,74 @@ def test_cli_answers_or_rejects_any_graph6_input(argv):
     else:
         assert code == 2 and out == "", (code, out, err)
         assert err
+
+
+def assert_one_line_or_exit_2(code, out, err):
+    if code == 0:
+        assert out.endswith("\n") and out.count("\n") == 1, out
+    else:
+        assert code == 2 and out == "", (code, out, err)
+        assert err
+
+
+@st.composite
+def family_calls(draw):
+    command = draw(st.sampled_from(["construct", "count", "paths"]))
+    n = draw(st.one_of(st.integers(-3, 140), st.integers(-3, 5000)))
+    argv = [command, "--family", draw(st.sampled_from(FAMILY_TAGS)),
+            "--n", str(n), "--variant", str(draw(st.integers(-3, 8)))]
+    if command == "paths":
+        vertex = st.integers(-2, 140).map(str)
+        argv += ["--x", draw(vertex), "--y", draw(vertex)]
+    elif command == "construct" and draw(st.booleans()):
+        argv += ["--out", "json"]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(family_calls())
+def test_cli_answers_or_rejects_any_family_argument(argv):
+    assert_one_line_or_exit_2(*run_main(argv))
+
+
+# every shard line of the n = 4 p2 sweep in three shards, as written by
+# verify; the fuzzed files mix them with damaged and arbitrary lines
+MERGE_ARGS = ["verify", "--n", "4", "--quantity", "p2", "--shards", "3", "--merge"]
+SHARD_LINES = [
+    checkpoint_line(i, exhaustive_max(4, "p2", shards=3, shard=i)) for i in range(3)
+]
+
+
+JUNK_LINE = st.one_of(
+    st.builds(lambda shard, best, codes: ",".join([shard, best] + codes),
+              st.integers(-2, 4).map(str), st.integers(-1, 4).map(str),
+              st.lists(small_graph6(), max_size=3)),
+    st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126), max_size=20),
+    st.text(max_size=8),
+)
+
+
+@st.composite
+def checkpoint_files(draw):
+    """The shard lines shuffled with a few other lines, some of them
+    dropped and the last one perhaps cut short; or arbitrary bytes."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.binary(max_size=40))
+    lines = draw(st.permutations(SHARD_LINES + draw(st.lists(JUNK_LINE, max_size=2))))
+    lines = [line for line in lines if draw(st.integers(0, 5))]
+    if lines and draw(st.booleans()):
+        lines[-1] = lines[-1][:draw(st.integers(0, len(lines[-1])))]
+    return ("\n".join(lines) + draw(st.sampled_from(["\n", ""]))).encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(checkpoint_files())
+def test_verify_merge_answers_or_rejects_any_checkpoint(data):
+    with tempfile.TemporaryDirectory() as directory:
+        with open(os.path.join(directory, "sweep_p2_n4_s3_classes.txt"), "wb") as fh:
+            fh.write(data)
+        with mock.patch.dict(os.environ, {CHECKPOINT_DIR_VAR: directory}):
+            code, out, err = run_main(MERGE_ARGS)
+    assert_one_line_or_exit_2(code, out, err)
+    if code == 0:
+        assert out == run_main(["verify", "--n", "4", "--quantity", "p2"])[1]

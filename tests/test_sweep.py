@@ -9,6 +9,7 @@ intra-edge variants of the admissible path braids.
 """
 
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -20,11 +21,14 @@ import braidcensus
 from braidcensus import sweep
 from braidcensus.families import member_of_F, build_H
 from braidcensus.formulas import f2
+from braidcensus.census import QUANTITIES
 from braidcensus.graphs import (
     CanonicalCode,
     Graph,
     InputError,
+    InternalError,
     canonical_code,
+    graph_from_pair_bits,
 )
 from braidcensus.sweep import (
     SweepResult,
@@ -36,9 +40,6 @@ from braidcensus.sweep import (
     shard_range,
     verify_extremal_uniqueness,
 )
-from braidcensus.sweep import _values_for_codes
-
-import numpy as np
 
 
 def graph_from_edges(n: int, edges) -> Graph:
@@ -155,11 +156,65 @@ def test_m_odd_holes_pins():
 
 def test_odd_and_even_partition_the_total():
     n = 5
-    codes = np.arange(1 << 10, dtype=np.int64)
-    total = _values_for_codes(n, "m", codes)
-    odd = _values_for_codes(n, "m_odd", codes)
-    even = _values_for_codes(n, "m_even", codes)
-    assert (total == odd + even).all()
+    for code in range(1 << 10):
+        g = graph_from_pair_bits(n, code)
+        total = quantity_of_graph(g, "m")
+        odd = quantity_of_graph(g, "m_odd")
+        even = quantity_of_graph(g, "m_even")
+        assert total == odd + even
+
+
+# ======================================================================
+# the labelled scan this sweep replaced, and the isomorphism classes
+# ======================================================================
+
+# max, extremal codes and labelled count of every sweep with 2 <= n <= 7,
+# as the vectorized scan over all 2^C(n,2) labelled graphs computed them
+with open(os.path.join(os.path.dirname(__file__), "sweep_golden.json")) as fh:
+    GOLDEN = json.load(fh)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+@pytest.mark.parametrize("quantity", QUANTITIES)
+def test_sweep_matches_the_labelled_scan(n, quantity):
+    result = exhaustive_max(n, quantity)
+    assert {
+        "max": result.max.value,
+        "graphs_scanned": result.graphs_scanned,
+        "extremal_codes": sorted(c.g6 for c in result.extremal_codes),
+    } == GOLDEN[f"{n}/{quantity}"]
+
+
+def test_classes_follow_a000088_and_count_every_labelled_graph():
+    for k in range(1, 7):
+        classes = sweep._classes(k)
+        assert len(classes) == sweep.A000088[k]
+        assert sum(lab for _, lab in classes) == 1 << (k * (k - 1) // 2)
+        assert len({canonical_code(g) for g, _ in classes}) == len(classes)
+    for g, lab in sweep._classes(5):
+        # lab = 5! / |Aut g|, the number of distinct relabelings
+        assert lab == len({g.relabeled(p) for p in itertools.permutations(range(5))})
+
+
+def test_merged_classes_fail_the_class_count_gate(monkeypatch):
+    # a canonical form that merges non-isomorphic graphs (here: all with
+    # the same edge count) must stop the sweep, not shrink it
+    monkeypatch.setattr(
+        sweep, "canonical_code", lambda g: CanonicalCode(str(g.edge_count()))
+    )
+    sweep._classes.cache_clear()
+    try:
+        with pytest.raises(InternalError, match="isomorphism classes on 4"):
+            exhaustive_max(5, "m")
+    finally:
+        sweep._classes.cache_clear()
+
+
+def test_audit_reads_paths_as_cycles_through_an_added_vertex():
+    # the audit's path identity on one graph per class on 6 vertices
+    for g, _ in sweep._classes(6):
+        for quantity in ("p2", "p2_odd", "p2_even"):
+            assert sweep._slow_quantity(g, quantity) == quantity_of_graph(g, quantity)
 
 
 # ======================================================================
@@ -167,14 +222,14 @@ def test_odd_and_even_partition_the_total():
 # ======================================================================
 
 
-# n = 6 fits in one default-size block, which never reaches the pool;
-# smaller blocks make these sweeps fan out.
-SMALL_BLOCK_BITS = 12
+# n = 6 fits in one default-size chunk, which never reaches the pool;
+# smaller chunks make these sweeps fan out.
+SMALL_CHUNK_BITS = 8
 
 
 def test_determinism_across_worker_counts(monkeypatch):
     serial = exhaustive_max(6, "p2")
-    monkeypatch.setattr(sweep, "BLOCK_BITS", SMALL_BLOCK_BITS)
+    monkeypatch.setattr(sweep, "CHUNK_BITS", SMALL_CHUNK_BITS)
     assert exhaustive_max(6, "p2", threads=3) == serial
 
 
@@ -196,7 +251,7 @@ def test_dead_worker_falls_back_to_the_serial_scan(monkeypatch):
             raise BrokenProcessPool("a worker was killed")
 
     serial = exhaustive_max(6, "p2")
-    monkeypatch.setattr(sweep, "BLOCK_BITS", SMALL_BLOCK_BITS)
+    monkeypatch.setattr(sweep, "CHUNK_BITS", SMALL_CHUNK_BITS)
     monkeypatch.setattr(sweep, "ProcessPoolExecutor", DeadPool)
     assert exhaustive_max(6, "p2", threads=2) == serial
     assert maps, "the sweep never reached the pool"
@@ -259,9 +314,10 @@ def test_checkpoint_roundtrip():
 
 
 def test_shard_geometry():
-    assert shard_range(5, 1, 0) == (0, 1 << 10)
+    # 11 classes on 4 vertices, 2^4 neighbourhoods of the fifth vertex
+    assert shard_range(5, 1, 0) == (0, 11 * 16)
     lo, hi = shard_range(5, 3, 2)
-    assert hi == 1 << 10 and lo < hi
+    assert hi == 11 * 16 and lo < hi
     with pytest.raises(InputError):
         shard_range(5, 3, 3)
     with pytest.raises(InputError):
@@ -280,14 +336,18 @@ def test_input_errors():
 
 
 def test_long_run_shard_at_n8():
-    # one 65536-code shard of the quarter-billion sweep: its codes touch
-    # only the pairs inside {0..5} plus the pair (0,6), so the best
-    # graph is K6 (20 triangles) with or without the pendant edge
-    part = exhaustive_max(8, "m", long_run=True, shards=1 << 12, shard=0)
-    assert part.max.value == 20
-    assert part.graphs_scanned == 1 << 16
+    # the last of 4096 shards of the 133,632 units at n = 8: the last
+    # class on 7 vertices is K7 (one labelled copy), extended by the 33
+    # largest neighbourhoods, all of K7 among them; so the best graph
+    # is K8 (56 triangles)
+    shards = 1 << 12
+    assert shard_range(8, shards, shards - 1) == (133_599, 133_632)
+    part = exhaustive_max(8, "m", long_run=True, shards=shards, shard=shards - 1)
+    assert part.max.value == 56
+    assert part.graphs_scanned == 33
+    assert part.extremal_codes == {canon(complete_graph(8))}
     for code in part.extremal_codes:
-        assert quantity_of_graph(code.graph(), "m") == 20
+        assert quantity_of_graph(code.graph(), "m") == 56
 
 
 def test_result_validation_and_json():
