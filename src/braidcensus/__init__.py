@@ -10,8 +10,6 @@ braid structure), game (the Adversary/Builder walk game), sweep
 (the command line surface over all of it).
 """
 
-from importlib import import_module as _import_module
-
 from .census import (
     QUANTITIES,
     CycleCensus,
@@ -89,37 +87,13 @@ from .recognition import (
     maximal_3braids,
     verify_braid,
 )
-
-# The sweep loads the process pool and, in its audit, numpy; its names
-# resolve on first access (PEP 562) so that importing the package, and
-# with it every CLI subcommand but verify, stays light.
-_SWEEP_NAMES = frozenset({
-    "SweepResult",
-    "UniquenessReport",
-    "exhaustive_max",
-    "merge_sweeps",
-    "quantity_of_graph",
-    "verify_extremal_uniqueness",
-})
-
-
-def __getattr__(name: str):
-    # not cached in this namespace: every lookup reads the sweep module's
-    # current attribute, so a patched sweep function is the one returned
-    if name == "sweep" or name in _SWEEP_NAMES:
-        # import_module, not "from . import sweep", which would ask this
-        # hook for "sweep" again before the submodule is bound
-        sweep = _import_module(".sweep", __name__)
-        return sweep if name == "sweep" else getattr(sweep, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-__all__ = sorted(
-    {name for name in globals() if not name.startswith("_")}
-    | _SWEEP_NAMES
-    | {"sweep"}
+from .sweep import (
+    SweepResult,
+    UniquenessReport,
+    exhaustive_max,
+    merge_sweeps,
+    quantity_of_graph,
+    verify_extremal_uniqueness,
 )
 
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))
+__all__ = sorted(name for name in globals() if not name.startswith("_"))

@@ -9,10 +9,8 @@ checkpoint file that cannot be read or written), 3 when a --expect
 assertion fails, 4 when an internal cross-check fails (a bug, reported
 instead of a result).
 
-Only verify imports the sweep, and with it the process pool; a sweep
-over more than 2^11 units runs worker processes (--threads, one per CPU
-by default), and its audit loads numpy.  Every other subcommand loads
-neither, which halves its start-up.
+A sweep runs in one process, and its audit loads numpy, which no other
+subcommand needs.  To sweep in parallel, start one process per shard.
 
 Graph input is one --input value: either a literal graph6 code or a
 path to a file whose first non-empty line is one.  Subcommands that
@@ -40,6 +38,7 @@ import json
 import os
 import sys
 
+from . import sweep
 from .census import QUANTITIES, count_induced_cycles, count_induced_st_paths
 from .families import (
     FAMILY_TAGS,
@@ -206,8 +205,6 @@ def _read_checkpoints(path: str, n: int, quantity: str, shards: int) -> dict:
     """Finished shards by index.  A last line without its newline is an
     append cut short by a killed shard: it counts as unwritten, so that
     shard reruns."""
-    from .sweep import parse_checkpoint_line
-
     done = {}
     if os.path.isfile(path):
         with open(path, encoding="ascii") as fh:
@@ -215,7 +212,7 @@ def _read_checkpoints(path: str, n: int, quantity: str, shards: int) -> dict:
                 if not line.endswith("\n"):
                     break
                 if line.strip():
-                    shard, result = parse_checkpoint_line(
+                    shard, result = sweep.parse_checkpoint_line(
                         n, quantity, shards, line
                     )
                     if done.setdefault(shard, result) != result:
@@ -247,9 +244,6 @@ def _append_checkpoint(path: str, line: str) -> None:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    # the sweep brings the process pool; only verify loads it
-    from .sweep import checkpoint_line, exhaustive_max, merge_sweeps
-
     if args.shards < 1:
         raise InputError("--shards must be at least 1")
     path = None
@@ -264,7 +258,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         missing = sorted(set(range(args.shards)) - set(done))
         if missing:
             raise InputError(f"checkpoint incomplete, missing shards {missing}")
-        result = merge_sweeps([done[i] for i in sorted(done)])
+        result = sweep.merge_sweeps([done[i] for i in sorted(done)])
     else:
         done = (
             _read_checkpoints(path, args.n, args.quantity, args.shards)
@@ -278,16 +272,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 # fail on the checkpoint before the sweep, not after it
                 flags = os.O_WRONLY | os.O_APPEND | os.O_CREAT
                 os.close(os.open(path, flags, 0o666))
-            result = exhaustive_max(
+            result = sweep.exhaustive_max(
                 args.n,
                 args.quantity,
-                threads=args.threads,
                 long_run=args.long_run,
                 shards=args.shards,
                 shard=args.shard,
             )
             if path is not None:
-                _append_checkpoint(path, checkpoint_line(args.shard, result))
+                _append_checkpoint(path, sweep.checkpoint_line(args.shard, result))
     _emit(result.to_json_dict())
     if args.expect is not None and result.max.value != args.expect:
         print(
@@ -371,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("verify", help="exhaustive sweep of all graphs")
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--quantity", required=True, choices=QUANTITIES)
-    sub.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     sub.add_argument("--long-run", action="store_true", dest="long_run")
     sub.add_argument("--shards", type=int, default=1)
     sub.add_argument("--shard", type=int, default=0)

@@ -288,7 +288,7 @@ def f_central_sequences(n: int, parity: str = "all") -> list[tuple[int, ...]]:
     seqs: list[tuple[int, ...]] = []
     for multiset in f_central_multisets(n, parity):
         reps = set()
-        for perm in _distinct_permutations(multiset):
+        for perm in _orderings(multiset):
             reps.add(min(perm, tuple(reversed(perm))))
         seqs.extend(sorted(reps))
     return seqs
@@ -336,36 +336,25 @@ def script_g_multisets(n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _distinct_permutations(items: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """Permutations of a multiset without repeats (classic counting walk)."""
-    pool = sorted(items)
-    n = len(pool)
-    counts: dict[int, int] = {}
-    for x in pool:
-        counts[x] = counts.get(x, 0) + 1
-    keys = sorted(counts)
-    out: list[int] = []
-
-    def rec():
-        if len(out) == n:
-            yield tuple(out)
-            return
-        for k in keys:
-            if counts[k]:
-                counts[k] -= 1
-                out.append(k)
-                yield from rec()
-                out.pop()
-                counts[k] += 1
-
-    yield from rec()
+def _orderings(multiset: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """The distinct orderings of a multiset of 3s and copies of one other
+    size, as every admissible multiset is: one per choice of positions
+    for the other size."""
+    others = [s for s in multiset if s != 3]
+    if len(set(others)) > 1:
+        raise InternalError(f"multiset {multiset} has two sizes other than 3")
+    for spots in itertools.combinations(range(len(multiset)), len(others)):
+        seq = [3] * len(multiset)
+        for i in spots:
+            seq[i] = others[0]
+        yield tuple(seq)
 
 
 def _necklace_classes(multiset: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Distinct circular arrangements up to rotation and reflection,
     each as its lexicographically minimal representative, sorted."""
     classes = set()
-    for perm in _distinct_permutations(multiset):
+    for perm in _orderings(multiset):
         k = len(perm)
         best = None
         for seq in (perm, tuple(reversed(perm))):

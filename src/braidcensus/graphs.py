@@ -309,7 +309,8 @@ def to_graph6(g: Graph) -> str:
 
 def parse_graph6(text: str) -> Graph:
     """Decode a graph6 string.  Raises Graph6Error with a byte offset on
-    bad characters, wrong body length, or nonzero padding."""
+    bad characters, a 4-byte size header for n < 63, wrong body length,
+    or nonzero padding."""
     data = text.strip()
     if not data:
         raise Graph6Error("empty graph6 string")
@@ -326,6 +327,9 @@ def parse_graph6(text: str) -> Graph:
             if not 63 <= c <= 126:
                 raise Graph6Error(f"bad graph6 byte {c!r}", pos)
             n = n << 6 | (c - 63)
+        if n < 63:
+            # one graph, one code: n < 63 takes the 1-byte header
+            raise Graph6Error(f"4-byte graph6 size header for n={n} < 63", 0)
         pos = 4
     else:
         if not 63 <= first <= 126:

@@ -21,8 +21,9 @@ exactly lab(P) labelled graphs, all isomorphic to it, onto each unit.
 So the best unit is the best graph, and graphs_scanned, the sum of
 lab(P) over the units, is 2^C(n,2) for a full sweep.  Only units at the
 maximum are canonicalized.  Unit u is (class u >> (n - 1), N = its low
-n - 1 bits); shards are contiguous unit ranges and pool tasks chunks of
-them, so any worker count and shard split gives the same result.
+n - 1 bits).  A sweep runs in one process; shards, contiguous unit
+ranges merged by merge_sweeps, are the way to run one in parallel (one
+process per shard), and any shard split gives the same result.
 
 Audit.  slow_census, the subset oracle, re-scores sampled units.  For a
 path quantity: G plus a vertex z adjacent to exactly x and y has one
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -63,8 +63,6 @@ from .recognition import verify_braid
 
 SWEEP_MAX_N = 7
 LONG_RUN_MAX_N = 8
-# units per pool task: n <= 6 (at most 34 * 32 units) stays in-process
-CHUNK_BITS = 11
 AUDIT_SAMPLES = 10
 # OEIS A000088: the number of isomorphism classes of graphs on k vertices
 A000088 = (1, 1, 2, 4, 11, 34, 156, 1044)
@@ -193,24 +191,6 @@ def _audit(n: int, quantity: str, lo: int, hi: int) -> None:
 # ======================================================================
 
 
-def _scan_chunk(task: tuple) -> tuple[int, list[int]]:
-    """Pool task: the best value of the units [lo, hi) and the units at
-    it.  The task carries the parent classes of its units, from that of
-    unit lo on, so a worker builds no classes.  Module level so process
-    pools can pickle it."""
-    quantity, lo, hi, parents = task
-    width = parents[0].n
-    best, winners = -1, []
-    for unit in range(lo, hi):
-        parent = parents[(unit >> width) - (lo >> width)]
-        value = quantity_of_graph(_extend(parent, unit & ((1 << width) - 1)), quantity)
-        if value > best:
-            best, winners = value, [unit]
-        elif value == best:
-            winners.append(unit)
-    return best, winners
-
-
 def shard_range(n: int, shards: int, shard: int) -> tuple[int, int]:
     """Half-open unit range owned by one shard (contiguous, near-equal
     slices of the A000088(n - 1) * 2^(n - 1) units)."""
@@ -229,7 +209,6 @@ def shard_range(n: int, shards: int, shard: int) -> tuple[int, int]:
 def exhaustive_max(
     n: int,
     quantity: str,
-    threads: int = 1,
     long_run: bool = False,
     shards: int = 1,
     shard: int = 0,
@@ -240,7 +219,8 @@ def exhaustive_max(
 
     n <= 7 is always allowed; n = 8 needs long_run=True (133,632 units
     standing for a quarter billion labelled graphs).  Shards split the
-    units for checkpointed runs; combine shard results with merge_sweeps.
+    units for checkpointed runs and for parallel ones, one process per
+    shard; combine shard results with merge_sweeps.
     """
     if quantity not in QUANTITIES:
         raise InputError(f"quantity must be one of {QUANTITIES}")
@@ -253,24 +233,14 @@ def exhaustive_max(
             + ("" if long_run else " (pass long_run=True up to n=8)")
         )
     lo, hi = shard_range(n, shards, shard)
-    parents = [g for g, _ in _classes(n - 1)]
-    tasks = []
-    for start in range(lo, hi, 1 << CHUNK_BITS):
-        stop = min(start + (1 << CHUNK_BITS), hi)
-        span = parents[start >> (n - 1):((stop - 1) >> (n - 1)) + 1]
-        tasks.append((quantity, start, stop, span))
-    if threads > 1 and len(tasks) > 1:
-        try:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
-                parts = list(pool.map(_scan_chunk, tasks))
-        except (OSError, BrokenExecutor):
-            # no pool here (sandboxes) or a worker died: scan in-process
-            parts = [_scan_chunk(t) for t in tasks]
-    else:
-        parts = [_scan_chunk(t) for t in tasks]
-    best = max(value for value, _ in parts)
-    codes = {canonical_code(_unit_graph(n, unit))
-             for value, units in parts if value == best for unit in units}
+    best, winners = -1, []
+    for unit in range(lo, hi):
+        value = quantity_of_graph(_unit_graph(n, unit), quantity)
+        if value > best:
+            best, winners = value, [unit]
+        elif value == best:
+            winners.append(unit)
+    codes = {canonical_code(_unit_graph(n, unit)) for unit in winners}
     _audit(n, quantity, lo, hi)
     result = SweepResult(
         n=n,

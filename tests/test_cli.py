@@ -249,6 +249,32 @@ def test_verify_sharded_checkpoints(tmp_path, capsys, monkeypatch):
     assert merged == full
 
 
+def test_concurrent_shards_append_to_one_checkpoint(tmp_path):
+    # the parallel recipe: one process per shard, started together
+    src = os.path.dirname(os.path.dirname(braidcensus.__file__))
+    env = dict(os.environ, PYTHONPATH=src, BRAIDCENSUS_CHECKPOINT_DIR=str(tmp_path))
+    args = [sys.executable, "-m", "braidcensus.cli", "verify", "--n", "6",
+            "--quantity", "p2", "--shards", "2"]
+    procs = [
+        subprocess.Popen(args + ["--shard", str(i)], stdout=subprocess.PIPE,
+                         stderr=subprocess.PIPE, text=True, env=env)
+        for i in range(2)
+    ]
+    try:
+        outs = [proc.communicate(timeout=120) for proc in procs]
+    finally:
+        for proc in procs:
+            proc.kill()
+    assert [proc.returncode for proc in procs] == [0, 0], outs
+    text = (tmp_path / "sweep_p2_n6_s2_classes.txt").read_text()
+    assert text.endswith("\n")
+    assert sorted(line.split(",")[0] for line in text.splitlines()) == ["0", "1"]
+    merged = subprocess.run(args + ["--merge"], capture_output=True, text=True,
+                            env=env, timeout=120)
+    assert merged.returncode == 0, merged.stderr
+    assert merged.stdout == json.dumps(exhaustive_max(6, "p2").to_json_dict()) + "\n"
+
+
 def test_verify_merge_incomplete(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("BRAIDCENSUS_CHECKPOINT_DIR", str(tmp_path))
     args = ("verify", "--n", "5", "--quantity", "p2", "--shards", "3")
@@ -441,14 +467,19 @@ def test_unknown_flags_and_commands_exit_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate"])
     assert info.value.code == 2
+    # sweeps run in one process per shard: there is no worker count
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--n", "4", "--quantity", "m", "--threads", "2"])
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "--threads" in err
 
 
 # ======================================================================
 # start-up
 # ======================================================================
 
-# what "from braidcensus import *" binds; the sweep's names among them
-# resolve on first use
+# what "from braidcensus import *" binds
 PUBLIC_NAMES = [
     "AtypicalReport", "BraidSpec", "CanonicalCode", "ClusterPartition",
     "CycleCensus", "ExactCount", "FAMILY_TAGS", "FamilyId", "GameState",
@@ -473,7 +504,7 @@ PUBLIC_NAMES = [
 
 IMPORT_SCRIPT = """
 import json, sys
-import braidcensus, braidcensus.cli
+import braidcensus, braidcensus.cli, braidcensus.sweep
 heavy = ("numpy", "multiprocessing", "concurrent.futures.process")
 print(json.dumps([m for m in heavy if m in sys.modules]))
 names = {}
@@ -484,7 +515,7 @@ print(braidcensus.exhaustive_max(4, "m").max.value)
 
 
 def test_import_leaves_numpy_and_the_pool_unloaded():
-    # every subcommand but verify starts without numpy or a process pool
+    # no subcommand, verify included, starts with numpy or a process pool
     src = os.path.dirname(os.path.dirname(braidcensus.__file__))
     proc = subprocess.run(
         [sys.executable, "-c", IMPORT_SCRIPT], capture_output=True, text=True,

@@ -270,6 +270,44 @@ def test_f_central_products_match_formulas(n):
     assert {prod(s) for s in f_central_sequences(n, "even")} == {f2_even(n).value}
 
 
+def distinct_permutations(items):
+    """Permutations of a multiset without repeats (the classic counting
+    walk): the oracle for the placements the families build from."""
+    counts = {}
+    for x in items:
+        counts[x] = counts.get(x, 0) + 1
+    out = []
+
+    def rec():
+        if len(out) == len(items):
+            yield tuple(out)
+            return
+        for k in sorted(counts):
+            if counts[k]:
+                counts[k] -= 1
+                out.append(k)
+                yield from rec()
+                out.pop()
+                counts[k] += 1
+
+    yield from rec()
+
+
+def test_orderings_match_the_permutation_walk():
+    for n in range(10, 70):
+        for parity in ("all", "odd", "even"):
+            walk = []
+            for multiset in f_central_multisets(n, parity):
+                walk += sorted({min(p, p[::-1]) for p in distinct_permutations(multiset)})
+            assert f_central_sequences(n, parity) == walk
+        for multiset in script_g_multisets(max(n, 14)):
+            walk = {
+                min(seq[r:] + seq[:r] for seq in (p, p[::-1]) for r in range(len(p)))
+                for p in distinct_permutations(multiset)
+            }
+            assert families._necklace_classes(multiset) == sorted(walk)
+
+
 # ----------------------------------------------------------------------
 # script-G
 # ----------------------------------------------------------------------

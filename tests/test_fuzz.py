@@ -79,9 +79,8 @@ def test_parse_graph6_returns_a_graph_or_raises_input_error(text):
     except InputError:
         return
     assert isinstance(g, Graph)
-    assert parse_graph6(to_graph6(g)) == g
-    if not text.strip().startswith("~"):  # the long size form may pad small n
-        assert to_graph6(g) == text.strip()
+    # one graph, one code: an accepted code is the graph's own encoding
+    assert to_graph6(g) == text.strip()
 
 
 def run_main(argv):

@@ -148,6 +148,8 @@ def test_graph6_long_size_header():
         "\x1cA",  # size byte below 63
         "D" + "~",  # n=5 needs 2 body bytes, got 1
         "C~~",  # n=4 needs 1 body byte, got 2
+        "~??@",  # n=1 in the 4-byte size header, which starts at n=63
+        "~??}" + "?" * 316,  # n=62, the largest 1-byte size
     ],
 )
 def test_graph6_rejects_malformed(bad):

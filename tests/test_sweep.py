@@ -13,14 +13,13 @@ import json
 import os
 import subprocess
 import sys
-from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 import braidcensus
 from braidcensus import sweep
 from braidcensus.families import member_of_F, build_H
-from braidcensus.formulas import f2
+from braidcensus.formulas import ExactCount, f2
 from braidcensus.census import QUANTITIES
 from braidcensus.graphs import (
     CanonicalCode,
@@ -218,43 +217,8 @@ def test_audit_reads_paths_as_cycles_through_an_added_vertex():
 
 
 # ======================================================================
-# mechanics: determinism, shards, checkpoints, errors
+# mechanics: shards, checkpoints, errors
 # ======================================================================
-
-
-# n = 6 fits in one default-size chunk, which never reaches the pool;
-# smaller chunks make these sweeps fan out.
-SMALL_CHUNK_BITS = 8
-
-
-def test_determinism_across_worker_counts(monkeypatch):
-    serial = exhaustive_max(6, "p2")
-    monkeypatch.setattr(sweep, "CHUNK_BITS", SMALL_CHUNK_BITS)
-    assert exhaustive_max(6, "p2", threads=3) == serial
-
-
-def test_dead_worker_falls_back_to_the_serial_scan(monkeypatch):
-    maps = []
-
-    class DeadPool:
-        def __init__(self, max_workers):
-            pass
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            maps.append(fn)
-            raise BrokenProcessPool("a worker was killed")
-
-    serial = exhaustive_max(6, "p2")
-    monkeypatch.setattr(sweep, "CHUNK_BITS", SMALL_CHUNK_BITS)
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", DeadPool)
-    assert exhaustive_max(6, "p2", threads=2) == serial
-    assert maps, "the sweep never reached the pool"
 
 
 # Run under python -O, where assert statements are stripped: the sweep's
@@ -385,6 +349,17 @@ def test_uniqueness_small_n():
     six = verify_extremal_uniqueness(6)
     assert six.all_match
     assert six.central_multisets == {(4,), (2, 2)}
+
+
+def test_uniqueness_rejects_a_non_braid_at_the_maximum():
+    # a forged sweep whose only extremal graph is C5: its five
+    # non-adjacent pairs have two induced paths each, and none is the
+    # pair of end clusters of a path braid
+    forged = SweepResult(5, "p2", ExactCount(2), frozenset({canon(cycle_graph(5))}), 1)
+    report = verify_extremal_uniqueness(5, sweep=forged)
+    assert report.counterexample_codes == ("DLo",)
+    assert report.all_match is False
+    assert report.pairs_checked == 5
 
 
 def test_uniqueness_input_checks():
