@@ -37,8 +37,10 @@ for n in list(range(12, 22)) + [30, 60, 90, 120]:
     marker = "ok" if census.f == formula else "MISMATCH"
     print(f"{n:<3} {census.f:<20} {formula:<20} {marker}")
 
-# For a second opinion, the subset oracle walks all 2^n vertex subsets
-# and tests which ones induce a cycle.  Slow, but independent.
+# For a second opinion, the subset oracle decides vertex by vertex which
+# subsets induce a cycle, dropping a partial subset once a chosen vertex
+# can no longer have exactly two chosen neighbours.  Exponential, but
+# independent.
 
 g, _ = build_H(14)
 assert count_induced_cycles(g).by_length == slow_census(g).by_length

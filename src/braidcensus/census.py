@@ -48,11 +48,11 @@ along root-to-leaf paths (the forced unary y-step excluded) are cached per
 (cands, blocked) the same way; a node's value holds the multisets of its
 root-to-leaf suffixes, each packed as an int of per-child-count fields.
 
-slow_census is the independent oracle: scan all 2^n vertex subsets with
-numpy, keep those inducing a 2-regular graph, and confirm connectivity
-per candidate.  It shares no traversal logic with the fast engine.  It
-is the only part of this module that uses numpy and imports it when
-called, so the exact engines (and the CLI) load without it.
+slow_census is the independent oracle.  It decides vertices 0..n-1 in
+order and drops a branch once a chosen vertex has three chosen neighbours,
+or too few undecided ones left to reach two.  So every vertex set that
+survives induces a 2-regular graph, and it is one induced cycle when it
+is connected.  It shares no traversal logic with the fast engine.
 """
 
 from __future__ import annotations
@@ -377,14 +377,14 @@ def p2_max(g: Graph, parity: str = "all") -> tuple[int, tuple[int, int]]:
     with the lexicographically first maximizing pair."""
     if g.n < 2:
         raise InputError(f"p2_max needs n >= 2, got {g.n}")
-    if parity not in ("all", "odd", "even"):
+    field = {"all": "p2", "odd": "p2_odd", "even": "p2_even"}.get(parity)
+    if field is None:
         raise InputError(f"parity must be all|odd|even, got {parity!r}")
     best = -1
     best_pair = (0, 1)
     for x in range(g.n):
         for y in range(x + 1, g.n):
-            pc = count_induced_st_paths(g, x, y)
-            val = {"all": pc.p2, "odd": pc.p2_odd, "even": pc.p2_even}[parity]
+            val = getattr(count_induced_st_paths(g, x, y), field)
             if val > best:
                 best, best_pair = val, (x, y)
     return best, best_pair
@@ -460,67 +460,53 @@ def path_tree_stats(g: Graph, x: int, y: int) -> TreeStats:
 # independent subset oracle
 # ======================================================================
 
-_POP16 = None
-
-
-def _pop16():
-    global _POP16
-    if _POP16 is None:
-        import numpy as np
-
-        table = np.zeros(1 << 16, dtype=np.uint8)
-        for b in range(16):
-            table[(np.arange(1 << 16) >> b) & 1 == 1] += 1
-        _POP16 = table
-    return _POP16
-
 
 def _is_single_cycle(g: Graph, mask: int) -> bool:
     """mask already induces a 2-regular graph; true iff it is connected."""
-    start = (mask & -mask).bit_length() - 1
-    prev, cur = -1, start
-    steps = 0
-    size = mask.bit_count()
-    while steps < size:
-        nxt_mask = g.adj[cur] & mask
-        if prev >= 0:
-            nxt_mask &= ~(1 << prev)
-        nxt = (nxt_mask & -nxt_mask).bit_length() - 1
-        prev, cur = cur, nxt
-        steps += 1
-        if cur == start:
-            return steps == size
-    return False
+    seen = new = mask & -mask
+    while new:
+        reach = 0
+        for v in bits_of(new):
+            reach |= g.adj[v]
+        new = reach & mask & ~seen
+        seen |= new
+    return seen == mask
 
 
-def slow_census(g: Graph, chunk_bits: int = 20) -> CycleCensus:
+def slow_census(g: Graph) -> CycleCensus:
     """Subset-scan oracle: every vertex subset inducing a connected
     2-regular graph is one induced cycle.  Exponential; n <= 24 only."""
-    import numpy as np
-
     n = g.n
     if n > SLOW_CENSUS_MAX_N:
         raise UnsupportedError(f"slow_census supports n <= {SLOW_CENSUS_MAX_N}")
-    pop = _pop16()
+    adj = g.adj
     by_length: dict[int, int] = {}
-    adj32 = [np.uint32(a) for a in g.adj]
-    total = 1 << n
-    step = 1 << min(chunk_bits, n)
-    for lo in range(0, total, step):
-        arr = np.arange(lo, min(lo + step, total), dtype=np.uint32)
-        ok = np.ones(arr.shape, dtype=bool)
-        size = pop[arr & np.uint32(0xFFFF)].astype(np.uint8) + pop[arr >> np.uint32(16)]
-        ok &= size >= 3
-        for v in range(n):
-            if not ok.any():
-                break
-            member = (arr >> np.uint32(v)) & np.uint32(1)
-            inter = arr & adj32[v]
-            deg = pop[inter & np.uint32(0xFFFF)] + pop[inter >> np.uint32(16)]
-            ok &= (member == 0) | (deg == 2)
-        for code in arr[ok]:
-            mask = int(code)
-            if _is_single_cycle(g, mask):
-                length = mask.bit_count()
+    stack = [(0, 0)]
+    while stack:
+        i, chosen = stack.pop()
+        if i == n:
+            # every chosen vertex has exactly two chosen neighbours
+            if chosen and _is_single_cycle(g, chosen):
+                length = chosen.bit_count()
                 by_length[length] = by_length.get(length, 0) + 1
+            continue
+        # deciding i changes the counts of i and its chosen neighbours
+        # only: taking i gives each one more chosen neighbour, leaving it
+        # out takes one of their undecided ones
+        undecided = -1 << (i + 1)
+        nbrs = adj[i] & chosen
+        have = nbrs.bit_count()
+        take = have <= 2 and have + (adj[i] & undecided).bit_count() >= 2
+        leave = True
+        while nbrs and (take or leave):
+            low = nbrs & -nbrs
+            nbrs ^= low
+            a = adj[low.bit_length() - 1]
+            have = (a & chosen).bit_count()
+            take = take and have < 2
+            leave = leave and have + (a & undecided).bit_count() >= 2
+        if leave:
+            stack.append((i + 1, chosen))
+        if take:
+            stack.append((i + 1, chosen | 1 << i))
     return CycleCensus(by_length)

@@ -9,8 +9,7 @@ checkpoint file that cannot be read or written), 3 when a --expect
 assertion fails, 4 when an internal cross-check fails (a bug, reported
 instead of a result).
 
-A sweep runs in one process, and its audit loads numpy, which no other
-subcommand needs.  To sweep in parallel, start one process per shard.
+A sweep runs in one process; to sweep in parallel, start one per shard.
 
 Graph input is one --input value: either a literal graph6 code or a
 path to a file whose first non-empty line is one.  Subcommands that

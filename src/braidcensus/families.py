@@ -336,13 +336,18 @@ def script_g_multisets(n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _orderings(multiset: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """The distinct orderings of a multiset of 3s and copies of one other
-    size, as every admissible multiset is: one per choice of positions
-    for the other size."""
+def _others(multiset: tuple[int, ...]) -> list[int]:
+    """The sizes other than 3, all equal in an admissible multiset."""
     others = [s for s in multiset if s != 3]
     if len(set(others)) > 1:
         raise InternalError(f"multiset {multiset} has two sizes other than 3")
+    return others
+
+
+def _orderings(multiset: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """The distinct orderings of a multiset: one per choice of positions
+    for the sizes other than 3."""
+    others = _others(multiset)
     for spots in itertools.combinations(range(len(multiset)), len(others)):
         seq = [3] * len(multiset)
         for i in spots:
@@ -352,17 +357,23 @@ def _orderings(multiset: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
 
 def _necklace_classes(multiset: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Distinct circular arrangements up to rotation and reflection,
-    each as its lexicographically minimal representative, sorted."""
-    classes = set()
-    for perm in _orderings(multiset):
-        k = len(perm)
-        best = None
-        for seq in (perm, tuple(reversed(perm))):
-            for r in range(k):
-                rot = seq[r:] + seq[:r]
-                if best is None or rot < best:
-                    best = rot
-        classes.add(best)
+    each as its lexicographically minimal representative, sorted.
+
+    The k sizes other than 3 cut the ring into k runs of 3s, so a class
+    is a cyclic sequence of run lengths up to rotation and reversal."""
+    others = _others(multiset)
+    k, t = len(others), len(multiset) - len(others)
+    if not k:
+        return [multiset]
+    classes = []
+    # k - 1 cuts among t + k - 1 slots split the t threes into k runs
+    for cuts in itertools.combinations(range(t + k - 1), k - 1):
+        runs = [b - a - 1 for a, b in zip((-1,) + cuts, cuts + (t + k - 1,))]
+        turns = [runs[r:] + runs[:r] for r in range(k)]
+        if runs == min(turns + [turn[::-1] for turn in turns]):
+            ring = tuple(size for run in runs for size in [others[0]] + [3] * run)
+            classes.append(min(seq[r:] + seq[:r] for seq in (ring, ring[::-1])
+                               for r in range(len(ring))))
     return sorted(classes)
 
 

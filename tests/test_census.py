@@ -1,11 +1,12 @@
 """Census engine tests.
 
 The memoized counts are checked three independent ways: a from-scratch
-subset filter written here (shares no code with the package), the numpy
-slow_census oracle, and hand-pinned values for structured graphs whose
-counts have closed forms.  Random graphs rarely have twins, so the memo
-is also exercised on blow-ups of small graphs and on braids up to
-n = 120; path-tree statistics are checked against a plain recursive walk.
+subset filter written here (shares no code with the package), the pruned
+slow_census subset oracle (itself checked against that filter), and
+hand-pinned values for structured graphs whose counts have closed forms.
+Random graphs rarely have twins, so the memo is also exercised on
+blow-ups of small graphs and on braids up to n = 120; path-tree
+statistics are checked against a plain recursive walk.
 """
 
 import itertools
@@ -352,9 +353,11 @@ def test_slow_census_agrees_on_families():
         assert count_induced_cycles(g).by_length == slow_census(g).by_length
 
 
-def test_slow_census_chunking_irrelevant():
-    g = build_H(12)[0]
-    assert slow_census(g, chunk_bits=7).by_length == slow_census(g).by_length
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(graphs(max_n=10), blow_ups()))
+def test_slow_census_matches_naive(g):
+    # the oracle prunes on degree; the plain filter prunes nothing
+    assert slow_census(g).by_length == naive_cycle_census(g)
 
 
 def test_slow_census_empty_and_limits():

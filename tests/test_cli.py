@@ -15,11 +15,11 @@ import sys
 import pytest
 
 import braidcensus
-from braidcensus.cli import main
+from braidcensus.cli import _load_graph, main
 from braidcensus import sweep
 from braidcensus.families import build_H
 from braidcensus.formulas import f2
-from braidcensus.graphs import to_graph6
+from braidcensus.graphs import InputError, to_graph6
 from braidcensus.sweep import exhaustive_max
 
 
@@ -342,6 +342,27 @@ def test_verify_merge_rejects_non_canonical_codes(tmp_path, capsys, monkeypatch)
     assert "Cl is not canonical" in err
 
 
+def test_verify_merge_rejects_codes_on_the_wrong_vertex_count(
+        tmp_path, capsys, monkeypatch):
+    # K5 ("D~{") is a well-formed canonical code, but not on 4 vertices
+    args, checkpoint = _checkpointed_n4(tmp_path, capsys, monkeypatch)
+    lines = checkpoint.read_text().splitlines()
+    checkpoint.write_text(lines[0] + "\n1,2,C],C^,D~{\n")
+    code, out, err = run(capsys, *args, "--merge")
+    assert code == 2 and out == ""
+    assert "D~{ has 5 vertices, not 4" in err
+    with pytest.raises(InputError):
+        sweep.parse_checkpoint_line(4, "p2", 2, "1,2,C],C^,D~{")
+
+
+def test_verify_merge_beyond_the_sweep_limit(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("BRAIDCENSUS_CHECKPOINT_DIR", str(tmp_path))
+    (tmp_path / "sweep_m_n9_s2_classes.txt").write_text("0,1,B~\n1,1,B~\n")
+    code, out, err = run(capsys, "verify", "--n", "9", "--quantity", "m",
+                         "--shards", "2", "--merge")
+    assert code == 2 and out == "" and "got 9" in err
+
+
 def test_verify_torn_checkpoint_line_reruns_its_shard(tmp_path, capsys, monkeypatch):
     # a shard killed mid-append leaves its line without the newline; that
     # line is unwritten, and the next append cuts it off
@@ -505,27 +526,47 @@ PUBLIC_NAMES = [
 IMPORT_SCRIPT = """
 import json, sys
 import braidcensus, braidcensus.cli, braidcensus.sweep
-heavy = ("numpy", "multiprocessing", "concurrent.futures.process")
-print(json.dumps([m for m in heavy if m in sys.modules]))
 names = {}
 exec("from braidcensus import *", names)
+m4 = braidcensus.exhaustive_max(4, "m").max.value
+h12 = braidcensus.slow_census(braidcensus.build_H(12)[0]).f
+heavy = ("numpy", "multiprocessing", "concurrent.futures.process")
+print(json.dumps([m for m in heavy if m in sys.modules]))
 print(json.dumps(sorted(k for k in names if k != "__builtins__")))
-print(braidcensus.exhaustive_max(4, "m").max.value)
+print(m4, h12)
 """
 
 
 def test_import_leaves_numpy_and_the_pool_unloaded():
-    # no subcommand, verify included, starts with numpy or a process pool
+    # nothing loads numpy or a process pool: not start-up, not a sweep
+    # with its audit, not the subset oracle
     src = os.path.dirname(os.path.dirname(braidcensus.__file__))
     proc = subprocess.run(
         [sys.executable, "-c", IMPORT_SCRIPT], capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=src), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    heavy, names, m4 = proc.stdout.splitlines()
+    heavy, names, counts = proc.stdout.splitlines()
     assert json.loads(heavy) == []
     assert json.loads(names) == PUBLIC_NAMES == sorted(braidcensus.__all__)
-    assert m4 == str(exhaustive_max(4, "m").max.value)
+    assert counts == f"{exhaustive_max(4, 'm').max.value} 225"
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "--input", "BLANK_FILE"),  # a file with no graph6 line
+    ("count", "--input", "~~??????"),  # the graph6 long-size form
+    ("count", "--input", "~?!?"),  # a bad byte inside the 4-byte size header
+    ("verify", "--n", "4", "--quantity", "m", "--shards", "0"),
+])
+def test_rejected_inputs_exit_2(tmp_path, capsys, argv):
+    blank = tmp_path / "blank.g6"
+    blank.write_text("\n   \n")
+    argv = [str(blank) if a == "BLANK_FILE" else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("error: ")
+    if argv[0] == "count":
+        with pytest.raises(InputError):
+            _load_graph(argv[2])
 
 
 def test_garbage_graph6_is_an_input_error(capsys):

@@ -68,6 +68,8 @@ def test_construction_rejects_bad_input():
     with pytest.raises(InputError):
         Graph(2, [2, 0])  # asymmetric 0~1 without 1~0
     with pytest.raises(InputError):
+        Graph(2, [4, 0])  # bit 2 names no vertex of a 2-vertex graph
+    with pytest.raises(InputError):
         Graph(2, [0, 0, 0])  # row count mismatch
     with pytest.raises(InputError):
         Graph(0, [])
@@ -150,6 +152,8 @@ def test_graph6_long_size_header():
         "C~~",  # n=4 needs 1 body byte, got 2
         "~??@",  # n=1 in the 4-byte size header, which starts at n=63
         "~??}" + "?" * 316,  # n=62, the largest 1-byte size
+        "~~??????",  # the 8-byte long-size form
+        "~?!?",  # a byte below 63 inside the 4-byte size header
     ],
 )
 def test_graph6_rejects_malformed(bad):

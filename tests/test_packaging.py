@@ -1,0 +1,44 @@
+"""The package runs on the standard library alone.
+
+Every absolute import in src/braidcensus must name a standard-library
+module, and pyproject.toml must declare no runtime dependency, so a
+re-added third-party import fails here even where no test reaches it.
+"""
+
+import ast
+import pathlib
+import sys
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "braidcensus"
+PYPROJECT = ROOT / "pyproject.toml"
+
+
+def _absolute_imports(path: pathlib.Path):
+    """(line, top-level module) of every absolute import in one file."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module.split(".")[0]
+
+
+def test_package_imports_only_the_standard_library():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert len(sources) > 1
+    foreign = [
+        f"{path.name}:{line} imports {module}"
+        for path in sources
+        for line, module in _absolute_imports(path)
+        if module not in sys.stdlib_module_names
+    ]
+    assert foreign == []
+
+
+def test_pyproject_declares_no_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads(PYPROJECT.read_text())["project"]
+    assert project.get("dependencies", []) == []

@@ -286,6 +286,8 @@ def test_shard_geometry():
         shard_range(5, 3, 3)
     with pytest.raises(InputError):
         shard_range(2, 3, 0)  # fewer codes than shards: an empty shard
+    with pytest.raises(InputError):
+        shard_range(9, 1, 0)  # beyond the long-run limit
 
 
 def test_input_errors():
