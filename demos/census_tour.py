@@ -12,8 +12,10 @@ Run with:  python3 demos/census_tour.py
 from braidcensus import (
     build_H,
     count_induced_cycles,
+    cycles_per_vertex,
     m_lower,
     slow_census,
+    vertex_cycle_bound,
     visit_induced_cycles,
 )
 from braidcensus.graphs import bits_of
@@ -81,3 +83,24 @@ print(f"  total:          {sum(spans.values()):>4}")
 
 total = count_induced_cycles(g).by_length[4]
 assert sum(spans.values()) == total
+
+# ----------------------------------------------------------------------
+# cycles through one vertex
+# ----------------------------------------------------------------------
+
+# The paper's induction step bounds f_v, the induced cycles through one
+# vertex v of degree d, by C(d,2) 3^((n-d-1)/3).  cycles_per_vertex
+# counts f_v for every vertex at once from the same memoized search,
+# with no enumeration.  When 3 divides n, H_n is a ring of equal clusters,
+# so every vertex lies on as many cycles, and the n of them together
+# count each L-cycle L times.
+
+n = 60
+g, _ = build_H(n)
+per_vertex = cycles_per_vertex(g)
+assert all(c == per_vertex[0] for c in per_vertex)
+weighted = sum(length * c for length, c in count_induced_cycles(g).by_length.items())
+assert n * per_vertex[0].f == weighted
+bound = vertex_cycle_bound(n, g.degree(0)).value
+print(f"\ncycles through each vertex of H_{n}: f_v = {per_vertex[0].f}"
+      f" (vertex bound {bound:.4g})")

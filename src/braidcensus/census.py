@@ -36,9 +36,30 @@ depth (a long path would otherwise store O(n^2) bits per entry).  Leaves,
 whose only contribution is their closure count, are folded into their
 parent and never stored.  The search is iterative, so depth is no limit.
 
-visit_induced_cycles walks every cycle and cannot fold; it keeps the plain
-search, and with it the per-vertex counts.  That walk, slow_census and the
-identity sum_v f(v) = sum_L L c_L are the independent checks on the memo.
+Per-vertex counts.  One root's memo is a DAG of states, each holding the
+histogram B of the completions below it.  A forward pass walks the states
+in order of blocked size, which is topological (a child's blocked mask
+strictly contains its parent's), recomputing each state's children from
+its key, and sums into every state the histogram F of the depths at which
+the root's paths reach it.  The edge from state P through vertex z into
+state C then carries (F[P] << width) * B[C] cycles through z, by length:
+packed histograms multiply as polynomials in 2^width (a Kronecker
+substitution), and every field of the product counts distinct cycles, so
+stays below 2^(n+1) and never carries into the next.  A closing vertex
+takes F one step on, summed per closing set before it is handed out; the
+anchor takes the root's total.  Twins share states here as in the fold,
+so a braid still costs polynomially many.  A state's entry is dropped once
+it is expanded: every edge into it comes from a smaller blocked mask.
+Each vertex's credits are kept as (base, packed) like the memo's values,
+so a long cycle does not cost O(n^2) bits per vertex.
+
+count_cycles_through(g, v) is a second route: one fold per neighbour u1
+of v, with no anchor order (every vertex but v may be used) and closure
+only at neighbours of v above u1.  It shares the fold but not the forward
+pass.  visit_induced_cycles walks every cycle with the plain search; that
+walk and slow_census share nothing with the memo.  With the second route
+and the identity sum_v f_v(L) = L c_L, checked on every call of
+cycles_per_vertex, they are the checks on the memo and the forward pass.
 
 Path-tree statistics.  The x-y path tree is the rooted tree whose nodes
 are the growing induced paths, except that a node whose endpoint is
@@ -59,7 +80,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, InputError, UnsupportedError, bits_of
+from .graphs import Graph, InputError, InternalError, UnsupportedError, bits_of
 
 SLOW_CENSUS_MAX_N = 24
 
@@ -191,7 +212,7 @@ class TreeStats:
 
 
 def _fold(adj, above: int, stop: int, close: int, start: int, blocked: int,
-          width: int) -> tuple[int, int]:
+          width: int, memo: dict) -> tuple[int, int]:
     """Packed length histogram of the induced paths that grow from start
     inside `above` and end at a vertex of `close`.  `blocked` holds the
     vertices of `above` the path up to start may no longer use (start
@@ -199,9 +220,9 @@ def _fold(adj, above: int, stop: int, close: int, start: int, blocked: int,
 
     Returns (base, packed): field k of packed << (width * base) counts the
     completions whose closing vertex lies k steps beyond the vertex
-    before start.
+    before start.  Every state expanded is left in memo, keyed
+    (cands, blocked), with its histogram as (base, packed).
     """
-    memo: dict[tuple[int, int], tuple[int, int]] = {}
     stack = []
     # the current frame: memo key, blocked below it, children left, and
     # its histogram as (base, packed); the first frame stands for the
@@ -268,24 +289,126 @@ def _unpack(packed: int, width: int, shift: int) -> dict[int, int]:
     return out
 
 
+def _add(hist: tuple[int, int], off: int, val: int, width: int) -> tuple[int, int]:
+    """The (base, packed) histogram hist plus val shifted by off fields,
+    with the lowest field of packed kept non-zero."""
+    base, acc = hist
+    if not acc:
+        return off, val
+    if off >= base:
+        return base, acc + (val << (width * (off - base)))
+    return off, (acc << (width * (base - off))) + val
+
+
 # ======================================================================
 # induced cycles
 # ======================================================================
 
 
+def _cycles_through(adj, v: int, above: int, width: int,
+                    credit: tuple[list[int], list[int]] | None = None) -> int:
+    """Packed histogram of the induced cycles through v inside above + v,
+    each once: field k counts those whose closing vertex lies k steps
+    beyond v, so they have k + 1 vertices.  If credit is a pair of lists
+    (bases, packs), the (bases[u], packs[u]) histogram of every vertex u
+    also gains these cycles that pass through u."""
+    adj_v = adj[v]
+    total = 0
+    for u1 in bits_of(adj_v & above):
+        # a cycle leaves v through u1 and returns through a higher
+        # neighbour, which fixes its orientation
+        close = adj_v & (-1 << (u1 + 1))
+        if close:
+            memo: dict[tuple[int, int], tuple[int, ...]] = {}
+            base, packed = _fold(adj, above, adj_v, close, u1, 1 << u1, width, memo)
+            if packed and credit is not None:
+                bases, packs = credit
+                bases[v], packs[v] = _add((bases[v], packs[v]), base, packed, width)
+                _forward(adj, above, adj_v, close, u1, width, memo, bases, packs)
+            total += packed << (width * base)
+    return total
+
+
+def _forward(adj, above: int, stop: int, close: int, start: int, width: int,
+             memo: dict, bases: list[int], packs: list[int]) -> None:
+    """Credit every vertex but the anchor on the paths of one fold from
+    start with the cycles through it (see "Per-vertex counts" above).
+
+    Consumes the fold's memo: a state reached here has its entry
+    extended from (base, packed) to (base, packed, pbase, prefix), where
+    field j of prefix counts the paths that reach the state with their
+    endpoint j + pbase steps beyond the anchor, and it is deleted once
+    expanded."""
+    # the reached states by the size of their blocked mask
+    levels: list[list[tuple[int, int]]] = [[] for _ in range(above.bit_count() + 1)]
+    # closing set -> histogram of the depths of the endpoints next to it
+    shut_at: dict[int, tuple[int, int]] = {}
+    # the first state is the anchor at depth 0, with start its one child
+    below = ext = 1 << start
+    base, acc = 0, 1
+    level = 0
+    while True:
+        step = base + 1
+        later = levels[below.bit_count()]
+        while ext:
+            bit = ext & -ext
+            ext ^= bit
+            z = bit.bit_length() - 1
+            cands = adj[z] & above & ~below
+            shut = cands & close
+            if cands & ~stop and close & ~(below | cands):
+                child = (cands, below)
+                hist = memo[child]
+                off, val = hist[0], hist[1]
+                if not val:
+                    continue
+                # sum the prefixes of all edges into the state, twins too
+                if len(hist) == 2:
+                    memo[child] = (off, val, step, acc)
+                    later.append(child)
+                else:
+                    memo[child] = (off, val) + _add(hist[2:], step, acc, width)
+            elif shut:
+                # a leaf: its closures are all it has
+                off, val = 1, shut.bit_count()
+                shut_at[shut] = _add(shut_at.get(shut, (0, 0)), step, acc, width)
+            else:
+                continue
+            # the paths into z times the completions below it; every field
+            # of the product counts distinct cycles, so none overflows
+            # (inlined _add: this is the hot path)
+            off += step
+            shift = off - bases[z]
+            if shift >= 0:
+                packs[z] += (acc * val) << (width * shift)
+            else:
+                packs[z] = (packs[z] << (width * -shift)) + acc * val
+                bases[z] = off
+        # the next state in order of blocked size, which is topological:
+        # a child's blocked mask strictly contains its parent's
+        while not levels[level]:
+            level += 1
+            if level == len(levels):
+                for shut, (base, acc) in shut_at.items():
+                    for c in bits_of(shut):
+                        bases[c], packs[c] = _add((bases[c], packs[c]), base + 1, acc, width)
+                return
+        key = levels[level].pop()
+        _, _, base, acc = memo.pop(key)
+        cands, blocked = key
+        below = blocked | cands
+        ext = cands & ~stop
+        shut = cands & close
+        if shut:
+            shut_at[shut] = _add(shut_at.get(shut, (0, 0)), base, acc, width)
+
+
 def count_induced_cycles(g: Graph) -> CycleCensus:
     """Exact census of induced cycles (triangles included)."""
-    adj = g.adj
     width = g.n + 1
     total = 0
     for a in range(g.n):
-        above = g.full_mask() & (-1 << (a + 1))
-        adj_a = adj[a]
-        for u1 in bits_of(adj_a & above):
-            close = adj_a & (-1 << (u1 + 1))
-            if close:
-                base, packed = _fold(adj, above, adj_a, close, u1, 1 << u1, width)
-                total += packed << (width * base)
+        total += _cycles_through(g.adj, a, g.full_mask() & (-1 << (a + 1)), width)
     # k steps from the anchor to the closing vertex make a (k + 1)-cycle
     return CycleCensus(_unpack(total, width, 1))
 
@@ -319,30 +442,37 @@ def visit_induced_cycles(g: Graph, visit) -> None:
 
 
 def count_cycles_through(g: Graph, v: int) -> CycleCensus:
-    """Census restricted to induced cycles containing v."""
+    """Census restricted to induced cycles containing v: one fold per
+    neighbour of v, with every other vertex allowed on the cycle."""
     if not 0 <= v < g.n:
         raise InputError(f"vertex {v} out of range for n={g.n}")
-    bit = 1 << v
-    by_length: dict[int, int] = {}
-
-    def visit(mask, length):
-        if mask & bit:
-            by_length[length] = by_length.get(length, 0) + 1
-
-    visit_induced_cycles(g, visit)
-    return CycleCensus(by_length)
+    width = g.n + 1
+    return CycleCensus(_unpack(
+        _cycles_through(g.adj, v, g.full_mask() & ~(1 << v), width), width, 1))
 
 
 def cycles_per_vertex(g: Graph) -> list[CycleCensus]:
-    """All per-vertex restrictions in one sweep (bulk count_cycles_through)."""
-    tables: list[dict[int, int]] = [{} for _ in range(g.n)]
-
-    def visit(mask, length):
-        for v in bits_of(mask):
-            t = tables[v]
-            t[length] = t.get(length, 0) + 1
-
-    visit_induced_cycles(g, visit)
+    """Entry v is the census of the induced cycles through v.  One fold
+    and one forward pass per root; raises InternalError unless every
+    length L has sum_v f_v(L) = L c_L."""
+    width = g.n + 1
+    # per vertex a (base, packed) histogram by the depth of the closing
+    # vertex; an empty one has base width, above every real offset
+    bases, packs = [width] * g.n, [0] * g.n
+    total = 0
+    for a in range(g.n):
+        above = g.full_mask() & (-1 << (a + 1))
+        total += _cycles_through(g.adj, a, above, width, (bases, packs))
+    tables = [_unpack(packed, width, base + 1) for base, packed in zip(bases, packs)]
+    # an L-cycle is credited once to each of its L vertices
+    weighted: dict[int, int] = {}
+    for t in tables:
+        for length, count in t.items():
+            weighted[length] = weighted.get(length, 0) + count
+    census = _unpack(total, width, 1)
+    if weighted != {length: length * c for length, c in census.items()}:
+        raise InternalError(f"per-vertex credits {weighted} do not sum to "
+                            f"length times the census {census}")
     return [CycleCensus(t) for t in tables]
 
 
@@ -367,7 +497,7 @@ def count_induced_st_paths(g: Graph, x: int, y: int) -> PathCensus:
         # carries xy as a chord
         return PathCensus({1: 1})
     width = g.n + 1
-    base, packed = _fold(g.adj, g.full_mask(), ybit, ybit, x, 1 << x, width)
+    base, packed = _fold(g.adj, g.full_mask(), ybit, ybit, x, 1 << x, width, {})
     # k steps from the vertex before x to y make a path of k - 1 edges
     return PathCensus(_unpack(packed << (width * base), width, -1))
 

@@ -6,18 +6,25 @@ slow_census subset oracle (itself checked against that filter), and
 hand-pinned values for structured graphs whose counts have closed forms.
 Random graphs rarely have twins, so the memo is also exercised on
 blow-ups of small graphs and on braids up to n = 120; path-tree
-statistics are checked against a plain recursive walk.
+statistics are checked against a plain recursive walk.  The per-vertex
+counts are checked against a tally of the enumerated cycles, against
+the single rooted fold of count_cycles_through, and by the identity
+sum_v f_v(L) = L c_L, whose built-in check must also fire under -O.
 """
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import braidcensus
 from braidcensus.census import (
     CycleCensus,
     PathCensus,
@@ -99,6 +106,18 @@ def naive_path_census(g: Graph, x: int, y: int) -> dict[int, int]:
             if len(seen) == size + 2:
                 out[size + 1] = out.get(size + 1, 0) + 1
     return out
+
+
+def per_vertex_tally(g: Graph) -> list[dict[int, int]]:
+    """Entry v counts the enumerated cycles through v, by length."""
+    tables: list[dict[int, int]] = [{} for _ in range(g.n)]
+
+    def visit(mask, length):
+        for v in bits_of(mask):
+            tables[v][length] = tables[v].get(length, 0) + 1
+
+    visit_induced_cycles(g, visit)
+    return tables
 
 
 def exploration_leaves(g: Graph, v: int) -> tuple[int, int]:
@@ -421,6 +440,85 @@ def test_per_vertex_bound_random():
             assert per_vertex[v].f <= bound + 1e-9, f"n={n} v={v} d={d}"
 
 
+# C6 with each vertex doubled into a pair of false twins: each pair leads
+# into one shared state, whose prefix histogram must count both edges
+TWIN_RING = Graph.from_edge_list(12, [
+    (u, v) for u, v in itertools.combinations(range(12), 2) if (u // 2 - v // 2) % 6 in (1, 5)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(graphs(max_n=10), blow_ups()))
+@example(TWIN_RING)
+def test_per_vertex_censuses_match_enumeration(g):
+    # both fast routes against the cycles the plain search walks, twin-rich
+    # blow-ups included, where twins share the forward pass's states
+    want = per_vertex_tally(g)
+    assert [c.by_length for c in cycles_per_vertex(g)] == want
+    assert [count_cycles_through(g, v).by_length for v in range(g.n)] == want
+
+
+def test_per_vertex_census_braids_at_scale():
+    # about 3^40 cycles at n = 120: enumeration could never finish, so
+    # this also guards against a fallback to it
+    for n in (60, 120):
+        for build in (build_H, build_G, build_E):
+            g, _ = build(n)
+            per_vertex = cycles_per_vertex(g)
+            census = count_induced_cycles(g).by_length
+            for length, count in census.items():
+                assert sum(c.by_length.get(length, 0) for c in per_vertex) == \
+                    length * count, (build.__name__, n, length)
+            for v in (0, n // 2, n - 1):
+                assert count_cycles_through(g, v) == per_vertex[v], (build.__name__, n, v)
+        # 3 divides n, so H(n) is a ring of equal clusters: vertex-transitive
+        h = build_H(n)[0]
+        share = {length: length * count // n
+                 for length, count in count_induced_cycles(h).by_length.items()}
+        assert cycles_per_vertex(h) == [CycleCensus(share)] * n
+
+
+# Run under python -O, where assert statements are stripped: the identity
+# check of cycles_per_vertex must still catch one corrupted credit.
+CORRUPT_CREDIT_SCRIPT = """
+import sys
+from braidcensus import census
+from braidcensus.families import build_H
+from braidcensus.graphs import InternalError
+
+if __debug__:
+    sys.exit("assertions are on: run with python -O")
+honest = census._unpack
+calls = []
+
+def corrupt_first(packed, width, shift):
+    out = honest(packed, width, shift)
+    calls.append(shift)
+    if len(calls) == 1:
+        # the first histogram unpacked is vertex 0's credit
+        out[min(out)] += 1
+    return out
+
+census._unpack = corrupt_first
+try:
+    census.cycles_per_vertex(build_H(12)[0])
+except InternalError as exc:
+    print(exc)
+else:
+    sys.exit("cycles_per_vertex accepted a corrupted credit")
+"""
+
+
+def test_per_vertex_identity_check_survives_python_O():
+    src = os.path.dirname(os.path.dirname(braidcensus.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", CORRUPT_CREDIT_SCRIPT],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "do not sum to length times the census" in proc.stdout
+
+
 def test_exploration_tree_leaf_bound():
     rng = random.Random(99)
     cases = [(build_H(12)[0], 0)]
@@ -685,6 +783,16 @@ def test_long_cycle():
     g = cycle_graph(LONG_N)
     census, peak = traced_peak(lambda: count_induced_cycles(g))
     assert census.by_length == {LONG_N: 1}
+    assert peak < LONG_PEAK_BYTES
+
+
+def test_long_cycle_per_vertex():
+    # per-vertex histograms are stored relative to their lowest length,
+    # or each would hold O(n^2) bits
+    g = cycle_graph(LONG_N)
+    tables, peak = traced_peak(lambda: cycles_per_vertex(g))
+    assert tables == [CycleCensus({LONG_N: 1})] * LONG_N
+    assert count_cycles_through(g, LONG_N // 2) == tables[0]
     assert peak < LONG_PEAK_BYTES
 
 
