@@ -68,6 +68,18 @@ g18, _ = build_H(18)
 report = atypical_set(g18, 0)
 print(f"H_18, v=0: {len(report.exempt)} exempt vertices, no probes")
 
+# On H_120 (40 clusters) the nine clusters within distance 4 of v are
+# exempt, the two at distance 5 are atypical (the walk's second step,
+# with 5 unseen neighbours, lies in their ball), and every farther
+# cluster is typical.  Twin probes share their radius-4 ball, so the 93
+# probes cost one game solve per cluster: 31 solves.
+
+g120, _ = build_H(120)
+report = atypical_set(g120, 0)
+split = (len(report.atypical), len(report.typical), len(report.exempt))
+print(f"H_120, v=0: {split[0]} atypical, {split[1]} typical, {split[2]} exempt")
+assert split == (6, 87, 27), split
+
 # ----------------------------------------------------------------------
 # reading the cluster structure off a single vertex
 # ----------------------------------------------------------------------

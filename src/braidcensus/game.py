@@ -14,9 +14,14 @@ classification.
 
 The solver is exact minimax.  Legal moves and both win conditions at a
 state depend only on the dominated-set bits and the current vertex, so
-verdicts memoize on that pair.  The count of reachable states is the
-count of induced paths from v, which stays small on braid-like graphs
-where the walk is funneled around the cluster cycle.
+verdicts memoize on that pair.  The reachable states are not few: H(3k)
+has about 3^k induced paths from v.  A solve stays small because a node
+stops at its first winning move (walker) or first losing one (blocker),
+and twins lead to memoized states.
+
+Atypical sets: a verdict depends only on (g, v, ball(g, w, 4)), and
+twin probes share that zone, so `atypical_set` solves once per distinct
+zone, with a fresh memo, and reads only the root verdict.
 
 Also here: the search for the local three-cluster pattern around a
 vertex (its own 3-set sandwiched by two non-adjacent 3-sets whose cross
@@ -137,46 +142,47 @@ def _check_game_input(g: Graph, v: int, w: int) -> int:
     return ball(g, w, 4)
 
 
+def _builder_wins(adj: tuple[int, ...], n4w: int, memo: dict, seen: int, cur: int) -> bool:
+    """Whether the walker wins from (seen, cur) against the zone n4w.
+    Depth-first over the moves in ascending order with an explicit
+    stack, so the walk length is no limit.  The open node is (key, its
+    grown seen set, moves not yet tried, in_zone); a blocker's node
+    (in_zone) falls at its first losing child, a walker's node stands at
+    its first winning one, and otherwise it takes the value of its last
+    child.  memo maps (seen, cur) to verdicts and is valid for one n4w."""
+    stack = []
+    key = grown = todo = zone = None
+    while True:
+        moves = adj[cur] & ~seen
+        in_zone = (n4w >> cur) & 1
+        if in_zone and moves.bit_count() != 3:
+            win = False
+        elif not moves:
+            win = not (n4w & ~(seen | adj[cur] | (1 << cur)))
+        else:
+            win = memo.get((seen, cur))
+            if win is None:
+                if key is not None:
+                    stack.append((key, grown, todo, zone))
+                key, grown, todo, zone = (
+                    (seen, cur), seen | adj[cur] | (1 << cur), moves, in_zone)
+        while win is not None:
+            if key is None:
+                return win
+            if win != zone or not todo:
+                memo[key] = win
+                key, grown, todo, zone = (
+                    stack.pop() if stack else (None, None, None, None))
+            else:
+                win = None
+        bit = todo & -todo
+        todo ^= bit
+        seen, cur = grown, bit.bit_length() - 1
+
+
 def _solve(g: Graph, v: int, n4w: int) -> tuple[bool, tuple[int, ...], str | None]:
     adj = g.adj
     memo: dict[tuple[int, int], bool] = {}
-
-    def builder_wins(seen: int, cur: int) -> bool:
-        # Depth-first over the moves in ascending order with an explicit
-        # stack, so the walk length is no limit.  The open node is (key,
-        # its grown seen set, moves not yet tried, in_zone); a blocker's
-        # node (in_zone) falls at its first losing child, a walker's node
-        # stands at its first winning one, and otherwise it takes the
-        # value of its last child.
-        stack = []
-        key = grown = todo = zone = None
-        while True:
-            moves = adj[cur] & ~seen
-            in_zone = (n4w >> cur) & 1
-            if in_zone and moves.bit_count() != 3:
-                win = False
-            elif not moves:
-                win = not (n4w & ~(seen | adj[cur] | (1 << cur)))
-            else:
-                win = memo.get((seen, cur))
-                if win is None:
-                    if key is not None:
-                        stack.append((key, grown, todo, zone))
-                    key, grown, todo, zone = (
-                        (seen, cur), seen | adj[cur] | (1 << cur), moves, in_zone)
-            while win is not None:
-                if key is None:
-                    return win
-                if win != zone or not todo:
-                    memo[key] = win
-                    key, grown, todo, zone = (
-                        stack.pop() if stack else (None, None, None, None))
-                else:
-                    win = None
-            bit = todo & -todo
-            todo ^= bit
-            seen, cur = grown, bit.bit_length() - 1
-
     # one optimal line: each active player takes its first winning move
     seen, cur = 0, v
     trace = [v]
@@ -196,7 +202,7 @@ def _solve(g: Graph, v: int, n4w: int) -> tuple[bool, tuple[int, ...], str | Non
         want = not in_zone  # builder hunts wins, the blocker hunts losses
         pick = None
         for m in bits_of(moves):
-            if builder_wins(grown, m) == want:
+            if _builder_wins(adj, n4w, memo, grown, m) == want:
                 pick = m
                 break
         if pick is None:
@@ -246,17 +252,19 @@ class AtypicalReport:
 
 def atypical_set(g: Graph, v: int) -> AtypicalReport:
     """Classify every vertex outside the radius-4 ball of v by solving
-    the game once per probe."""
+    the game once per distinct probe zone, reading the root verdict
+    only."""
     _check_vertex(g, v)
     if not is_connected(g):
         raise InputError("the game needs a connected graph")
     exempt_mask = ball(g, v, 4)
     probes = vertices_of(g.full_mask() & ~exempt_mask)
-    builder = {w: _solve(g, v, ball(g, w, 4))[0] for w in probes}
+    zones = {w: ball(g, w, 4) for w in probes}
+    builder = {z: _builder_wins(g.adj, z, {}, 0, v) for z in set(zones.values())}
     return AtypicalReport(
         v=v,
-        atypical=tuple(w for w in probes if not builder[w]),
-        typical=tuple(w for w in probes if builder[w]),
+        atypical=tuple(w for w in probes if not builder[zones[w]]),
+        typical=tuple(w for w in probes if builder[zones[w]]),
         exempt=vertices_of(exempt_mask),
     )
 

@@ -14,10 +14,10 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from braidcensus import cli
+from braidcensus import cli, game
 from braidcensus.families import BraidSpec, build_braid, build_H
 from braidcensus.game import (
     REASON_BAD_VERTEX,
@@ -344,6 +344,90 @@ def test_stack_solver_matches_recursive_reference_on_braids():
         for w in range(g.n):
             n4w = ball(g, w, 4)
             assert _solve(g, 0, n4w) == recursive_solve(g, 0, n4w), w
+
+
+@st.composite
+def probed_graphs(draw):
+    """A path or cycle on 10-20 vertices with a few chords, each vertex
+    blown up into three independent twins except a few singletons, pairs
+    and clique clusters, relabelled, with a start that has probes.
+    Random G(n, p) graphs this small almost never have a vertex 5 steps
+    from another, and without runs of triples no probe is typical."""
+    k = draw(st.integers(10, 20))
+    base = {(i, i + 1) for i in range(k - 1)}
+    if draw(st.booleans()):
+        base.add((0, k - 1))
+    for u, v in draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)),
+                              max_size=3)):
+        if u != v:
+            base.add((min(u, v), max(u, v)))
+    sizes = [3] * k
+    for i, size in draw(st.dictionaries(st.integers(0, k - 1), st.integers(1, 2),
+                                        max_size=3)).items():
+        sizes[i] = size
+    cliques = draw(st.sets(st.integers(0, k - 1), max_size=2))
+    home = [i for i, size in enumerate(sizes) for _ in range(size)]
+    order = draw(st.permutations(range(len(home))))
+    home = [home[x] for x in order]
+    g = graph_from_edges(len(home), [
+        (x, y) for x, y in itertools.combinations(range(len(home)), 2)
+        if (home[x] in cliques if home[x] == home[y]
+            else (min(home[x], home[y]), max(home[x], home[y])) in base)
+    ])
+    v = draw(st.integers(0, g.n - 1))
+    assume(g.full_mask() & ~ball(g, v, 4))
+    return g, v
+
+
+@settings(max_examples=150, deadline=None)
+@given(probed_graphs())
+def test_atypical_set_matches_per_probe_solves(case):
+    g, v = case
+    report = atypical_set(g, v)
+    exempt = ball(g, v, 4)
+    builder = {w: recursive_solve(g, v, ball(g, w, 4))[0]
+               for w in range(g.n) if not (exempt >> w) & 1}
+    assert report.atypical == tuple(w for w in sorted(builder) if not builder[w])
+    assert report.typical == tuple(w for w in sorted(builder) if builder[w])
+    assert report.exempt == tuple(bits_of(exempt))
+
+
+@pytest.mark.parametrize("k", [13, 20, 40])
+def test_h_ring_cluster_distance_rule(k):
+    # H(3k) is vertex-transitive, so a verdict depends on the cluster
+    # distance d from the start alone: d <= 4 is exempt, d = 5 is
+    # atypical (the 5-unseen entry step lands in the ball) and d >= 6 is
+    # typical once the ring has more than 12 clusters.
+    g, part = build_H(3 * k)
+    rng = random.Random(k)
+    perm = list(range(3 * k))
+    rng.shuffle(perm)
+    g = relabel(g, perm)
+    start = rng.randrange(k)
+    want = {"exempt": [], "atypical": [], "typical": []}
+    for i, cluster in enumerate(part.clusters):
+        d = min((i - start) % k, (start - i) % k)
+        want["exempt" if d <= 4 else "atypical" if d == 5 else "typical"] += [
+            perm[x] for x in cluster]
+    report = atypical_set(g, perm[part.clusters[start][0]])
+    assert report.exempt == tuple(sorted(want["exempt"]))
+    assert report.atypical == tuple(sorted(want["atypical"]))
+    assert report.typical == tuple(sorted(want["typical"]))
+
+
+def test_atypical_set_solves_once_per_zone(monkeypatch):
+    # H(120) from 0: 93 probes in 31 clusters, and twins share a zone
+    zones = []
+    search = game._builder_wins
+
+    def counted(adj, n4w, *rest):
+        zones.append(n4w)
+        return search(adj, n4w, *rest)
+
+    monkeypatch.setattr(game, "_builder_wins", counted)
+    report = atypical_set(build_H(120)[0], 0)
+    assert len(report.atypical) + len(report.typical) == 93
+    assert len(zones) == len(set(zones)) == 31
 
 
 def test_long_walks():
