@@ -9,20 +9,33 @@ arbitrary outside neighbors.  Consecutive clusters must be completely
 joined in every case, which for two-cluster braids is the only
 requirement with teeth.
 
-Discovery walks the cluster structure instead of guessing partitions
-wholesale.  Fixing the cluster containing vertex 0 (candidates: vertex
-sets whose members share one neighborhood outside the set) determines
-the union of its two flanking clusters; splitting that union and walking
-B_{j+1} = N(B_j) minus (B_{j-1} union B_j) around the cycle
-reconstructs everything else, and a final verification guards the walk.
-Two degenerate shapes need care: with three clusters every pair is
-adjacent (such graphs are exactly those whose complement has at least
-three components), and with four clusters the two flanks of any cluster
-have identical neighborhoods, so the flank union is split along the
-components of the graph it induces.  Four-cluster braids generally admit
-many valid partitions (complete bipartite graphs are the extreme case);
-discovery returns the canonical first find, and classification searches
-all candidate splits for one matching the family's size profile.
+Discovery is a case split on the co-components of G (the components of
+its complement; T. Gallai's modular decomposition), and each case is
+exact.  Distinct co-components are completely joined, and in a cyclic
+braid B_i and B_j are non-adjacent unless they are equal or
+consecutive, so k = 3 has at least three co-components, k = 4 exactly
+two (B_0 union B_2 and B_1 union B_3) and k >= 5 exactly one.
+
+* Three or more co-components: only three-cluster braids exist, and
+  any grouping of the co-components into three parts is one.
+* Two, X containing vertex 0 and Y: X and Y are joined, so X is
+  B_0 union B_2 and Y is B_1 union B_3.  B_0 and B_2 are not adjacent,
+  so each is a union of components of G[X] (likewise in Y), and every
+  such split is a braid.  Discovery yields the prefix splits of each
+  side's components in lowest-vertex order.  A family-matching
+  four-cluster braid has empty clusters (H at n = 11-13 and E at n = 14
+  are the only such profiles; G and script-G always have k >= 5), so it
+  is complete bipartite, and prefix splits reach every size pair.
+* One: B_{-1} union B_1 is a co-component of G[N(0)] with at least two
+  vertices, and B_0 is exactly the set of vertices joined to all of it
+  (with k >= 5 no other cluster touches both flanks).  The flanks split
+  by their neighbors beyond B_0, and walking B_{j+1} = N(B_j) minus
+  (B_{j-1} union B_j) around the cycle reconstructs the rest.  Any other
+  co-component of G[N(0)] lies in B_0, and the vertices joined to all
+  of it include B_1, whose neighbors in B_2 miss B_0; so no braid has it
+  as flanks, and the partition is unique up to orientation.
+
+Every emitted partition is checked against the sandwich condition.
 
 Maximal 3-braids are grown as chains of completely-joined disjoint
 triples.  Appending a triple makes the old end central, which pins the
@@ -35,6 +48,7 @@ wrap-around rotations of a cyclic braid) are reported once.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .families import (
@@ -45,13 +59,10 @@ from .families import (
     h_sizes,
     script_g_multisets,
 )
-from .graphs import Graph, InputError, bits_of, is_connected, mask_of, vertices_of
+from .graphs import Graph, InputError, bits_of, mask_of, vertices_of
 
 COND_MISSING_JOIN = "missing-join"
 COND_STRAY_NEIGHBOR = "stray-neighbor"
-
-EXHAUSTIVE_SEED_MAX_N = 12
-MATE_SLACK = 2  # symmetric-difference filter for cluster-mate candidates
 
 
 # ======================================================================
@@ -169,44 +180,40 @@ def _consecutive_arc(k: int, positions: list[int]) -> bool:
     )
 
 
-def _sizes_or_none(fn, n: int) -> tuple[int, ...] | None:
-    try:
-        return tuple(sorted(fn(n)))
-    except InputError:
-        return None
+def _family_profiles(n: int) -> dict[str, set[tuple[int, ...]]]:
+    """Sorted cluster-size multisets of the cyclic families defined at n,
+    by tag in report order."""
+    profiles = {}
+    for tag, multisets in (
+        ("H", lambda: [h_sizes(n)]),
+        ("G", lambda: [g_sizes(n)]),
+        ("E", lambda: [e_sizes(n)]),
+        ("G_script", lambda: script_g_multisets(n)),
+    ):
+        try:
+            profiles[tag] = {tuple(sorted(m)) for m in multisets()}
+        except InputError:
+            pass
+    return profiles
 
 
 def _match_families(g: Graph, p: ClusterPartition) -> list[FamilyId]:
     """Family tags this exact partition certifies, in report order."""
     if not p.cyclic or p.vertex_mask() != g.full_mask():
         return []
-    n = g.n
-    sizes = p.sizes()
     ms = p.size_multiset()
-    patterns = [_intra_pattern(g, c) for c in p.clusters]
-    special_positions = [i for i, s in enumerate(sizes) if s != 3]
-    out = []
-    if ms == _sizes_or_none(h_sizes, n) and all(x == "empty" for x in patterns):
-        out.append(FamilyId("H", n))
-    if (
-        ms == _sizes_or_none(g_sizes, n)
-        and all(x == "full" for x in patterns)
-        and _consecutive_arc(p.k, special_positions)
-    ):
-        out.append(FamilyId("G", n))
-    if (
-        ms == _sizes_or_none(e_sizes, n)
-        and all(x == "empty" for x in patterns)
-        and _consecutive_arc(p.k, special_positions)
-    ):
-        out.append(FamilyId("E", n))
-    try:
-        script_targets = script_g_multisets(n)
-    except InputError:
-        script_targets = []
-    if any(ms == tuple(sorted(t)) for t in script_targets):
-        out.append(FamilyId("G_script", n))
-    return out
+    tags = [tag for tag, sizes in _family_profiles(g.n).items() if ms in sizes]
+    if not tags:
+        return []
+    patterns = {_intra_pattern(g, c) for c in p.clusters}
+    arc = _consecutive_arc(p.k, [i for i, s in enumerate(p.sizes()) if s != 3])
+    texture = {
+        "H": patterns == {"empty"},
+        "G": patterns == {"full"} and arc,
+        "E": patterns == {"empty"} and arc,
+        "G_script": True,
+    }
+    return [FamilyId(tag, g.n) for tag in tags if texture[tag]]
 
 
 # ======================================================================
@@ -232,64 +239,34 @@ def _components(rows: tuple[int, ...], mask: int) -> list[int]:
     return comps
 
 
-def _common_outside(g: Graph, cluster_mask: int) -> int | None:
-    """The shared neighborhood outside the set, or None if members differ."""
-    out = -1
-    for v in bits_of(cluster_mask):
-        o = g.adj[v] & ~cluster_mask
-        if out == -1:
-            out = o
-        elif o != out:
-            return None
-    return out
-
-
-def _seed_clusters(g: Graph):
-    """Candidate clusters containing vertex 0, smallest first.
-
-    Small graphs are searched exhaustively; past that, candidates combine
-    vertex 0 with near-twins (neighborhoods differing in at most
-    MATE_SLACK places), which finds every cluster of size <= 4."""
-    if g.n <= EXHAUSTIVE_SEED_MAX_N:
-        rest = g.n - 1
-        masks = [(m << 1) | 1 for m in range(1 << rest)]
-    else:
-        pool = [
-            x
-            for x in range(1, g.n)
-            if ((g.adj[x] ^ g.adj[0]) & ~((1 << x) | 1)).bit_count() <= MATE_SLACK
-        ]
-        masks = [
-            1 | mask_of(s)
-            for r in range(0, 4)
-            for s in itertools.combinations(pool, r)
-        ]
-    return sorted(masks, key=lambda m: (m.bit_count(), m))
-
-
-def _walk_forward(
-    g: Graph, b1: int, b2: int, blast: int, out: int
-) -> list[int] | None:
-    clusters = [b1, b2]
-    used = b1 | out
+def _flank_walk(g: Graph, flanks: int) -> list[int] | None:
+    """The clusters of a braid with k >= 5 whose B_{-1} union B_1 is
+    flanks, or None.  B_0 is every vertex joined to all of flanks, the
+    flank with the smaller lowest vertex comes next, and the walk takes
+    B_{j+1} = N(B_j) minus (B_{j-1} union B_j) until it reaches the other."""
+    b0 = g.full_mask()
+    for y in bits_of(flanks):
+        b0 &= g.adj[y]
+    groups: dict[int, int] = {}
+    for y in bits_of(flanks):
+        beyond = g.adj[y] & ~(b0 | flanks)
+        groups[beyond] = groups.get(beyond, 0) | (1 << y)
+    if len(groups) != 2:
+        return None
+    b1, last = sorted(groups.values(), key=lambda m: m & -m)
+    clusters = [b0, b1]
+    used = b0 | flanks
     for _ in range(g.n):
-        cur = clusters[-1]
-        prev = clusters[-2]
-        nxt = -1
-        for x in bits_of(cur):
-            cand = g.adj[x] & ~(prev | cur)
-            if nxt == -1:
-                nxt = cand
-            elif cand != nxt:
-                return None
-        if nxt == blast:
-            clusters.append(blast)
-            if len(clusters) < 4:
-                return None
-            total = 0
-            for c in clusters:
-                total |= c
-            return clusters if total == g.full_mask() else None
+        prev, cur = clusters[-2], clusters[-1]
+        nexts = {g.adj[x] & ~(prev | cur) for x in bits_of(cur)}
+        if len(nexts) != 1:
+            return None
+        nxt = nexts.pop()
+        if nxt == last:
+            clusters.append(last)
+            # disjoint, so the sum is the union; a walk of three or four
+            # clusters fails verification, as g has one co-component
+            return clusters if sum(clusters) == g.full_mask() else None
         if not nxt or nxt & used:
             return None
         clusters.append(nxt)
@@ -297,86 +274,49 @@ def _walk_forward(
     return None
 
 
-def _as_partition(cluster_masks: list[int]) -> ClusterPartition:
-    return ClusterPartition(
-        tuple(vertices_of(m) for m in cluster_masks), cyclic=True
-    )
-
-
-def candidate_cyclic_partitions(g: Graph, all_splits: bool = False):
+def candidate_cyclic_partitions(g: Graph):
     """Yield verified cyclic-braid partitions of g, canonical orientation
-    (vertex 0 in the first cluster, smaller-minimum neighbor second),
-    deduplicated.  all_splits widens the four-cluster flank split from
-    the canonical choice to every bipartition, for classification."""
-    if g.n < 3 or not is_connected(g):
+    (vertex 0 in the first cluster, smaller-minimum neighbor second).
+
+    A graph with two co-components yields one four-cluster partition
+    per prefix split of each side's components; any other graph yields
+    at most one partition."""
+    if g.n < 3:
         return
-    seen: set[tuple] = set()
-
-    def emit(cluster_masks):
-        part = _as_partition(cluster_masks)
-        key = part.clusters
-        if key in seen:
-            return None
-        seen.add(key)
-        if _find_violation(g, part) is None:
-            return part
-        return None
-
     full = g.full_mask()
     complement = tuple(full & ~g.closed(v) for v in range(g.n))
     comps = _components(complement, full)
     if len(comps) >= 3:
-        rest = 0
-        for m in comps[2:]:
-            rest |= m
-        groupings = [comps] if len(comps) == 3 else [[comps[0], comps[1], rest]]
-        for grouping in groupings:
-            part = emit(grouping)
-            if part is not None:
-                yield part
-    for b1 in _seed_clusters(g):
-        out = _common_outside(g, b1)
-        if not out:
+        candidates = [[comps[0], comps[1], full & ~(comps[0] | comps[1])]]
+    elif len(comps) == 2:
+        x, y = comps
+        x_parts, y_parts = (
+            list(itertools.accumulate(_components(g.adj, side), operator.or_))[:-1]
+            for side in comps
+        )
+        candidates = (
+            [b0, b1, x & ~b0, y & ~b1] for b0 in x_parts for b1 in y_parts
+        )
+    else:
+        # a disconnected g lands here too, and no walk covers it
+        candidates = (
+            _flank_walk(g, flanks)
+            for flanks in _components(complement, g.adj[0])
+            if flanks & (flanks - 1)
+        )
+    for masks in candidates:
+        if masks is None:
             continue
-        groups: dict[int, int] = {}
-        for y in bits_of(out):
-            r = g.adj[y] & ~(b1 | out)
-            groups[r] = groups.get(r, 0) | (1 << y)
-        if len(groups) == 2:
-            first, second = sorted(groups.values(), key=lambda m: m & -m)
-            splits = [(first, second)]
-        elif len(groups) == 1:
-            comps_out = _components(g.adj, out)
-            if len(comps_out) < 2:
-                continue
-            rest = out & ~comps_out[0]
-            splits = [(comps_out[0], rest)]
-            if all_splits and len(comps_out) <= 12:
-                others = comps_out[1:]
-                for r in range(0, len(others)):
-                    for extra in itertools.combinations(others, r):
-                        side = comps_out[0]
-                        for m in extra:
-                            side |= m
-                        if side != out and (side, out & ~side) not in splits:
-                            splits.append((side, out & ~side))
-        else:
-            continue
-        for b2, blast in splits:
-            walked = _walk_forward(g, b1, b2, blast, out)
-            if walked is None:
-                continue
-            part = emit(walked)
-            if part is not None:
-                yield part
+        part = ClusterPartition(tuple(vertices_of(m) for m in masks), cyclic=True)
+        if _find_violation(g, part) is None:
+            yield part
 
 
 def discover_cyclic_braid(g: Graph) -> ClusterPartition | None:
     """First verified cyclic-braid partition in canonical order, if any.
 
     Four-cluster braids can be partitioned in many valid ways; the one
-    returned favors the smallest cluster around vertex 0.  Clusters
-    larger than 4 are only discovered for n <= 12."""
+    returned favors the smallest cluster around vertex 0."""
     return next(candidate_cyclic_partitions(g), None)
 
 
@@ -389,25 +329,16 @@ def classify_family_all(g: Graph) -> list[FamilyId]:
     """Every named cyclic family g belongs to, in (H, G, E, script-G)
     order.  Searches all candidate partitions, so degenerate four-cluster
     graphs still match their families."""
-    feasible = {
-        tag
-        for tag, fn in (("H", h_sizes), ("G", g_sizes), ("E", e_sizes))
-        if _sizes_or_none(fn, g.n) is not None
-    }
-    try:
-        if script_g_multisets(g.n):
-            feasible.add("G_script")
-    except InputError:
-        pass
-    if not feasible:
+    profiles = _family_profiles(g.n)
+    if not profiles:
         return []
     found: dict[str, FamilyId] = {}
-    for part in candidate_cyclic_partitions(g, all_splits=True):
+    for part in candidate_cyclic_partitions(g):
         for fam in _match_families(g, part):
             found.setdefault(fam.tag, fam)
-        if set(found) >= feasible:
+        if len(found) == len(profiles):
             break
-    return [found[t] for t in ("H", "G", "E", "G_script") if t in found]
+    return [found[t] for t in profiles if t in found]
 
 
 def classify_family(g: Graph) -> FamilyId | None:

@@ -1,18 +1,27 @@
 """Braid verification, discovery, classification, and maximal 3-braids.
 
 Verification is cross-checked against hand-built families and hand-broken
-perturbations; discovery against the builders' own partitions; the
+perturbations; discovery against the builders' own partitions, planted
+relabelled blow-ups, and an exhaustive seed search on small graphs; the
 maximal-3-braid counts against closed-form counts derived from the
 cluster structure (see the comments at the pins).
 """
 
 import itertools
+import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from braidcensus import recognition
+from braidcensus.cli import main
 from braidcensus.families import (
+    BraidSpec,
     ClusterPartition,
+    FamilyId,
+    build_braid,
     build_E,
     build_G,
     build_H,
@@ -21,9 +30,19 @@ from braidcensus.families import (
     h_sizes,
     members_of_script_G,
 )
-from braidcensus.graphs import Graph, InputError, graph_from_pair_bits, mask_of
+from braidcensus.graphs import (
+    Graph,
+    InputError,
+    graph_from_pair_bits,
+    is_connected,
+    mask_of,
+    vertices_of,
+)
 from braidcensus.recognition import (
     RecognitionReport,
+    _components,
+    _find_violation,
+    _match_families,
     classify_family,
     classify_family_all,
     discover_cyclic_braid,
@@ -309,6 +328,190 @@ def test_discover_label_invariance():
         assert found.size_multiset() == p.size_multiset()
 
 
+def planted_orientation(clusters) -> tuple[tuple[int, ...], ...]:
+    """A cyclic cluster sequence turned into discovery's orientation:
+    vertex 0's cluster first, the neighbor with the smaller minimum
+    second."""
+    cs = [tuple(sorted(c)) for c in clusters]
+    i = next(i for i, c in enumerate(cs) if 0 in c)
+    cs = cs[i:] + cs[:i]
+    if min(cs[-1]) < min(cs[1]):
+        cs = [cs[0]] + cs[:0:-1]
+    return tuple(cs)
+
+
+def test_discover_recovers_planted_braids_with_large_clusters():
+    # Clusters of 5-9 vertices up to n = 128.  With k >= 5 the partition
+    # is unique up to orientation, whatever the intra edges.
+    rng = random.Random(2026)
+    for trial in range(36):
+        k = rng.randrange(5, 15)
+        sizes = tuple(rng.randrange(5, 10) for _ in range(k))
+        if trial == 0:
+            sizes = (9,) * 12 + (5,) * 4  # 128 vertices
+        mode = ("empty", "full", "random")[trial % 3]
+        intra = tuple(
+            [e for e in itertools.combinations(range(s), 2) if rng.random() < 0.5]
+            if mode == "random" else mode
+            for s in sizes
+        )
+        g, p = build_braid(BraidSpec(sizes, cyclic=True, intra=intra))
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        found = discover_cyclic_braid(relabel(g, perm))
+        want = planted_orientation([[perm[v] for v in c] for c in p.clusters])
+        assert found is not None and found.clusters == want, (sizes, trial)
+
+
+def test_recognize_a_braid_with_a_five_vertex_cluster(capsys):
+    # the cyclic braid (5,3,3,3,3) on 17 vertices
+    assert main(["recognize", "--input", "P?B~voF@oM?F?M?M^?~oM}@o"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["verified"] is True
+    assert doc["cluster_sizes"] == [3, 3, 3, 3, 5]
+
+
+# ======================================================================
+# reference: the exhaustive seed search
+# ======================================================================
+#
+# Every vertex set containing 0 is tried as the first cluster.  Its
+# shared outside neighborhood is the union of its two flanks, split by
+# the flanks' neighbors beyond it or, when those coincide (k = 4), into
+# every union of components; a walk fills in the rest.  Trying every
+# seed makes the search exact, and exponential: n <= 12 only.
+
+
+def _reference_walk(g, b1, b2, blast, out):
+    clusters, used = [b1, b2], b1 | out
+    for _ in range(g.n):
+        prev, cur = clusters[-2], clusters[-1]
+        nexts = {g.adj[x] & ~(prev | cur) for x in vertices_of(cur)}
+        if len(nexts) != 1:
+            return None
+        (nxt,) = nexts
+        if nxt == blast:
+            clusters.append(blast)
+            covered = sum(clusters) == g.full_mask()  # clusters are disjoint
+            return clusters if len(clusters) >= 4 and covered else None
+        if not nxt or nxt & used:
+            return None
+        clusters.append(nxt)
+        used |= nxt
+    return None
+
+
+def reference_partitions(g: Graph):
+    assert g.n <= 12
+    if g.n < 3 or not is_connected(g):
+        return
+    seen = set()
+
+    def emit(masks):
+        part = ClusterPartition(tuple(vertices_of(m) for m in masks), cyclic=True)
+        if part.clusters not in seen and _find_violation(g, part) is None:
+            seen.add(part.clusters)
+            return part
+        return None
+
+    full = g.full_mask()
+    comps = _components(tuple(full & ~g.closed(v) for v in range(g.n)), full)
+    if len(comps) >= 3:
+        part = emit([comps[0], comps[1], full & ~(comps[0] | comps[1])])
+        if part is not None:
+            yield part
+    seeds = sorted(((m << 1) | 1 for m in range(1 << (g.n - 1))),
+                   key=lambda m: (m.bit_count(), m))
+    for b1 in seeds:
+        outs = {g.adj[v] & ~b1 for v in vertices_of(b1)}
+        out = outs.pop()
+        if outs or not out:
+            continue
+        groups = {}
+        for y in vertices_of(out):
+            beyond = g.adj[y] & ~(b1 | out)
+            groups[beyond] = groups.get(beyond, 0) | (1 << y)
+        if len(groups) == 2:
+            splits = [tuple(sorted(groups.values(), key=lambda m: m & -m))]
+        elif len(groups) == 1:
+            first, *others = _components(g.adj, out)
+            splits = []
+            for r in range(len(others)):
+                for extra in itertools.combinations(others, r):
+                    side = first | sum(extra)
+                    splits.append((side, out & ~side))
+        else:
+            continue
+        for b2, blast in splits:
+            walked = _reference_walk(g, b1, b2, blast, out)
+            part = walked and emit(walked)
+            if part is not None:
+                yield part
+
+
+def reference_families(g: Graph) -> list[FamilyId]:
+    found = {}
+    for part in reference_partitions(g):
+        for fam in _match_families(g, part):
+            found.setdefault(fam.tag, fam)
+    return [found[t] for t in ("H", "G", "E", "G_script") if t in found]
+
+
+@st.composite
+def any_small_graph(draw):
+    n = draw(st.integers(1, 10))
+    return graph_from_pair_bits(n, draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1)))
+
+
+@st.composite
+def planted_blowup(draw):
+    """A relabelled cyclic blow-up on <= 12 vertices with random intra
+    edges, sometimes with one edge flipped."""
+    k = draw(st.integers(3, 8))
+    sizes = []
+    for i in range(k):
+        room = 12 - sum(sizes) - (k - i - 1)
+        sizes.append(draw(st.integers(1, min(4, room))))
+    intra = tuple(
+        [e for e in itertools.combinations(range(s), 2) if draw(st.booleans())]
+        if draw(st.booleans()) else draw(st.sampled_from(["empty", "full"]))
+        for s in sizes
+    )
+    g, _ = build_braid(BraidSpec(tuple(sizes), cyclic=True, intra=intra))
+    g = relabel(g, draw(st.permutations(range(g.n))))
+    if draw(st.booleans()):
+        u, v = draw(st.lists(st.integers(0, g.n - 1), min_size=2, max_size=2,
+                             unique=True))
+        g = drop_edge(g, u, v) if g.has_edge(u, v) else add_edge(g, u, v)
+    return g
+
+
+def assert_matches_reference(g: Graph) -> None:
+    assert discover_cyclic_braid(g) == next(reference_partitions(g), None)
+    assert classify_family_all(g) == reference_families(g)
+
+
+# The examples pin one graph per case of the co-component split: K4 has
+# four co-components; K_{6,6} has two and matches H only through a split
+# other than the first; in the third, vertex 0 is joined to two
+# non-adjacent cluster-mates 1 and 2, so {1, 2} is a co-component of
+# G[N(0)] ahead of the flanks {3, 6}.
+@settings(max_examples=400, deadline=None)
+@given(any_small_graph())
+@example(complete_graph(4))
+@example(complete_bipartite(6, 6))
+@example(build_braid(BraidSpec((3, 1, 1, 1, 1), cyclic=True,
+                               intra=([(0, 1), (0, 2)],) + ("empty",) * 4))[0])
+def test_discovery_matches_the_seed_search_on_small_graphs(g):
+    assert_matches_reference(g)
+
+
+@settings(max_examples=400, deadline=None)
+@given(planted_blowup())
+def test_discovery_matches_the_seed_search_on_blowups(g):
+    assert_matches_reference(g)
+
+
 # ======================================================================
 # classification
 # ======================================================================
@@ -364,6 +567,25 @@ def test_classify_label_invariance():
     rng.shuffle(perm)
     fam = classify_family(relabel(g, perm))
     assert fam is not None and fam.tag == "E"
+
+
+@pytest.mark.parametrize("a, tags", [(7, ["E"]), (12, []), (30, [])])
+def test_classify_complete_bipartite_verifies_only_prefix_splits(
+    monkeypatch, a, tags
+):
+    # K_{a,a} has two co-components of a isolated vertices each: one
+    # candidate per prefix split of each side, (a - 1)^2 in all.
+    # Four-cluster profiles exist only for n = 11-14, and K_{7,7} is E(14)
+    # with clusters (4, 4, 3, 3).
+    verified = []
+
+    def counting(g, p):
+        verified.append(p)
+        return _find_violation(g, p)
+
+    monkeypatch.setattr(recognition, "_find_violation", counting)
+    assert [f.tag for f in classify_family_all(complete_bipartite(a, a))] == tags
+    assert len(verified) <= (a - 1) ** 2
 
 
 # ======================================================================
