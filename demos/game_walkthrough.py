@@ -16,8 +16,10 @@ Run with:  python3 demos/game_walkthrough.py
 from braidcensus import (
     BraidSpec,
     atypical_set,
+    ball,
     build_H,
     build_braid,
+    game,
     local_structure,
     solve_typical_game,
 )
@@ -72,13 +74,24 @@ print(f"H_18, v=0: {len(report.exempt)} exempt vertices, no probes")
 # exempt, the two at distance 5 are atypical (the walk's second step,
 # with 5 unseen neighbours, lies in their ball), and every farther
 # cluster is typical.  Twin probes share their radius-4 ball, so the 93
-# probes cost one game solve per cluster: 31 solves.
+# probes have 31 distinct zones, and one search decides them all: its
+# value at each (seen, current vertex) state is a bitmask over the
+# zones.  Solving each zone on its own would expand 1,919 states.
 
 g120, _ = build_H(120)
 report = atypical_set(g120, 0)
 split = (len(report.atypical), len(report.typical), len(report.exempt))
 print(f"H_120, v=0: {split[0]} atypical, {split[1]} typical, {split[2]} exempt")
 assert split == (6, 87, 27), split
+
+probes = sorted(report.atypical + report.typical)
+zones = tuple(dict.fromkeys(ball(g120, w, 4) for w in probes))
+memo = {}
+wins = game._builder_wins(g120.adj, zones, memo, 0, 0)
+print(f"  one search over {len(zones)} zones expands {len(memo)} states")
+assert (len(zones), len(memo)) == (31, 223), (len(zones), len(memo))
+assert report.typical == tuple(
+    w for w in probes if wins >> zones.index(ball(g120, w, 4)) & 1)
 
 # ----------------------------------------------------------------------
 # reading the cluster structure off a single vertex

@@ -20,8 +20,11 @@ stops at its first winning move (walker) or first losing one (blocker),
 and twins lead to memoized states.
 
 Atypical sets: a verdict depends only on (g, v, ball(g, w, 4)), and
-twin probes share that zone, so `atypical_set` solves once per distinct
-zone, with a fresh memo, and reads only the root verdict.
+twin probes share that zone.  `atypical_set` decides every distinct
+zone in one search whose value at a state is a bitmask over the zones
+(`_builder_wins`), with one memo on (seen, cur) for all of them, so the
+walk from v that the zones' games share is expanded once.  The balls
+come from squaring closed neighborhoods twice.
 
 Also here: the search for the local three-cluster pattern around a
 vertex (its own 3-set sandwiched by two non-adjacent 3-sets whose cross
@@ -142,37 +145,62 @@ def _check_game_input(g: Graph, v: int, w: int) -> int:
     return ball(g, w, 4)
 
 
-def _builder_wins(adj: tuple[int, ...], n4w: int, memo: dict, seen: int, cur: int) -> bool:
-    """Whether the walker wins from (seen, cur) against the zone n4w.
+def _builder_wins(adj: tuple[int, ...], zones: tuple[int, ...], memo: dict,
+                  seen: int, cur: int) -> int:
+    """Mask of the zones the walker beats from (seen, cur): bit j is set
+    when the walker wins the game against the probe zone zones[j].
+
+    One search serves every zone.  At a node the blocker moves for the
+    zones that hold cur: the bad-vertex rule clears their bits, and the
+    rest take the AND of the children.  The walker moves for the other
+    zones, which take the OR.  A leaf sets bit j iff zones[j] is
+    dominated.  A node stops as soon as no AND bit is left set and every
+    OR bit is set; otherwise its value is fixed after its last child.
+
     Depth-first over the moves in ascending order with an explicit
     stack, so the walk length is no limit.  The open node is (key, its
-    grown seen set, moves not yet tried, in_zone); a blocker's node
-    (in_zone) falls at its first losing child, a walker's node stands at
-    its first winning one, and otherwise it takes the value of its last
-    child.  memo maps (seen, cur) to verdicts and is valid for one n4w."""
+    grown seen set, moves not yet tried, its OR bits, its open bits):
+    an open bit is an AND bit still set or an OR bit still clear, so
+    the node stops when none is left.  memo maps (seen, cur) to masks
+    and is valid for one zones tuple."""
+    every = (1 << len(zones)) - 1
+    holding = None
     stack = []
-    key = grown = todo = zone = None
+    key = grown = todo = ors = rest = None
     while True:
         moves = adj[cur] & ~seen
-        in_zone = (n4w >> cur) & 1
-        if in_zone and moves.bit_count() != 3:
-            win = False
-        elif not moves:
-            win = not (n4w & ~(seen | adj[cur] | (1 << cur)))
+        if not moves:
+            # the zones that hold cur lose to the bad-vertex rule
+            win = 0
+            undominated = ~(seen | adj[cur])
+            for j, zone in enumerate(zones):
+                if not (zone >> cur & 1 or zone & undominated):
+                    win |= 1 << j
         else:
             win = memo.get((seen, cur))
             if win is None:
-                if key is not None:
-                    stack.append((key, grown, todo, zone))
-                key, grown, todo, zone = (
-                    (seen, cur), seen | adj[cur] | (1 << cur), moves, in_zone)
+                if holding is None:  # vertex -> the zones that hold it
+                    holding = {}
+                    for j, zone in enumerate(zones):
+                        for x in bits_of(zone):
+                            holding[x] = holding.get(x, 0) | 1 << j
+                inside = holding.get(cur, 0)
+                live = every if moves.bit_count() == 3 else every ^ inside
+                if live:
+                    if key is not None:
+                        stack.append((key, grown, todo, ors, rest))
+                    key, grown, todo, ors, rest = (
+                        (seen, cur), seen | adj[cur] | (1 << cur), moves, every ^ inside, live)
+                else:
+                    win = 0
         while win is not None:
             if key is None:
                 return win
-            if win != zone or not todo:
-                memo[key] = win
-                key, grown, todo, zone = (
-                    stack.pop() if stack else (None, None, None, None))
+            rest &= win ^ ors
+            if not rest or not todo:
+                memo[key] = win = rest ^ ors
+                key, grown, todo, ors, rest = (
+                    stack.pop() if stack else (None, None, None, None, None))
             else:
                 win = None
         bit = todo & -todo
@@ -182,7 +210,8 @@ def _builder_wins(adj: tuple[int, ...], n4w: int, memo: dict, seen: int, cur: in
 
 def _solve(g: Graph, v: int, n4w: int) -> tuple[bool, tuple[int, ...], str | None]:
     adj = g.adj
-    memo: dict[tuple[int, int], bool] = {}
+    zones = (n4w,)
+    memo: dict[tuple[int, int], int] = {}
     # one optimal line: each active player takes its first winning move
     seen, cur = 0, v
     trace = [v]
@@ -199,10 +228,10 @@ def _solve(g: Graph, v: int, n4w: int) -> tuple[bool, tuple[int, ...], str | Non
                 reason = REASON_UNSEEN_VERTEX
             break
         grown = seen | adj[cur] | (1 << cur)
-        want = not in_zone  # builder hunts wins, the blocker hunts losses
+        want = 0 if in_zone else 1  # builder hunts wins, the blocker hunts losses
         pick = None
         for m in bits_of(moves):
-            if _builder_wins(adj, n4w, memo, grown, m) == want:
+            if _builder_wins(adj, zones, memo, grown, m) == want:
                 pick = m
                 break
         if pick is None:
@@ -251,22 +280,38 @@ class AtypicalReport:
 
 
 def atypical_set(g: Graph, v: int) -> AtypicalReport:
-    """Classify every vertex outside the radius-4 ball of v by solving
-    the game once per distinct probe zone, reading the root verdict
-    only."""
+    """Classify every vertex outside the radius-4 ball of v by one game
+    search over the distinct probe zones, reading the root mask only."""
     _check_vertex(g, v)
     if not is_connected(g):
         raise InputError("the game needs a connected graph")
-    exempt_mask = ball(g, v, 4)
+    # radius-4 balls by squaring closed neighborhoods: B2 = B1 B1, B4 = B2 B2
+    b1 = [g.closed(x) for x in range(g.n)]
+    b2 = _compose(b1, b1)
+    b4 = _compose(b2, b2)
+    exempt_mask = b4[v]
     probes = vertices_of(g.full_mask() & ~exempt_mask)
-    zones = {w: ball(g, w, 4) for w in probes}
-    builder = {z: _builder_wins(g.adj, z, {}, 0, v) for z in set(zones.values())}
+    zones = tuple(dict.fromkeys(b4[w] for w in probes))
+    wins = _builder_wins(g.adj, zones, {}, 0, v)
+    won = {zone for j, zone in enumerate(zones) if wins >> j & 1}
     return AtypicalReport(
         v=v,
-        atypical=tuple(w for w in probes if not builder[zones[w]]),
-        typical=tuple(w for w in probes if builder[zones[w]]),
+        atypical=tuple(w for w in probes if b4[w] not in won),
+        typical=tuple(w for w in probes if b4[w] in won),
         exempt=vertices_of(exempt_mask),
     )
+
+
+def _compose(rows: list[int], masks: list[int]) -> list[int]:
+    """For each mask, the union of rows[x] over its vertices x.  Each
+    distinct mask is spread once, so twins share the work."""
+    spread: dict[int, int] = {}
+    for mask in set(masks):
+        out = 0
+        for x in bits_of(mask):
+            out |= rows[x]
+        spread[mask] = out
+    return [spread[mask] for mask in masks]
 
 
 # ======================================================================

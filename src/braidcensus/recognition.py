@@ -155,7 +155,7 @@ def verify_braid(g: Graph, p: ClusterPartition) -> RecognitionReport:
     verified = witness is None
     family = None
     if verified and p.cyclic and p.vertex_mask() == g.full_mask():
-        matches = _match_families(g, p)
+        matches = _match_families(g, p, _family_profiles(g.n))
         family = matches[0] if matches else None
     return RecognitionReport(
         verified=verified,
@@ -197,12 +197,15 @@ def _family_profiles(n: int) -> dict[str, set[tuple[int, ...]]]:
     return profiles
 
 
-def _match_families(g: Graph, p: ClusterPartition) -> list[FamilyId]:
-    """Family tags this exact partition certifies, in report order."""
+def _match_families(
+    g: Graph, p: ClusterPartition, profiles: dict[str, set[tuple[int, ...]]]
+) -> list[FamilyId]:
+    """Family tags this exact partition certifies, in report order;
+    profiles is `_family_profiles(g.n)`."""
     if not p.cyclic or p.vertex_mask() != g.full_mask():
         return []
     ms = p.size_multiset()
-    tags = [tag for tag, sizes in _family_profiles(g.n).items() if ms in sizes]
+    tags = [tag for tag, sizes in profiles.items() if ms in sizes]
     if not tags:
         return []
     patterns = {_intra_pattern(g, c) for c in p.clusters}
@@ -281,11 +284,21 @@ def candidate_cyclic_partitions(g: Graph):
     A graph with two co-components yields one four-cluster partition
     per prefix split of each side's components; any other graph yields
     at most one partition."""
-    if g.n < 3:
-        return
+    if g.n >= 3:
+        yield from _partitions(g, *_co_components(g))
+
+
+def _co_components(g: Graph) -> tuple[tuple[int, ...], list[int]]:
+    """The rows of the complement of g and its components, the
+    co-components of g, ordered by lowest vertex."""
     full = g.full_mask()
     complement = tuple(full & ~g.closed(v) for v in range(g.n))
-    comps = _components(complement, full)
+    return complement, _components(complement, full)
+
+
+def _partitions(g: Graph, complement: tuple[int, ...], comps: list[int]):
+    """`candidate_cyclic_partitions` from the output of `_co_components`."""
+    full = g.full_mask()
     if len(comps) >= 3:
         candidates = [[comps[0], comps[1], full & ~(comps[0] | comps[1])]]
     elif len(comps) == 2:
@@ -332,9 +345,15 @@ def classify_family_all(g: Graph) -> list[FamilyId]:
     profiles = _family_profiles(g.n)
     if not profiles:
         return []
+    complement, comps = _co_components(g)
+    # the co-components fix the cluster count: three or more give k = 3,
+    # two give k = 4 and one gives k >= 5
+    k = {1: 5, 2: 4}.get(len(comps), 3)
+    if all(min(len(m), 5) != k for sizes in profiles.values() for m in sizes):
+        return []
     found: dict[str, FamilyId] = {}
-    for part in candidate_cyclic_partitions(g):
-        for fam in _match_families(g, part):
+    for part in _partitions(g, complement, comps):
+        for fam in _match_families(g, part, profiles):
             found.setdefault(fam.tag, fam)
         if len(found) == len(profiles):
             break

@@ -379,6 +379,28 @@ def probed_graphs(draw):
     return g, v
 
 
+@st.composite
+def zone_sets(draw):
+    """A graph on up to 14 vertices, a start and 1-6 zones: balls of
+    radius 0-4 around any centres, the start's own included."""
+    n = draw(st.integers(2, 14))
+    g = graph_from_pair_bits(n, draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1)))
+    v = draw(st.integers(0, n - 1))
+    zones = draw(st.lists(st.builds(lambda w, r: ball(g, w, r), st.integers(0, n - 1),
+                                    st.integers(0, 4)), min_size=1, max_size=6))
+    return g, v, tuple(zones)
+
+
+@settings(max_examples=300, deadline=None)
+@given(zone_sets())
+def test_mask_search_matches_per_zone_solves(case):
+    g, v, zones = case
+    wins = game._builder_wins(g.adj, zones, {}, 0, v)
+    assert wins >> len(zones) == 0
+    for j, zone in enumerate(zones):
+        assert (wins >> j) & 1 == recursive_solve(g, v, zone)[0], j
+
+
 @settings(max_examples=150, deadline=None)
 @given(probed_graphs())
 def test_atypical_set_matches_per_probe_solves(case):
@@ -415,19 +437,31 @@ def test_h_ring_cluster_distance_rule(k):
     assert report.typical == tuple(sorted(want["typical"]))
 
 
-def test_atypical_set_solves_once_per_zone(monkeypatch):
-    # H(120) from 0: 93 probes in 31 clusters, and twins share a zone
-    zones = []
+def test_atypical_set_is_one_search(monkeypatch):
+    # H(120) from 0: 93 probes in 31 clusters, twins share a zone, and one
+    # search decides all 31 zones.  Per-zone solves expand 1,919 states
+    # in all, of which 211 are distinct; the mask search expands each of
+    # the states it needs once.
+    memos = []
     search = game._builder_wins
 
-    def counted(adj, n4w, *rest):
-        zones.append(n4w)
-        return search(adj, n4w, *rest)
+    def counted(adj, zones, memo, *rest):
+        memos.append((zones, memo))
+        return search(adj, zones, memo, *rest)
 
     monkeypatch.setattr(game, "_builder_wins", counted)
-    report = atypical_set(build_H(120)[0], 0)
-    assert len(report.atypical) + len(report.typical) == 93
+    g = build_H(120)[0]
+    report = atypical_set(g, 0)
+    assert (len(report.atypical), len(report.typical), len(report.exempt)) == (6, 87, 27)
+    assert len(memos) == 1
+    zones, memo = memos[0]
     assert len(zones) == len(set(zones)) == 31
+    assert len(memo) <= 250
+    # a node stops once every bit is decided: one zone alone expands the
+    # 56 states of a per-zone solve
+    memo = {}
+    search(g.adj, (ball(g, 60, 4),), memo, 0, 0)
+    assert len(memo) == 56
 
 
 def test_long_walks():

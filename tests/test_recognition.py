@@ -41,6 +41,7 @@ from braidcensus.graphs import (
 from braidcensus.recognition import (
     RecognitionReport,
     _components,
+    _family_profiles,
     _find_violation,
     _match_families,
     classify_family,
@@ -452,7 +453,7 @@ def reference_partitions(g: Graph):
 def reference_families(g: Graph) -> list[FamilyId]:
     found = {}
     for part in reference_partitions(g):
-        for fam in _match_families(g, part):
+        for fam in _match_families(g, part, _family_profiles(g.n)):
             found.setdefault(fam.tag, fam)
     return [found[t] for t in ("H", "G", "E", "G_script") if t in found]
 
@@ -569,14 +570,15 @@ def test_classify_label_invariance():
     assert fam is not None and fam.tag == "E"
 
 
-@pytest.mark.parametrize("a, tags", [(7, ["E"]), (12, []), (30, [])])
+@pytest.mark.parametrize("a, tags", [(7, ["E"]), (12, []), (30, []), (60, [])])
 def test_classify_complete_bipartite_verifies_only_prefix_splits(
     monkeypatch, a, tags
 ):
     # K_{a,a} has two co-components of a isolated vertices each: one
     # candidate per prefix split of each side, (a - 1)^2 in all.
     # Four-cluster profiles exist only for n = 11-14, and K_{7,7} is E(14)
-    # with clusters (4, 4, 3, 3).
+    # with clusters (4, 4, 3, 3).  At other n two co-components rule out
+    # every family before any split is verified.
     verified = []
 
     def counting(g, p):
@@ -586,6 +588,8 @@ def test_classify_complete_bipartite_verifies_only_prefix_splits(
     monkeypatch.setattr(recognition, "_find_violation", counting)
     assert [f.tag for f in classify_family_all(complete_bipartite(a, a))] == tags
     assert len(verified) <= (a - 1) ** 2
+    if not 11 <= 2 * a <= 14:
+        assert verified == []
 
 
 # ======================================================================
