@@ -82,12 +82,10 @@ from dataclasses import dataclass
 
 from .graphs import Graph, InputError, InternalError, UnsupportedError, bits_of
 
-SLOW_CENSUS_MAX_N = 24
+# defined in graphs, which the CLI parser loads, and re-exported here
+from .graphs import CYCLE_QUANTITIES, PATH_QUANTITIES, QUANTITIES  # noqa: F401
 
-# the census quantities a sweep can maximize (see sweep.quantity_of_graph)
-CYCLE_QUANTITIES = ("m", "m_odd", "m_even", "m_odd_holes")
-PATH_QUANTITIES = ("p2", "p2_odd", "p2_even")
-QUANTITIES = CYCLE_QUANTITIES + PATH_QUANTITIES
+SLOW_CENSUS_MAX_N = 24
 
 
 # ======================================================================

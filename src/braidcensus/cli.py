@@ -36,29 +36,22 @@ import argparse
 import json
 import os
 import sys
+from typing import TYPE_CHECKING
 
-from . import sweep
-from .census import QUANTITIES, count_induced_cycles, count_induced_st_paths
-from .families import (
+# Each handler imports the engine it runs, so a call compiles and loads
+# only the modules on its own path; graphs holds what the parser needs.
+from .graphs import (
     FAMILY_TAGS,
-    ClusterPartition,
-    build_E,
-    build_G,
-    build_H,
-    member_of_F,
-    members_of_script_G,
+    QUANTITIES,
+    Graph,
+    InputError,
+    InternalError,
+    parse_graph6,
+    to_graph6,
 )
-from .formulas import (
-    f2,
-    f2_even,
-    f2_odd,
-    m_lower,
-    short_cycle_mass,
-    vertex_cycle_bound,
-)
-from .game import atypical_set, solve_typical_game
-from .graphs import Graph, InputError, InternalError, parse_graph6, to_graph6
-from .recognition import classify_family_all, discover_cyclic_braid, verify_braid
+
+if TYPE_CHECKING:
+    from .families import ClusterPartition
 
 CHECKPOINT_DIR_VAR = "BRAIDCENSUS_CHECKPOINT_DIR"
 
@@ -90,6 +83,14 @@ def _load_graph(text: str) -> Graph:
 
 
 def _build_family(tag: str, n: int, variant: int) -> tuple[Graph, ClusterPartition]:
+    from .families import (
+        build_E,
+        build_G,
+        build_H,
+        member_of_F,
+        members_of_script_G,
+    )
+
     if tag in ("H", "G", "E"):
         if variant != 0:
             raise InputError(f"family {tag} has a single variant per n")
@@ -140,6 +141,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
+    from .census import count_induced_cycles
+
     g = _graph_argument(args)
     census = count_induced_cycles(g)
     _emit(census.to_json_dict(n=g.n))
@@ -147,6 +150,8 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
 
 def _cmd_paths(args: argparse.Namespace) -> int:
+    from .census import count_induced_st_paths
+
     g = _graph_argument(args)
     census = count_induced_st_paths(g, args.x, args.y)
     _emit(census.to_json_dict(x=args.x, y=args.y))
@@ -154,6 +159,8 @@ def _cmd_paths(args: argparse.Namespace) -> int:
 
 
 def _cmd_recognize(args: argparse.Namespace) -> int:
+    from .recognition import classify_family_all, discover_cyclic_braid, verify_braid
+
     g = _load_graph(args.input)
     part = discover_cyclic_braid(g)
     if part is None:
@@ -178,6 +185,8 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
 
 
 def _cmd_game(args: argparse.Namespace) -> int:
+    from .game import solve_typical_game
+
     g = _load_graph(args.input)
     verdict = solve_typical_game(g, args.v, args.w)
     _emit(verdict.to_json_dict())
@@ -185,6 +194,8 @@ def _cmd_game(args: argparse.Namespace) -> int:
 
 
 def _cmd_atypical(args: argparse.Namespace) -> int:
+    from .game import atypical_set
+
     g = _load_graph(args.input)
     report = atypical_set(g, args.v)
     _emit(report.to_json_dict())
@@ -204,6 +215,8 @@ def _read_checkpoints(path: str, n: int, quantity: str, shards: int) -> dict:
     """Finished shards by index.  A last line without its newline is an
     append cut short by a killed shard: it counts as unwritten, so that
     shard reruns."""
+    from . import sweep
+
     done = {}
     if os.path.isfile(path):
         with open(path, encoding="ascii") as fh:
@@ -243,6 +256,8 @@ def _append_checkpoint(path: str, line: str) -> None:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from . import sweep
+
     if args.shards < 1:
         raise InputError("--shards must be at least 1")
     path = None
@@ -290,26 +305,29 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# CLI name -> function of formulas.py
 _FORMULAS = {
-    "f2": f2,
-    "f2o": f2_odd,
-    "f2e": f2_even,
-    "m_lower": m_lower,
-    "short_mass": short_cycle_mass,
+    "f2": "f2",
+    "f2o": "f2_odd",
+    "f2e": "f2_even",
+    "m_lower": "m_lower",
+    "short_mass": "short_cycle_mass",
 }
 
 
 def _cmd_formula(args: argparse.Namespace) -> int:
+    from . import formulas
+
     if args.name == "vertex_bound":
         if args.d is None:
             raise InputError("vertex_bound needs --d")
-        bound = vertex_cycle_bound(args.n, args.d)
+        bound = formulas.vertex_cycle_bound(args.n, args.d)
         _emit({"name": args.name, "n": args.n, "d": args.d,
                "value": repr(bound.value)})
         return EXIT_OK
     if args.d is not None:
         raise InputError(f"--d only applies to vertex_bound, not {args.name}")
-    count = _FORMULAS[args.name](args.n)
+    count = getattr(formulas, _FORMULAS[args.name])(args.n)
     _emit({"name": args.name, "n": args.n, "value": str(count.value)})
     return EXIT_OK
 

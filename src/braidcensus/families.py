@@ -30,9 +30,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .graphs import Graph, InputError, InternalError, mask_of
-
-FAMILY_TAGS = ("H", "G", "E", "F", "F_odd", "F_even", "G_script")
+from .graphs import FAMILY_TAGS, Graph, InputError, InternalError, mask_of
 
 # intra-cluster edge patterns: the two symbolic forms, or an explicit list
 # of local index pairs per cluster

@@ -145,8 +145,17 @@ def _check_game_input(g: Graph, v: int, w: int) -> int:
     return ball(g, w, 4)
 
 
+def _holding(zones: tuple[int, ...]) -> dict[int, int]:
+    """Vertex -> mask of the zones that hold it."""
+    holding: dict[int, int] = {}
+    for j, zone in enumerate(zones):
+        for x in bits_of(zone):
+            holding[x] = holding.get(x, 0) | 1 << j
+    return holding
+
+
 def _builder_wins(adj: tuple[int, ...], zones: tuple[int, ...], memo: dict,
-                  seen: int, cur: int) -> int:
+                  seen: int, cur: int, holding: dict[int, int] | None = None) -> int:
     """Mask of the zones the walker beats from (seen, cur): bit j is set
     when the walker wins the game against the probe zone zones[j].
 
@@ -162,9 +171,11 @@ def _builder_wins(adj: tuple[int, ...], zones: tuple[int, ...], memo: dict,
     grown seen set, moves not yet tried, its OR bits, its open bits):
     an open bit is an AND bit still set or an OR bit still clear, so
     the node stops when none is left.  memo maps (seen, cur) to masks
-    and is valid for one zones tuple."""
+    and is valid for one zones tuple; holding is _holding(zones), which a
+    caller that searches many times passes in to build it once."""
     every = (1 << len(zones)) - 1
-    holding = None
+    if holding is None:
+        holding = _holding(zones)
     stack = []
     key = grown = todo = ors = rest = None
     while True:
@@ -179,11 +190,6 @@ def _builder_wins(adj: tuple[int, ...], zones: tuple[int, ...], memo: dict,
         else:
             win = memo.get((seen, cur))
             if win is None:
-                if holding is None:  # vertex -> the zones that hold it
-                    holding = {}
-                    for j, zone in enumerate(zones):
-                        for x in bits_of(zone):
-                            holding[x] = holding.get(x, 0) | 1 << j
                 inside = holding.get(cur, 0)
                 live = every if moves.bit_count() == 3 else every ^ inside
                 if live:
@@ -211,6 +217,7 @@ def _builder_wins(adj: tuple[int, ...], zones: tuple[int, ...], memo: dict,
 def _solve(g: Graph, v: int, n4w: int) -> tuple[bool, tuple[int, ...], str | None]:
     adj = g.adj
     zones = (n4w,)
+    holding = _holding(zones)
     memo: dict[tuple[int, int], int] = {}
     # one optimal line: each active player takes its first winning move
     seen, cur = 0, v
@@ -231,7 +238,7 @@ def _solve(g: Graph, v: int, n4w: int) -> tuple[bool, tuple[int, ...], str | Non
         want = 0 if in_zone else 1  # builder hunts wins, the blocker hunts losses
         pick = None
         for m in bits_of(moves):
-            if _builder_wins(adj, zones, memo, grown, m) == want:
+            if _builder_wins(adj, zones, memo, grown, m, holding) == want:
                 pick = m
                 break
         if pick is None:

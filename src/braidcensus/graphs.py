@@ -53,6 +53,19 @@ class InternalError(RuntimeError):
 
 
 # ======================================================================
+# the CLI parser's choices, kept in the one module every CLI call loads
+# ======================================================================
+
+# the named families of families.py
+FAMILY_TAGS = ("H", "G", "E", "F", "F_odd", "F_even", "G_script")
+
+# the census quantities a sweep can maximize (see sweep.quantity_of_graph)
+CYCLE_QUANTITIES = ("m", "m_odd", "m_even", "m_odd_holes")
+PATH_QUANTITIES = ("p2", "p2_odd", "p2_even")
+QUANTITIES = CYCLE_QUANTITIES + PATH_QUANTITIES
+
+
+# ======================================================================
 # bitmask helpers
 # ======================================================================
 
@@ -436,7 +449,8 @@ def canonical_code(g: Graph) -> CanonicalCode:
 
     extend(0, 0, [])
     bits_list = best[0]
-    assert bits_list is not None
+    if bits_list is None:
+        raise InternalError(f"canonical_code found no labeling of an n={n} graph")
     packed = 0
     for t, b in enumerate(bits_list):
         if b:

@@ -39,9 +39,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .census import (
-    CYCLE_QUANTITIES,
-    PATH_QUANTITIES,
-    QUANTITIES,
     PathCensus,
     count_induced_cycles,
     count_induced_st_paths,
@@ -51,6 +48,9 @@ from .census import (
 from .families import ClusterPartition, f_central_sequences
 from .formulas import ExactCount
 from .graphs import (
+    CYCLE_QUANTITIES,
+    PATH_QUANTITIES,
+    QUANTITIES,
     CanonicalCode,
     Graph,
     InputError,

@@ -17,6 +17,7 @@ import pytest
 import braidcensus
 from braidcensus.cli import _load_graph, main
 from braidcensus import sweep
+from braidcensus.census import count_induced_cycles
 from braidcensus.families import build_H
 from braidcensus.formulas import f2
 from braidcensus.graphs import InputError, to_graph6
@@ -550,6 +551,121 @@ def test_import_leaves_numpy_and_the_pool_unloaded():
     assert json.loads(heavy) == []
     assert json.loads(names) == PUBLIC_NAMES == sorted(braidcensus.__all__)
     assert counts == f"{exhaustive_max(4, 'm').max.value} 225"
+
+
+SRC = os.path.dirname(os.path.dirname(braidcensus.__file__))
+
+
+def _python(*argv, **env):
+    """A fresh interpreter on this tree; (exit code, stdout, stderr)."""
+    env = dict(os.environ, PYTHONPATH=SRC, **env)
+    env.pop("PYTHONOPTIMIZE", None)  # the scripts below check with assert
+    proc = subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_import_loads_no_submodule():
+    code, out, err = _python("-c", (
+        "import sys, braidcensus; "
+        "print(sorted(m for m in sys.modules if m.startswith('braidcensus.')))"))
+    assert code == 0, err
+    assert out == "[]\n"
+
+
+NAMESPACE_SCRIPT = """
+import braidcensus, inspect, sys
+assert set(braidcensus.__all__) <= set(dir(braidcensus))
+assert not hasattr(braidcensus, "no_such_name")
+for name in braidcensus.__all__:
+    obj = getattr(braidcensus, name)
+    home = sys.modules[braidcensus._HOME[name]]
+    if inspect.ismodule(obj):
+        assert obj is home, name
+    else:
+        assert obj is getattr(home, name), name
+        assert getattr(obj, "__module__", home.__name__) == home.__name__, name
+print("ok")
+"""
+
+
+def test_every_public_name_is_its_home_modules_attribute():
+    code, out, err = _python("-c", NAMESPACE_SCRIPT)
+    assert code == 0, err
+    assert out == "ok\n"
+
+
+def test_public_names_are_read_at_call_time(monkeypatch):
+    # nothing is cached in the package: a patch in the home module is
+    # what the package hands out, and so is its undoing
+    from braidcensus import census
+
+    real = census.count_induced_cycles
+    monkeypatch.setattr(census, "count_induced_cycles", len)
+    assert braidcensus.count_induced_cycles is len
+    monkeypatch.undo()
+    assert braidcensus.count_induced_cycles is real
+
+
+LOADED_SCRIPT = """
+import contextlib, io, json, sys
+from braidcensus.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, json.dumps(sorted(m for m in sys.modules if m.startswith("braidcensus."))))
+"""
+
+H30_G6 = to_graph6(build_H(30)[0])
+SWEEP = {"census", "families", "formulas", "recognition", "sweep"}
+
+
+@pytest.mark.parametrize("argv, engines", [
+    (("construct", "--family", "H", "--n", "12"), {"families"}),
+    (("count", "--input", H15_G6), {"census"}),
+    (("count", "--family", "H", "--n", "12"), {"census", "families"}),
+    (("paths", "--input", H15_G6, "--x", "0", "--y", "6"), {"census"}),
+    (("paths", "--family", "G", "--n", "14", "--x", "0", "--y", "8"),
+     {"census", "families"}),
+    (("recognize", "--input", H15_G6), {"families", "recognition"}),
+    (("game", "--input", H30_G6, "--v", "0", "--w", "15"), {"game"}),
+    (("atypical", "--input", H30_G6, "--v", "0"), {"game"}),
+    (("formula", "--name", "f2", "--n", "40"), {"formulas"}),
+    (("formula", "--name", "vertex_bound", "--n", "40", "--d", "3"), {"formulas"}),
+    (("verify", "--n", "4", "--quantity", "m"), SWEEP),
+    (("verify", "--n", "4", "--quantity", "p2", "--shards", "2", "--merge"), SWEEP),
+])
+def test_each_subcommand_loads_only_its_engines(tmp_path, argv, engines):
+    # besides cli and graphs, which hold the parser, a call loads the
+    # engine it runs and what that engine imports: the sweep's audit
+    # needs census, families, formulas and recognition, never the game
+    if "--merge" in argv:
+        (tmp_path / "sweep_p2_n4_s2_classes.txt").write_text("".join(
+            sweep.checkpoint_line(i, exhaustive_max(4, "p2", shards=2, shard=i)) + "\n"
+            for i in range(2)))
+    code, out, err = _python("-c", LOADED_SCRIPT, *argv,
+                             BRAIDCENSUS_CHECKPOINT_DIR=str(tmp_path))
+    assert code == 0, err
+    code, loaded = out.split(" ", 1)
+    assert code == "0"
+    assert json.loads(loaded) == sorted(
+        f"braidcensus.{name}" for name in engines | {"cli", "graphs"})
+
+
+@pytest.mark.parametrize("argv, answer", [
+    (("verify", "--n", "5", "--quantity", "m"),
+     lambda: exhaustive_max(5, "m").to_json_dict()),
+    (("count", "--family", "H", "--n", "12"),
+     lambda: count_induced_cycles(build_H(12)[0]).to_json_dict(n=12)),
+    (("formula", "--name", "f2", "--n", "40"),
+     lambda: {"name": "f2", "n": 40, "value": str(f2(40).value)}),
+])
+def test_cli_under_python_O_gives_the_library_answer(argv, answer):
+    # -O strips assert: the lazy imports and the internal cross-checks
+    # (the sweep's audit, the census identities) must not rest on one
+    code, out, err = _python("-O", "-m", "braidcensus.cli", *argv)
+    assert code == 0, err
+    assert out.count("\n") == 1 and json.loads(out) == answer()
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,8 +1,11 @@
-"""The package runs on the standard library alone.
+"""The package runs on the standard library alone, and its checks also
+run under python -O.
 
 Every absolute import in src/braidcensus must name a standard-library
 module, and pyproject.toml must declare no runtime dependency, so a
 re-added third-party import fails here even where no test reaches it.
+No assert statement may remain in src/braidcensus: -O strips them, and
+an internal check must raise InternalError instead.
 """
 
 import ast
@@ -36,6 +39,16 @@ def test_package_imports_only_the_standard_library():
         if module not in sys.stdlib_module_names
     ]
     assert foreign == []
+
+
+def test_package_has_no_assert_statement():
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_pyproject_declares_no_runtime_dependency():
