@@ -81,6 +81,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphs import Graph, InputError, InternalError, UnsupportedError, bits_of
+from .graphs import _check_vertex, _layers
 
 # defined in graphs, which the CLI parser loads, and re-exported here
 from .graphs import CYCLE_QUANTITIES, PATH_QUANTITIES, QUANTITIES  # noqa: F401
@@ -442,8 +443,7 @@ def visit_induced_cycles(g: Graph, visit) -> None:
 def count_cycles_through(g: Graph, v: int) -> CycleCensus:
     """Census restricted to induced cycles containing v: one fold per
     neighbour of v, with every other vertex allowed on the cycle."""
-    if not 0 <= v < g.n:
-        raise InputError(f"vertex {v} out of range for n={g.n}")
+    _check_vertex(g, v)
     width = g.n + 1
     return CycleCensus(_unpack(
         _cycles_through(g.adj, v, g.full_mask() & ~(1 << v), width), width, 1))
@@ -589,18 +589,6 @@ def path_tree_stats(g: Graph, x: int, y: int) -> TreeStats:
 # ======================================================================
 
 
-def _is_single_cycle(g: Graph, mask: int) -> bool:
-    """mask already induces a 2-regular graph; true iff it is connected."""
-    seen = new = mask & -mask
-    while new:
-        reach = 0
-        for v in bits_of(new):
-            reach |= g.adj[v]
-        new = reach & mask & ~seen
-        seen |= new
-    return seen == mask
-
-
 def slow_census(g: Graph) -> CycleCensus:
     """Subset-scan oracle: every vertex subset inducing a connected
     2-regular graph is one induced cycle.  Exponential; n <= 24 only."""
@@ -614,7 +602,8 @@ def slow_census(g: Graph) -> CycleCensus:
         i, chosen = stack.pop()
         if i == n:
             # every chosen vertex has exactly two chosen neighbours
-            if chosen and _is_single_cycle(g, chosen):
+            low = (chosen & -chosen).bit_length() - 1
+            if chosen and sum(_layers(adj, low, chosen)) == chosen:
                 length = chosen.bit_count()
                 by_length[length] = by_length.get(length, 0) + 1
             continue

@@ -38,6 +38,7 @@ import itertools
 from dataclasses import dataclass
 
 from .graphs import Graph, InputError, ball, bits_of, distance, is_connected, mask_of, vertices_of
+from .graphs import _check_vertex
 
 WINNER_BUILDER = "Builder"
 WINNER_ADVERSARY = "Adversary"
@@ -74,11 +75,6 @@ class GameState:
         return cls(current=v, chosen=(v,), seen=0)
 
 
-def _check_vertex(g: Graph, v: int) -> None:
-    if not 0 <= v < g.n:
-        raise InputError(f"vertex {v} out of range for n={g.n}")
-
-
 def legal_moves(g: Graph, state: GameState) -> int:
     """Mask of neighbors of the current vertex not dominated by the
     earlier path.  Zero means the walk has terminated."""
@@ -96,6 +92,7 @@ def is_bad(g: Graph, state: GameState, u: int) -> bool:
 
 
 def apply_move(g: Graph, state: GameState, u: int) -> GameState:
+    _check_vertex(g, u)
     moves = legal_moves(g, state)
     if not (moves >> u) & 1:
         raise InputError(f"vertex {u} is not a legal move from {state.current}")
@@ -137,11 +134,9 @@ def _check_game_input(g: Graph, v: int, w: int) -> int:
     _check_vertex(g, w)
     if not is_connected(g):
         raise InputError("the game needs a connected graph")
-    if (ball(g, v, 4) >> w) & 1:
-        raise InputError(
-            f"w={w} must lie outside the radius-4 ball of v={v}: "
-            f"distance is {distance(g, v, w)}"
-        )
+    if (d := distance(g, v, w)) <= 4:
+        raise InputError(f"w={w} must lie outside the radius-4 ball of v={v}: "
+                         f"distance is {d}")
     return ball(g, w, 4)
 
 

@@ -11,7 +11,8 @@ Also provided:
 
 * graph6 encode/parse (the standard printable ASCII format: column-major
   upper triangle packed into 6-bit chunks offset by 63),
-* breadth-first balls N^r[v],
+* breadth-first distance layers, and from them balls N^r[v], distances
+  and connectivity,
 * a canonical labeling for small graphs (exhaustive branch and bound over
   vertex orderings, minimizing the packed upper-triangle bit string).
 
@@ -224,46 +225,46 @@ class Graph:
 # ======================================================================
 
 
-def ball(g: Graph, v: int, radius: int) -> int:
-    """Vertices within distance `radius` of v, as a bitmask (v included)."""
+def _check_vertex(g: Graph, v: int) -> None:
     if not 0 <= v < g.n:
         raise InputError(f"vertex {v} out of range for n={g.n}")
+
+
+def _layers(rows: tuple[int, ...], v: int, within: int = -1) -> list[int]:
+    """Breadth-first distance layers of v, as masks, in the subgraph of
+    the adjacency rows induced by within, which holds v.  The layers are
+    disjoint, so their sum is their union: v's component."""
+    seen = frontier = 1 << v
+    layers = []
+    while frontier:
+        layers.append(frontier)
+        grown = 0
+        while frontier:
+            low = frontier & -frontier
+            grown |= rows[low.bit_length() - 1]
+            frontier ^= low
+        frontier = grown & within & ~seen
+        seen |= frontier
+    return layers
+
+
+def ball(g: Graph, v: int, radius: int) -> int:
+    """Vertices within distance `radius` of v, as a bitmask (v included)."""
+    _check_vertex(g, v)
     if radius < 0:
         raise InputError(f"radius must be nonnegative, got {radius}")
-    seen = 1 << v
-    frontier = seen
-    for _ in range(radius):
-        grown = seen
-        for u in bits_of(frontier):
-            grown |= g.adj[u]
-        frontier = grown & ~seen
-        seen = grown
-        if not frontier:
-            break
-    return seen
+    return sum(_layers(g.adj, v)[:radius + 1])
 
 
 def distance(g: Graph, u: int, v: int) -> int:
     """BFS distance between u and v; -1 if disconnected."""
-    if u == v:
-        return 0
-    seen = 1 << u
-    frontier = seen
-    d = 0
-    while frontier:
-        d += 1
-        grown = seen
-        for w in bits_of(frontier):
-            grown |= g.adj[w]
-        frontier = grown & ~seen
-        seen = grown
-        if seen >> v & 1:
-            return d
-    return -1
+    _check_vertex(g, u)
+    _check_vertex(g, v)
+    return next((d for d, layer in enumerate(_layers(g.adj, u)) if layer >> v & 1), -1)
 
 
 def is_connected(g: Graph) -> bool:
-    return ball(g, 0, g.n) == g.full_mask()
+    return sum(_layers(g.adj, 0)) == g.full_mask()
 
 
 # ======================================================================

@@ -25,7 +25,8 @@ two (B_0 union B_2 and B_1 union B_3) and k >= 5 exactly one.
   side's components in lowest-vertex order.  A family-matching
   four-cluster braid has empty clusters (H at n = 11-13 and E at n = 14
   are the only such profiles; G and script-G always have k >= 5), so it
-  is complete bipartite, and prefix splits reach every size pair.
+  is complete bipartite, and prefix splits reach every size pair.  At
+  those n discovery returns the first split that a family certifies.
 * One: B_{-1} union B_1 is a co-component of G[N(0)] with at least two
   vertices, and B_0 is exactly the set of vertices joined to all of it
   (with k >= 5 no other cluster touches both flanks).  The flanks split
@@ -59,7 +60,7 @@ from .families import (
     h_sizes,
     script_g_multisets,
 )
-from .graphs import Graph, InputError, bits_of, mask_of, vertices_of
+from .graphs import Graph, InputError, _check_vertex, _layers, bits_of, mask_of, vertices_of
 
 COND_MISSING_JOIN = "missing-join"
 COND_STRAY_NEIGHBOR = "stray-neighbor"
@@ -117,8 +118,7 @@ def _check_partition(g: Graph, p: ClusterPartition) -> None:
         raise InputError("a braid needs at least 2 clusters")
     for c in p.clusters:
         for v in c:
-            if not 0 <= v < g.n:
-                raise InputError(f"cluster vertex {v} out of range for n={g.n}")
+            _check_vertex(g, v)
 
 
 def _find_violation(g: Graph, p: ClusterPartition) -> tuple[int, str] | None:
@@ -228,17 +228,10 @@ def _components(rows: tuple[int, ...], mask: int) -> list[int]:
     """Connected components of the subgraph induced by mask on the
     adjacency rows, ordered by lowest vertex."""
     comps = []
-    left = mask
-    while left:
-        comp = frontier = left & -left
-        while frontier:
-            v = (frontier & -frontier).bit_length() - 1
-            frontier &= frontier - 1
-            nbrs = rows[v] & mask & ~comp
-            comp |= nbrs
-            frontier |= nbrs
+    while mask:
+        comp = sum(_layers(rows, (mask & -mask).bit_length() - 1, mask))
         comps.append(comp)
-        left &= ~comp
+        mask &= ~comp
     return comps
 
 
@@ -326,11 +319,17 @@ def _partitions(g: Graph, complement: tuple[int, ...], comps: list[int]):
 
 
 def discover_cyclic_braid(g: Graph) -> ClusterPartition | None:
-    """First verified cyclic-braid partition in canonical order, if any.
-
-    Four-cluster braids can be partitioned in many valid ways; the one
-    returned favors the smallest cluster around vertex 0."""
-    return next(candidate_cyclic_partitions(g), None)
+    """First verified cyclic-braid partition in canonical order, if any;
+    where a family profile at n has four clusters (n = 11-14), the first
+    one that a family certifies, if any."""
+    candidates = candidate_cyclic_partitions(g)
+    first = next(candidates, None)
+    profiles = _family_profiles(g.n) if first is not None and first.k == 4 else {}
+    if any(len(m) == 4 for sizes in profiles.values() for m in sizes):
+        for part in itertools.chain([first], candidates):
+            if _match_families(g, part, profiles):
+                return part
+    return first
 
 
 # ======================================================================

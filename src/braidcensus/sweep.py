@@ -55,7 +55,7 @@ from .graphs import (
     Graph,
     InputError,
     InternalError,
-    ball,
+    _layers,
     canonical_code,
     vertices_of,
 )
@@ -363,26 +363,15 @@ class UniquenessReport:
         }
 
 
-def _layers_from(g: Graph, x: int) -> list[tuple[int, ...]]:
-    """Breadth-first distance layers seeded at x, as vertex tuples."""
-    layers = []
-    inner, r = 0, 0
-    while (outer := ball(g, x, r)) != inner:
-        layers.append(vertices_of(outer & ~inner))
-        inner, r = outer, r + 1
-    return layers
-
-
 def _path_braid_central(g: Graph, x: int, y: int) -> tuple[int, ...] | None:
     """Central cluster sizes if g is a path braid with end clusters {x}
     and {y} and admissible central sizes, else None.  In such a braid
     the clusters are exactly the distance layers from x, so recognition
     reduces to verifying that layering."""
-    layers = _layers_from(g, x)
-    covered = sum(len(layer) for layer in layers)
-    if covered != g.n or len(layers) < 3 or layers[-1] != (y,):
+    layers = _layers(g.adj, x)
+    if sum(layers) != g.full_mask() or len(layers) < 3 or layers[-1] != 1 << y:
         return None
-    part = ClusterPartition(tuple(layers), cyclic=False)
+    part = ClusterPartition(tuple(map(vertices_of, layers)), cyclic=False)
     if not verify_braid(g, part).verified:
         return None
     central = part.sizes()[1:-1]

@@ -1,19 +1,31 @@
-"""Core graph type, graph6 codec, balls, canonical labeling.
+"""Core graph type, graph6 codec, BFS layers and balls, canonical labeling.
 
 networkx is used as an independent oracle for graph6 encoding, BFS
-distances, and isomorphism; the package itself never imports it.
+layers and distances, components, and isomorphism; the package itself
+never imports it.
 """
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from braidcensus.census import count_cycles_through, count_induced_st_paths, path_tree_stats
+from braidcensus.families import build_H
+from braidcensus.game import (
+    GameState,
+    apply_move,
+    atypical_set,
+    is_bad,
+    local_structure,
+    solve_typical_game,
+)
 from braidcensus.graphs import (
     CANON_MAX_N,
     Graph,
     Graph6Error,
     InputError,
     UnsupportedError,
+    _layers,
     ball,
     canonical_code,
     distance,
@@ -26,6 +38,7 @@ from braidcensus.graphs import (
     to_graph6,
     vertices_of,
 )
+from braidcensus.recognition import _components
 
 
 @st.composite
@@ -221,6 +234,55 @@ def test_ball_input_errors():
         ball(g, 3, 1)
     with pytest.raises(InputError):
         ball(g, 0, -1)
+
+
+@given(graphs(max_n=12), st.data())
+@settings(max_examples=150, deadline=None)
+def test_layers_match_networkx_bfs_layers_of_an_induced_subgraph(g, data):
+    v = data.draw(st.integers(0, g.n - 1))
+    within = data.draw(st.integers(0, g.full_mask())) | 1 << v
+
+    def want(h):
+        return [mask_of(layer) for layer in nx.bfs_layers(h, v)]
+
+    assert _layers(g.adj, v, within) == want(to_nx(g).subgraph(vertices_of(within)))
+    assert _layers(g.adj, v) == want(to_nx(g))
+
+
+@given(graphs(max_n=12))
+@settings(max_examples=150, deadline=None)
+def test_components_match_networkx(g):
+    full = g.full_mask()
+    complement = tuple(full & ~g.closed(v) for v in range(g.n))
+    for rows, h in ((g.adj, to_nx(g)), (complement, nx.complement(to_nx(g)))):
+        want = sorted((mask_of(c) for c in nx.connected_components(h)),
+                      key=lambda m: m & -m)
+        assert _components(rows, full) == want
+
+
+VERTEX_CALLS = {
+    "ball": lambda g, x: ball(g, x, 1),
+    "distance-from": lambda g, x: distance(g, x, 0),
+    "distance-to": lambda g, x: distance(g, 0, x),
+    "count_cycles_through": count_cycles_through,
+    "count_induced_st_paths": lambda g, x: count_induced_st_paths(g, x, 1),
+    "path_tree_stats": lambda g, x: path_tree_stats(g, 0, x),
+    "local_structure": local_structure,
+    "atypical_set": atypical_set,
+    "solve_typical_game-v": lambda g, x: solve_typical_game(g, x, 7),
+    "solve_typical_game-w": lambda g, x: solve_typical_game(g, 0, x),
+    "GameState.start": GameState.start,
+    "apply_move": lambda g, x: apply_move(g, GameState.start(g, 0), x),
+    "is_bad": lambda g, x: is_bad(g, GameState.start(g, 0), x),
+}
+
+
+@pytest.mark.parametrize("name", VERTEX_CALLS)
+def test_every_vertex_argument_is_range_checked(name):
+    g, _ = build_H(15)
+    for x in (-1, g.n, g.n + 5):
+        with pytest.raises(InputError):
+            VERTEX_CALLS[name](g, x)
 
 
 # ----------------------------------------------------------------------

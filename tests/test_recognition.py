@@ -44,6 +44,7 @@ from braidcensus.recognition import (
     _family_profiles,
     _find_violation,
     _match_families,
+    candidate_cyclic_partitions,
     classify_family,
     classify_family_all,
     discover_cyclic_braid,
@@ -281,7 +282,7 @@ def test_discover_matches_builders():
     # With five or more clusters the partition is essentially unique and
     # discovery returns the builder's own clusters.  Four-cluster braids
     # admit many partitions (within a cluster's two flanks, neighborhoods
-    # coincide), so n = 11, 12, 13 only promise a verified find.
+    # coincide), so n = 11, 12, 13 promise a verified find with H's sizes.
     for n in itertools.chain(range(8, 11), range(14, 25)):
         g, p = build_H(n)
         found = discover_cyclic_braid(g)
@@ -291,6 +292,7 @@ def test_discover_matches_builders():
         found = discover_cyclic_braid(g)
         assert found is not None, f"H_{n}"
         assert verify_braid(g, found).verified
+        assert found.size_multiset() == p.size_multiset(), f"H_{n}"
     for n in range(15, 25):
         g, p = build_G(n)
         found = discover_cyclic_braid(g)
@@ -299,6 +301,46 @@ def test_discover_matches_builders():
         g, p = build_E(n)
         found = discover_cyclic_braid(g)
         assert found is not None and found.clusters == p.clusters, f"E_{n}"
+
+
+@pytest.mark.parametrize("builder, n", [(build_H, 11), (build_H, 12), (build_H, 13),
+                                        (build_E, 14)])
+def test_discover_prefers_a_family_certified_four_cluster_split(builder, n):
+    # The first prefix split of H(12) = K_{6,6} has sizes (1, 1, 5, 5);
+    # where a four-cluster profile exists at n, discovery goes on to the
+    # first split a family certifies, so recognize's family agrees with
+    # its families.
+    rng = random.Random(n)
+    g, p = builder(n)
+    for perm in (list(range(n)), rng.sample(range(n), n)):
+        h = relabel(g, perm)
+        found = discover_cyclic_braid(h)
+        assert found is not None and found.size_multiset() == p.size_multiset()
+        assert verify_braid(h, found).family == classify_family(h)
+    if n == 12:
+        first = next(candidate_cyclic_partitions(g))
+        assert first.size_multiset() == (1, 1, 5, 5)
+
+
+@pytest.mark.parametrize("a, b", [(5, 7), (5, 5), (60, 60)])
+def test_discover_returns_the_first_split_when_no_family_certifies(
+    monkeypatch, a, b
+):
+    # K_{5,7} has a four-cluster profile at n = 12 but no certified split;
+    # n = 10 and 120 have none, and one split is verified, not (a - 1)^2.
+    verified = []
+
+    def counting(g, p):
+        verified.append(p)
+        return _find_violation(g, p)
+
+    g = complete_bipartite(a, b)
+    first = next(candidate_cyclic_partitions(g))
+    assert verify_braid(g, first).family is None
+    monkeypatch.setattr(recognition, "_find_violation", counting)
+    assert discover_cyclic_braid(g) == first
+    if a + b != 12:
+        assert len(verified) == 1
 
 
 def test_discover_sound_on_random_graphs():
@@ -488,7 +530,7 @@ def planted_blowup(draw):
 
 
 def assert_matches_reference(g: Graph) -> None:
-    assert discover_cyclic_braid(g) == next(reference_partitions(g), None)
+    assert next(candidate_cyclic_partitions(g), None) == next(reference_partitions(g), None)
     assert classify_family_all(g) == reference_families(g)
 
 
