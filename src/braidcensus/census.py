@@ -83,9 +83,6 @@ from dataclasses import dataclass
 from .graphs import Graph, InputError, InternalError, UnsupportedError, bits_of
 from .graphs import _check_vertex, _layers
 
-# defined in graphs, which the CLI parser loads, and re-exported here
-from .graphs import CYCLE_QUANTITIES, PATH_QUANTITIES, QUANTITIES  # noqa: F401
-
 SLOW_CENSUS_MAX_N = 24
 
 
@@ -210,12 +207,12 @@ class TreeStats:
 # ======================================================================
 
 
-def _fold(adj, above: int, stop: int, close: int, start: int, blocked: int,
-          width: int, memo: dict) -> tuple[int, int]:
+def _fold(adj, above: int, stop: int, close: int, start: int, width: int,
+          memo: dict) -> tuple[int, int]:
     """Packed length histogram of the induced paths that grow from start
-    inside `above` and end at a vertex of `close`.  `blocked` holds the
-    vertices of `above` the path up to start may no longer use (start
-    included).  A vertex of `stop` is never passed through.
+    inside `above` and end at a vertex of `close`, with only start
+    blocked at the first step.  A vertex of `stop` is never passed
+    through.
 
     Returns (base, packed): field k of packed << (width * base) counts the
     completions whose closing vertex lies k steps beyond the vertex
@@ -226,7 +223,7 @@ def _fold(adj, above: int, stop: int, close: int, start: int, blocked: int,
     # the current frame: memo key, blocked below it, children left, and
     # its histogram as (base, packed); the first frame stands for the
     # vertex before start
-    key, nb, todo, base, acc = None, blocked, 1 << start, 0, 0
+    key, nb, todo, base, acc = None, 1 << start, 1 << start, 0, 0
     while True:
         if todo:
             bit = todo & -todo
@@ -319,7 +316,7 @@ def _cycles_through(adj, v: int, above: int, width: int,
         close = adj_v & (-1 << (u1 + 1))
         if close:
             memo: dict[tuple[int, int], tuple[int, ...]] = {}
-            base, packed = _fold(adj, above, adj_v, close, u1, 1 << u1, width, memo)
+            base, packed = _fold(adj, above, adj_v, close, u1, width, memo)
             if packed and credit is not None:
                 bases, packs = credit
                 bases[v], packs[v] = _add((bases[v], packs[v]), base, packed, width)
@@ -495,7 +492,7 @@ def count_induced_st_paths(g: Graph, x: int, y: int) -> PathCensus:
         # carries xy as a chord
         return PathCensus({1: 1})
     width = g.n + 1
-    base, packed = _fold(g.adj, g.full_mask(), ybit, ybit, x, 1 << x, width, {})
+    base, packed = _fold(g.adj, g.full_mask(), ybit, ybit, x, width, {})
     # k steps from the vertex before x to y make a path of k - 1 edges
     return PathCensus(_unpack(packed << (width * base), width, -1))
 

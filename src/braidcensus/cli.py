@@ -36,7 +36,6 @@ import argparse
 import json
 import os
 import sys
-from typing import TYPE_CHECKING
 
 # Each handler imports the engine it runs, so a call compiles and loads
 # only the modules on its own path; graphs holds what the parser needs.
@@ -49,9 +48,6 @@ from .graphs import (
     parse_graph6,
     to_graph6,
 )
-
-if TYPE_CHECKING:
-    from .families import ClusterPartition
 
 CHECKPOINT_DIR_VAR = "BRAIDCENSUS_CHECKPOINT_DIR"
 
@@ -82,31 +78,6 @@ def _load_graph(text: str) -> Graph:
     return parse_graph6(text)
 
 
-def _build_family(tag: str, n: int, variant: int) -> tuple[Graph, ClusterPartition]:
-    from .families import (
-        build_E,
-        build_G,
-        build_H,
-        member_of_F,
-        members_of_script_G,
-    )
-
-    if tag in ("H", "G", "E"):
-        if variant != 0:
-            raise InputError(f"family {tag} has a single variant per n")
-        builder = {"H": build_H, "G": build_G, "E": build_E}[tag]
-        return builder(n)
-    if tag in ("F", "F_odd", "F_even"):
-        parity = {"F": "all", "F_odd": "odd", "F_even": "even"}[tag]
-        return member_of_F(n, parity=parity, variant=variant)
-    if tag == "G_script":
-        for i, member in enumerate(members_of_script_G(n)):
-            if i == variant:
-                return member
-        raise InputError(f"G_script at n={n} has no variant {variant}")
-    raise InputError(f"unknown family {tag!r}")
-
-
 def _graph_argument(args: argparse.Namespace) -> Graph:
     """Resolve the one allowed input source of count/paths."""
     if args.input is not None:
@@ -115,7 +86,9 @@ def _graph_argument(args: argparse.Namespace) -> Graph:
         return _load_graph(args.input)
     if args.family is None or args.n is None:
         raise InputError("need an input source: --input, or --family with --n")
-    return _build_family(args.family, args.n, args.variant)[0]
+    from .families import build_family
+
+    return build_family(args.family, args.n, args.variant)[0]
 
 
 def _add_graph_source(sub: argparse.ArgumentParser, family_too: bool) -> None:
@@ -132,7 +105,9 @@ def _add_graph_source(sub: argparse.ArgumentParser, family_too: bool) -> None:
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    g, part = _build_family(args.family, args.n, args.variant)
+    from .families import build_family
+
+    g, part = build_family(args.family, args.n, args.variant)
     if args.out == "g6":
         print(to_graph6(g), flush=True)
     else:

@@ -22,6 +22,8 @@ clusters at the lowest indices, so output is reproducible):
 * members_of_script_G(n): one representative per (size multiset, necklace
   placement, empty/full intra) for the odd-hole family, including the
   extra four-2s multiset at n = 5 mod 6.
+* build_family(tag, n, variant): the one member the CLI names, built
+  without the others.
 """
 
 from __future__ import annotations
@@ -283,13 +285,8 @@ def f_central_sequences(n: int, parity: str = "all") -> list[tuple[int, ...]]:
     multisets in table order, then the lexicographically smallest
     representative of each reversal class, ascending.
     """
-    seqs: list[tuple[int, ...]] = []
-    for multiset in f_central_multisets(n, parity):
-        reps = set()
-        for perm in _orderings(multiset):
-            reps.add(min(perm, tuple(reversed(perm))))
-        seqs.extend(sorted(reps))
-    return seqs
+    return [seq for multiset in f_central_multisets(n, parity)
+            for seq in _arrangements(multiset, cyclic=False)]
 
 
 def member_of_F(
@@ -334,55 +331,76 @@ def script_g_multisets(n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def _others(multiset: tuple[int, ...]) -> list[int]:
-    """The sizes other than 3, all equal in an admissible multiset."""
+def _arrangements(multiset: tuple[int, ...], cyclic: bool) -> list[tuple[int, ...]]:
+    """The orderings of a multiset up to reversal, and rotation when
+    cyclic, each as the least ordering of its class, ascending.
+
+    The k sizes other than 3 cut the 3s into k + 1 runs in a row, or k
+    around a ring.  A row is kept when it is at most its reversal.  Rings
+    compare as their runs do (in reverse for a 4, which exceeds 3), so a
+    ring is kept at its best run tuple under rotation and reversal."""
     others = [s for s in multiset if s != 3]
     if len(set(others)) > 1:
         raise InternalError(f"multiset {multiset} has two sizes other than 3")
-    return others
-
-
-def _orderings(multiset: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """The distinct orderings of a multiset: one per choice of positions
-    for the sizes other than 3."""
-    others = _others(multiset)
-    for spots in itertools.combinations(range(len(multiset)), len(others)):
-        seq = [3] * len(multiset)
-        for i in spots:
-            seq[i] = others[0]
-        yield tuple(seq)
-
-
-def _necklace_classes(multiset: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Distinct circular arrangements up to rotation and reflection,
-    each as its lexicographically minimal representative, sorted.
-
-    The k sizes other than 3 cut the ring into k runs of 3s, so a class
-    is a cyclic sequence of run lengths up to rotation and reversal."""
-    others = _others(multiset)
     k, t = len(others), len(multiset) - len(others)
     if not k:
         return [multiset]
-    classes = []
-    # k - 1 cuts among t + k - 1 slots split the t threes into k runs
-    for cuts in itertools.combinations(range(t + k - 1), k - 1):
-        runs = [b - a - 1 for a, b in zip((-1,) + cuts, cuts + (t + k - 1,))]
-        turns = [runs[r:] + runs[:r] for r in range(k)]
-        if runs == min(turns + [turn[::-1] for turn in turns]):
-            ring = tuple(size for run in runs for size in [others[0]] + [3] * run)
-            classes.append(min(seq[r:] + seq[:r] for seq in (ring, ring[::-1])
-                               for r in range(len(ring))))
-    return sorted(classes)
+    other = others[0]
+    best = min if other < 3 else max
+    slots = t + k - cyclic
+    out = []
+    # cuts in ascending order: orderings ascend for a 2, descend for a 4
+    for cuts in itertools.combinations(range(slots), k - cyclic):
+        seq = [3] * slots
+        for c in cuts:
+            seq[c] = other
+        if cyclic:
+            runs = tuple(b - a - 1 for a, b in zip((-1,) + cuts, cuts + (slots,)))
+            turns = [runs[r:] + runs[:r] for r in range(k)]
+            if runs != best(turns + [turn[::-1] for turn in turns]):
+                continue
+            # the least rotation starts at a 2, or ends at a 4
+            seq = [other] + seq if other < 3 else seq + [other]
+        elif seq > seq[::-1]:
+            continue
+        out.append(tuple(seq))
+    return out if other < 3 else out[::-1]
+
+
+def _script_g_rings(n: int) -> list[tuple[int, ...]]:
+    """The cluster sizes around each script-G ring, in member order."""
+    return [ring for multiset in script_g_multisets(n)
+            for ring in _arrangements(multiset, cyclic=True)]
 
 
 def members_of_script_G(n: int) -> Iterator[tuple[Graph, ClusterPartition]]:
     """One representative per (size multiset, necklace placement,
     empty/full intra) for the odd-hole extremal family."""
     _check_size(n)
-    for multiset in script_g_multisets(n):
-        for arrangement in _necklace_classes(multiset):
-            for intra in ("empty", "full"):
-                yield build_braid(BraidSpec(arrangement, cyclic=True, intra=intra))
+    for ring in _script_g_rings(n):
+        for intra in ("empty", "full"):
+            yield build_braid(BraidSpec(ring, cyclic=True, intra=intra))
+
+
+def build_family(tag: str, n: int, variant: int) -> tuple[Graph, ClusterPartition]:
+    """The variant-th member of a named family at n, built alone: F
+    variants index f_central_sequences, script-G variant v is ring
+    v // 2 of members_of_script_G, empty for even v and full for odd."""
+    if tag in ("H", "G", "E"):
+        if variant != 0:
+            raise InputError(f"family {tag} has a single variant per n")
+        return {"H": build_H, "G": build_G, "E": build_E}[tag](n)
+    if tag == "G_script":
+        _check_size(n)
+        rings = _script_g_rings(n)
+        if not 0 <= variant < 2 * len(rings):
+            raise InputError(f"G_script at n={n} has no variant {variant}")
+        intra = ("empty", "full")[variant % 2]
+        return build_braid(BraidSpec(rings[variant // 2], cyclic=True, intra=intra))
+    parity = {"F": "all", "F_odd": "odd", "F_even": "even"}.get(tag)
+    if parity is None:
+        raise InputError(f"unknown family {tag!r}")
+    return member_of_F(n, parity=parity, variant=variant)
 
 
 # ======================================================================

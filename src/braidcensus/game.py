@@ -288,7 +288,7 @@ def atypical_set(g: Graph, v: int) -> AtypicalReport:
     if not is_connected(g):
         raise InputError("the game needs a connected graph")
     # radius-4 balls by squaring closed neighborhoods: B2 = B1 B1, B4 = B2 B2
-    b1 = [g.closed(x) for x in range(g.n)]
+    b1 = [row | 1 << x for x, row in enumerate(g.adj)]
     b2 = _compose(b1, b1)
     b4 = _compose(b2, b2)
     exempt_mask = b4[v]

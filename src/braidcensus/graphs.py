@@ -143,6 +143,8 @@ class Graph:
 
     def with_edge(self, u: int, v: int) -> "Graph":
         """Return a copy with edge (u, v) added."""
+        _check_vertex(self, u)
+        _check_vertex(self, v)
         if u == v:
             raise InputError(f"loop at vertex {u}")
         rows = list(self.adj)
@@ -152,6 +154,8 @@ class Graph:
 
     def without_edge(self, u: int, v: int) -> "Graph":
         """Return a copy with edge (u, v) removed (must be present)."""
+        _check_vertex(self, u)
+        _check_vertex(self, v)
         if not self.adj[u] >> v & 1:
             raise InputError(f"no edge ({u},{v}) to remove")
         rows = list(self.adj)
@@ -172,12 +176,16 @@ class Graph:
     # -- queries ---------------------------------------------------------
 
     def has_edge(self, u: int, v: int) -> bool:
+        _check_vertex(self, u)
+        _check_vertex(self, v)
         return bool(self.adj[u] >> v & 1)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
+        _check_vertex(self, v)
         return vertices_of(self.adj[v])
 
     def degree(self, v: int) -> int:
+        _check_vertex(self, v)
         return self.adj[v].bit_count()
 
     def edges(self) -> list[tuple[int, int]]:
@@ -196,6 +204,7 @@ class Graph:
 
     def closed(self, v: int) -> int:
         """Closed neighborhood N[v] as a mask."""
+        _check_vertex(self, v)
         return self.adj[v] | (1 << v)
 
     def closed_of(self, mask: int) -> int:

@@ -105,7 +105,8 @@ def _intra_pattern(g: Graph, cluster: tuple[int, ...]) -> str:
     s = len(cluster)
     if s < 2:
         return "empty"
-    have = sum(1 for a, b in itertools.combinations(cluster, 2) if g.has_edge(a, b))
+    inside = mask_of(cluster)
+    have = sum((g.adj[v] & inside).bit_count() for v in cluster) // 2
     if have == 0:
         return "empty"
     if have == s * (s - 1) // 2:
@@ -285,7 +286,7 @@ def _co_components(g: Graph) -> tuple[tuple[int, ...], list[int]]:
     """The rows of the complement of g and its components, the
     co-components of g, ordered by lowest vertex."""
     full = g.full_mask()
-    complement = tuple(full & ~g.closed(v) for v in range(g.n))
+    complement = tuple(full & ~(row | 1 << v) for v, row in enumerate(g.adj))
     return complement, _components(complement, full)
 
 
@@ -405,7 +406,9 @@ def maximal_3braids(g: Graph) -> list[ClusterPartition]:
     triple pairs, which is tiny outside of dense near-complete graphs."""
     if g.n < 6:
         return []
-    found: dict[tuple, int] = {}
+    # one entry per cluster set: its least chain or reversal, and the
+    # vertex mask, which every chain on that cluster set shares
+    found: dict[frozenset, tuple[tuple, int]] = {}
 
     def grow(chain: tuple[tuple[int, ...], ...], used: int) -> None:
         inner = chain[-2] if len(chain) >= 2 else None
@@ -419,26 +422,17 @@ def maximal_3braids(g: Graph) -> list[ClusterPartition]:
         left_inner = chain[1]
         if _triple_extensions(g, chain[0], left_inner, used):
             return
-        key = min(chain, tuple(reversed(chain)))
-        found.setdefault(key, used)
+        least = min(chain, chain[::-1])
+        key = frozenset(least)
+        if key not in found or least < found[key][0]:
+            found[key] = (least, used)
 
     for seed in itertools.combinations(range(g.n), 3):
         grow((seed,), mask_of(seed))
 
-    chains = list(found.items())
-    kept = [
-        (chain, mask)
-        for chain, mask in chains
-        if not any(
-            mask != other and mask | other == other for _, other in chains
-        )
-    ]
-    by_cluster_set: dict[frozenset, tuple] = {}
-    for chain, _ in kept:
-        key = frozenset(chain)
-        if key not in by_cluster_set or chain < by_cluster_set[key]:
-            by_cluster_set[key] = chain
+    masks = [mask for _, mask in found.values()]
     return [
         ClusterPartition(chain, cyclic=False)
-        for chain in sorted(by_cluster_set.values())
+        for chain, mask in sorted(found.values())
+        if not any(mask != other and mask | other == other for other in masks)
     ]

@@ -45,7 +45,7 @@ from .census import (
     p2_max,
     slow_census,
 )
-from .families import ClusterPartition, f_central_sequences
+from .families import ClusterPartition, f_central_multisets
 from .formulas import ExactCount
 from .graphs import (
     CYCLE_QUANTITIES,
@@ -375,8 +375,8 @@ def _path_braid_central(g: Graph, x: int, y: int) -> tuple[int, ...] | None:
     if not verify_braid(g, part).verified:
         return None
     central = part.sizes()[1:-1]
-    allowed = set(f_central_sequences(g.n))
-    if min(central, central[::-1]) not in allowed:
+    # every ordering of an admissible multiset is admissible
+    if tuple(sorted(central)) not in f_central_multisets(g.n):
         return None
     return central
 

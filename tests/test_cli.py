@@ -18,7 +18,8 @@ import braidcensus
 from braidcensus.cli import _load_graph, main
 from braidcensus import sweep
 from braidcensus.census import count_induced_cycles
-from braidcensus.families import build_H
+from braidcensus import families
+from braidcensus.families import build_braid, build_H, members_of_script_G
 from braidcensus.formulas import f2
 from braidcensus.graphs import InputError, to_graph6
 from braidcensus.sweep import exhaustive_max
@@ -72,6 +73,45 @@ def test_construct_bad_variant(capsys):
     code, _, err = run(capsys, "construct", "--family", "F", "--n", "6",
                        "--variant", "9")
     assert code == 2 and "variant" in err
+
+
+def _construct_doc(g, part):
+    return {"n": g.n, "g6": to_graph6(g), **part.to_json_dict()}
+
+
+def test_construct_builds_only_the_member_asked_for(capsys, monkeypatch):
+    members = list(members_of_script_G(30))
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return build_braid(spec)
+
+    monkeypatch.setattr(families, "build_braid", counted)
+    code, doc, _ = run_json(capsys, "construct", "--family", "G_script", "--n", "30",
+                            "--variant", str(len(members) - 1), "--out", "json")
+    assert code == 0 and len(calls) == 1
+    assert doc == _construct_doc(*members[-1])
+
+
+# variant count and error message of every family at n = 20
+VARIANTS_AT_20 = {
+    "H": (1, "family H has a single variant per n"),
+    "E": (1, "family E has a single variant per n"),
+    "F": (1, "variant {v} out of range: all family at n=20 has 1 variants"),
+    "F_odd": (19, "variant {v} out of range: odd family at n=20 has 19 variants"),
+    "F_even": (1, "variant {v} out of range: even family at n=20 has 1 variants"),
+    "G_script": (2, "G_script at n=20 has no variant {v}"),
+}
+
+
+@pytest.mark.parametrize("family", VARIANTS_AT_20)
+def test_construct_variant_out_of_range_exits_2(capsys, family):
+    count, message = VARIANTS_AT_20[family]
+    for v in (count, -1):
+        code, out, err = run(capsys, "construct", "--family", family, "--n", "20",
+                             "--variant", str(v))
+        assert (code, out, err) == (2, "", f"error: {message.format(v=v)}\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -622,8 +662,10 @@ SWEEP = {"census", "families", "formulas", "recognition", "sweep"}
 
 @pytest.mark.parametrize("argv, engines", [
     (("construct", "--family", "H", "--n", "12"), {"families"}),
+    (("construct", "--family", "G_script", "--n", "23", "--variant", "5"), {"families"}),
     (("count", "--input", H15_G6), {"census"}),
     (("count", "--family", "H", "--n", "12"), {"census", "families"}),
+    (("count", "--family", "F_odd", "--n", "20"), {"census", "families"}),
     (("paths", "--input", H15_G6, "--x", "0", "--y", "6"), {"census"}),
     (("paths", "--family", "G", "--n", "14", "--x", "0", "--y", "8"),
      {"census", "families"}),
@@ -652,6 +694,9 @@ def test_each_subcommand_loads_only_its_engines(tmp_path, argv, engines):
         f"braidcensus.{name}" for name in engines | {"cli", "graphs"})
 
 
+G20_LAST = len(list(members_of_script_G(20))) - 1
+
+
 @pytest.mark.parametrize("argv, answer", [
     (("verify", "--n", "5", "--quantity", "m"),
      lambda: exhaustive_max(5, "m").to_json_dict()),
@@ -659,6 +704,9 @@ def test_each_subcommand_loads_only_its_engines(tmp_path, argv, engines):
      lambda: count_induced_cycles(build_H(12)[0]).to_json_dict(n=12)),
     (("formula", "--name", "f2", "--n", "40"),
      lambda: {"name": "f2", "n": 40, "value": str(f2(40).value)}),
+    (("construct", "--family", "G_script", "--n", "20", "--variant", str(G20_LAST),
+      "--out", "json"),
+     lambda: _construct_doc(*list(members_of_script_G(20))[G20_LAST])),
 ])
 def test_cli_under_python_O_gives_the_library_answer(argv, answer):
     # -O strips assert: the lazy imports and the internal cross-checks

@@ -19,6 +19,7 @@ from braidcensus.families import (
     build_E,
     build_G,
     build_H,
+    build_family,
     e_sizes,
     f_central_multisets,
     f_central_sequences,
@@ -298,14 +299,16 @@ def test_orderings_match_the_permutation_walk():
         for parity in ("all", "odd", "even"):
             walk = []
             for multiset in f_central_multisets(n, parity):
-                walk += sorted({min(p, p[::-1]) for p in distinct_permutations(multiset)})
+                classes = sorted({min(p, p[::-1]) for p in distinct_permutations(multiset)})
+                assert families._arrangements(multiset, cyclic=False) == classes
+                walk += classes
             assert f_central_sequences(n, parity) == walk
         for multiset in script_g_multisets(max(n, 14)):
             walk = {
                 min(seq[r:] + seq[:r] for seq in (p, p[::-1]) for r in range(len(p)))
                 for p in distinct_permutations(multiset)
             }
-            assert families._necklace_classes(multiset) == sorted(walk)
+            assert families._arrangements(multiset, cyclic=True) == sorted(walk)
 
 
 # ----------------------------------------------------------------------
@@ -339,6 +342,24 @@ def test_script_g_members_17_count_and_multisets():
     assert multisets == {(3, 3, 3, 4, 4), (2, 2, 2, 2, 3, 3, 3)}
     for g, p in members:
         check_braid_structure(g, p)
+
+
+def test_build_family_matches_the_family_builders():
+    # one member built alone equals the same member of the whole family
+    for n in range(14, 41):
+        members = list(members_of_script_G(n))
+        assert [build_family("G_script", n, v) for v in range(len(members))] == members
+        for tag, parity in (("F", "all"), ("F_odd", "odd"), ("F_even", "even")):
+            count = len(f_central_sequences(n, parity))
+            for v in range(count):
+                assert build_family(tag, n, v) == member_of_F(n, parity, v)
+        for tag, builder in (("H", build_H), ("G", build_G), ("E", build_E)):
+            assert build_family(tag, n, 0) == builder(n)
+        for tag, count in (("G_script", len(members)), ("F", len(f_central_sequences(n))),
+                           ("H", 1)):
+            for v in (count, -1):
+                with pytest.raises(InputError):
+                    build_family(tag, n, v)
 
 
 def test_cluster_partition_validation():

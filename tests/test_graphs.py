@@ -274,6 +274,15 @@ VERTEX_CALLS = {
     "GameState.start": GameState.start,
     "apply_move": lambda g, x: apply_move(g, GameState.start(g, 0), x),
     "is_bad": lambda g, x: is_bad(g, GameState.start(g, 0), x),
+    "Graph.with_edge-u": lambda g, x: g.with_edge(x, 2),
+    "Graph.with_edge-v": lambda g, x: g.with_edge(0, x),
+    "Graph.without_edge-u": lambda g, x: g.without_edge(x, 1),
+    "Graph.without_edge-v": lambda g, x: g.without_edge(0, x),
+    "Graph.has_edge-u": lambda g, x: g.has_edge(x, 1),
+    "Graph.has_edge-v": lambda g, x: g.has_edge(0, x),
+    "Graph.degree": Graph.degree,
+    "Graph.neighbors": Graph.neighbors,
+    "Graph.closed": Graph.closed,
 }
 
 

@@ -20,8 +20,8 @@ import braidcensus
 from braidcensus import sweep
 from braidcensus.families import member_of_F, build_H
 from braidcensus.formulas import ExactCount, f2
-from braidcensus.census import QUANTITIES
 from braidcensus.graphs import (
+    QUANTITIES,
     CanonicalCode,
     Graph,
     InputError,
