@@ -16,18 +16,15 @@ path to a file whose first non-empty line is one.  Subcommands that
 also accept --family/--n build the requested family member instead;
 exactly one input source must be given.
 
-Sharded sweeps checkpoint to sweep_<quantity>_n<n>_s<shards>_classes.txt
-in the directory named by BRAIDCENSUS_CHECKPOINT_DIR; the "_classes" tag
-keeps files of the older labelled-code shards, which covered other
-graphs, from being read.  The file is opened before the shard is swept,
-so a bad directory fails at once.  Each finished shard appends one
-"shard,max,codes..." line in a single write, completed shards are
-skipped on rerun, and --merge combines a fully checkpointed run.  A last
-line without its newline is an append cut short by a killed shard: it
-counts as unwritten, so that shard reruns, and the next append cuts it
-off.  Every complete line read back is checked (each code must be
-canonical and score the line's max) and lines for the same shard must
-agree; otherwise verify exits 2.
+Sharded sweeps checkpoint in the directory named by
+BRAIDCENSUS_CHECKPOINT_DIR, one file per shard: finished shard i of K
+writes its "shard,max,codes..." line to a temporary file, created before
+the sweep so that a bad directory fails at once, and moves it to
+sweep_<quantity>_n<n>_s<K>_<i>.txt with os.replace, so a reader sees the
+whole line or no file.  A finished shard is replayed, not rescanned, and
+--merge combines the K files.  Every line read back must carry its
+file's shard index and codes that are canonical on n vertices and score
+its max; otherwise verify exits 2.  Files of older layouts are not read.
 """
 
 from __future__ import annotations
@@ -177,57 +174,52 @@ def _cmd_atypical(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _checkpoint_path(n: int, quantity: str, shards: int) -> str | None:
+def _checkpoint_path(args: argparse.Namespace, shard: int) -> str | None:
     directory = os.environ.get(CHECKPOINT_DIR_VAR)
-    if directory is None:
+    if directory is None or args.shards < 2:
         return None
-    return os.path.join(
-        directory, f"sweep_{quantity}_n{n}_s{shards}_classes.txt"
-    )
+    name = f"sweep_{args.quantity}_n{args.n}_s{args.shards}_{shard}.txt"
+    return os.path.join(directory, name)
 
 
-def _read_checkpoints(path: str, n: int, quantity: str, shards: int) -> dict:
-    """Finished shards by index.  A last line without its newline is an
-    append cut short by a killed shard: it counts as unwritten, so that
-    shard reruns."""
+def _read_checkpoint(path: str, args: argparse.Namespace, shard: int):
+    """The result a finished shard left in its file, or None if it left none."""
     from . import sweep
 
-    done = {}
-    if os.path.isfile(path):
-        with open(path, encoding="ascii") as fh:
-            for line in fh:
-                if not line.endswith("\n"):
-                    break
-                if line.strip():
-                    shard, result = sweep.parse_checkpoint_line(
-                        n, quantity, shards, line
-                    )
-                    if done.setdefault(shard, result) != result:
-                        raise InputError(
-                            f"checkpoint {path} has conflicting lines "
-                            f"for shard {shard}"
-                        )
-    return done
-
-
-def _append_checkpoint(path: str, line: str) -> None:
-    """Append one finished shard's line in a single write on an O_APPEND
-    descriptor, under an exclusive lock so that shards finishing together
-    take turns.  A torn last line (see _read_checkpoints) is cut off
-    first: the new line starts on a fresh line, and the torn one cannot
-    turn into a complete, malformed line."""
-    import fcntl  # POSIX only; nothing else in the CLI needs it
-
-    fd = os.open(path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
     try:
-        fcntl.flock(fd, fcntl.LOCK_EX)
-        size = os.fstat(fd).st_size
-        keep = os.pread(fd, size, 0).rfind(b"\n") + 1
-        if keep < size:
-            os.ftruncate(fd, keep)
-        os.write(fd, (line + "\n").encode("ascii"))
-    finally:
-        os.close(fd)
+        with open(path, encoding="ascii") as fh:
+            text = fh.read()
+    except FileNotFoundError:
+        return None
+    found, result = sweep.parse_checkpoint_line(args.n, args.quantity, args.shards, text)
+    if found != shard:
+        raise InputError(f"checkpoint {path} holds the line of shard {found}")
+    return result
+
+
+def _sweep_shard(args: argparse.Namespace, path: str | None):
+    """Sweep one shard; with a checkpoint path, its line goes to a
+    temporary file, created before the sweep so that a bad directory
+    fails at once, then moved into place by os.replace."""
+    from . import sweep
+
+    def run():
+        return sweep.exhaustive_max(args.n, args.quantity, long_run=args.long_run,
+                                    shards=args.shards, shard=args.shard)
+
+    if path is None:
+        return run()
+    temp = f"{path}.{os.getpid()}.tmp"
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w", encoding="ascii") as fh:
+            result = run()
+            fh.write(sweep.checkpoint_line(args.shard, result) + "\n")
+        os.replace(temp, path)
+    except BaseException:
+        os.remove(temp)
+        raise
+    return result
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -235,41 +227,24 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
     if args.shards < 1:
         raise InputError("--shards must be at least 1")
-    path = None
-    if args.shards > 1:
-        path = _checkpoint_path(args.n, args.quantity, args.shards)
     if args.merge:
-        if args.shards < 2 or path is None:
+        if _checkpoint_path(args, 0) is None:
             raise InputError(
                 f"--merge needs --shards > 1 and {CHECKPOINT_DIR_VAR} set"
             )
-        done = _read_checkpoints(path, args.n, args.quantity, args.shards)
-        missing = sorted(set(range(args.shards)) - set(done))
+        # n and the shard count are checked before any file is read
+        sweep.shard_range(args.n, args.shards, 0)
+        parts = [_read_checkpoint(_checkpoint_path(args, i), args, i)
+                 for i in range(args.shards)]
+        missing = [i for i, part in enumerate(parts) if part is None]
         if missing:
             raise InputError(f"checkpoint incomplete, missing shards {missing}")
-        result = sweep.merge_sweeps([done[i] for i in sorted(done)])
+        result = sweep.merge_sweeps(parts)
     else:
-        done = (
-            _read_checkpoints(path, args.n, args.quantity, args.shards)
-            if path
-            else {}
-        )
-        if args.shard in done:
-            result = done[args.shard]
-        else:
-            if path is not None:
-                # fail on the checkpoint before the sweep, not after it
-                flags = os.O_WRONLY | os.O_APPEND | os.O_CREAT
-                os.close(os.open(path, flags, 0o666))
-            result = sweep.exhaustive_max(
-                args.n,
-                args.quantity,
-                long_run=args.long_run,
-                shards=args.shards,
-                shard=args.shard,
-            )
-            if path is not None:
-                _append_checkpoint(path, sweep.checkpoint_line(args.shard, result))
+        path = _checkpoint_path(args, args.shard)
+        result = None if path is None else _read_checkpoint(path, args, args.shard)
+        if result is None:
+            result = _sweep_shard(args, path)
     _emit(result.to_json_dict())
     if args.expect is not None and result.max.value != args.expect:
         print(

@@ -385,13 +385,17 @@ def verify_extremal_uniqueness(
     n: int, sweep: SweepResult | None = None
 ) -> UniquenessReport:
     """Confirm the path-maximum extremal graphs are path braids with the
-    achieving pair as end clusters, for 4 <= n <= 7."""
+    achieving pair as end clusters, for 4 <= n <= 7; a given sweep must
+    cover all 2^C(n,2) graphs."""
     if not 4 <= n <= 7:
         raise InputError(f"uniqueness check supports 4 <= n <= 7, got {n}")
     if sweep is None:
         sweep = exhaustive_max(n, "p2")
     if (sweep.n, sweep.quantity) != (n, "p2"):
         raise InputError("uniqueness check needs a p2 sweep for the same n")
+    if sweep.graphs_scanned != 1 << (n * (n - 1) // 2):
+        # a shard's maximum and codes need not be the sweep's
+        raise InputError("uniqueness check needs a full sweep, not a shard")
     best = sweep.max.value
     bad: set[str] = set()
     multisets: set[tuple[int, ...]] = set()

@@ -9,6 +9,7 @@ forced in test_sweep.py under python -O.
 
 import json
 import os
+import signal
 import subprocess
 import sys
 
@@ -273,16 +274,27 @@ def test_verify_expect(capsys):
 def test_verify_sharded_checkpoints(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("BRAIDCENSUS_CHECKPOINT_DIR", str(tmp_path))
     args = ("verify", "--n", "5", "--quantity", "p2", "--shards", "3")
+    docs = []
     for shard in range(3):
         code, doc, _ = run_json(capsys, *args, "--shard", str(shard))
         assert code == 0
-    checkpoint = tmp_path / "sweep_p2_n5_s3_classes.txt"
-    assert len(checkpoint.read_text().splitlines()) == 3
+        docs.append(doc)
+    # one file per shard, holding its line and nothing else
+    files = sorted(tmp_path.iterdir())
+    assert [path.name for path in files] == [
+        f"sweep_p2_n5_s3_{shard}.txt" for shard in range(3)]
+    texts = [path.read_text() for path in files]
+    assert texts == [
+        sweep.checkpoint_line(i, exhaustive_max(5, "p2", shards=3, shard=i)) + "\n"
+        for i in range(3)]
 
-    # a completed shard is replayed from the checkpoint, not rescanned
-    code, replayed, _ = run_json(capsys, *args, "--shard", "1")
-    assert code == 0
-    assert len(checkpoint.read_text().splitlines()) == 3
+    # a completed shard is replayed from its file, not rescanned
+    calls = []
+    with monkeypatch.context() as patch:
+        patch.setattr(sweep, "exhaustive_max", lambda *a, **k: calls.append(a))
+        code, replayed, _ = run_json(capsys, *args, "--shard", "1")
+    assert code == 0 and replayed == docs[1] and calls == []
+    assert [path.read_text() for path in sorted(tmp_path.iterdir())] == texts
 
     code, merged, _ = run_json(capsys, *args, "--merge")
     assert code == 0
@@ -290,30 +302,124 @@ def test_verify_sharded_checkpoints(tmp_path, capsys, monkeypatch):
     assert merged == full
 
 
-def test_concurrent_shards_append_to_one_checkpoint(tmp_path):
-    # the parallel recipe: one process per shard, started together
-    src = os.path.dirname(os.path.dirname(braidcensus.__file__))
-    env = dict(os.environ, PYTHONPATH=src, BRAIDCENSUS_CHECKPOINT_DIR=str(tmp_path))
-    args = [sys.executable, "-m", "braidcensus.cli", "verify", "--n", "6",
-            "--quantity", "p2", "--shards", "2"]
-    procs = [
-        subprocess.Popen(args + ["--shard", str(i)], stdout=subprocess.PIPE,
-                         stderr=subprocess.PIPE, text=True, env=env)
-        for i in range(2)
-    ]
+def _verify_env(directory):
+    return dict(os.environ, PYTHONPATH=SRC, BRAIDCENSUS_CHECKPOINT_DIR=str(directory))
+
+
+def _communicate(procs):
+    """Wait for every process; (exit code, stdout, stderr) of each."""
     try:
         outs = [proc.communicate(timeout=120) for proc in procs]
     finally:
         for proc in procs:
             proc.kill()
-    assert [proc.returncode for proc in procs] == [0, 0], outs
-    text = (tmp_path / "sweep_p2_n6_s2_classes.txt").read_text()
-    assert text.endswith("\n")
-    assert sorted(line.split(",")[0] for line in text.splitlines()) == ["0", "1"]
+    return [(proc.returncode, *out) for proc, out in zip(procs, outs)]
+
+
+def test_concurrent_shards_write_their_own_checkpoints(tmp_path):
+    # the parallel recipe: one process per shard, started together
+    env = _verify_env(tmp_path)
+    args = [sys.executable, "-m", "braidcensus.cli", "verify", "--n", "6",
+            "--quantity", "p2", "--shards", "2"]
+    results = _communicate([
+        subprocess.Popen(args + ["--shard", str(i)], stdout=subprocess.PIPE,
+                         stderr=subprocess.PIPE, text=True, env=env)
+        for i in range(2)
+    ])
+    assert [code for code, _, _ in results] == [0, 0], results
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "sweep_p2_n6_s2_0.txt", "sweep_p2_n6_s2_1.txt"]
+    for i in range(2):
+        text = (tmp_path / f"sweep_p2_n6_s2_{i}.txt").read_text()
+        assert text.startswith(f"{i},") and text.count("\n") == 1
     merged = subprocess.run(args + ["--merge"], capture_output=True, text=True,
                             env=env, timeout=120)
     assert merged.returncode == 0, merged.stderr
     assert merged.stdout == json.dumps(exhaustive_max(6, "p2").to_json_dict()) + "\n"
+
+
+# runs verify with the sweep replaced: STALL reports that the sweep has
+# begun and never returns; TOGETHER sweeps only once as many processes as
+# its second argument says have reached the sweep (or after 30 s), so
+# that all of them hold their temporary files at once
+STALL_SCRIPT = """
+import sys, time
+from braidcensus import sweep
+from braidcensus.cli import main
+
+def stall(*args, **kwargs):
+    print("sweeping", file=sys.stderr, flush=True)
+    time.sleep(600)
+
+sweep.exhaustive_max = stall
+sys.exit(main(sys.argv[1:]))
+"""
+
+TOGETHER_SCRIPT = """
+import os, sys, time
+from braidcensus import sweep
+from braidcensus.cli import main
+
+barrier, count, real = sys.argv[1], int(sys.argv[2]), sweep.exhaustive_max
+
+def together(*args, **kwargs):
+    open(os.path.join(barrier, str(os.getpid())), "w").close()
+    deadline = time.monotonic() + 30
+    while len(os.listdir(barrier)) < count and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return real(*args, **kwargs)
+
+sweep.exhaustive_max = together
+sys.exit(main(sys.argv[3:]))
+"""
+
+
+def test_verify_killed_mid_sweep_leaves_no_checkpoint(tmp_path, capsys, monkeypatch):
+    # SIGKILL cannot be caught: the shard dies holding its temporary file,
+    # its checkpoint is never written, and so the shard simply reruns
+    args = ["verify", "--n", "5", "--quantity", "m", "--shards", "3"]
+    proc = subprocess.Popen(
+        [sys.executable, "-c", STALL_SCRIPT, *args, "--shard", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=_verify_env(tmp_path))
+    try:
+        assert proc.stderr.readline() == "sweeping\n"
+    finally:
+        proc.kill()
+        proc.communicate(timeout=120)
+    assert proc.returncode == -signal.SIGKILL
+    temp = f"sweep_m_n5_s3_0.txt.{proc.pid}.tmp"
+    assert [path.name for path in tmp_path.iterdir()] == [temp]
+
+    monkeypatch.setenv("BRAIDCENSUS_CHECKPOINT_DIR", str(tmp_path))
+    code, out, err = run(capsys, *args, "--merge")
+    assert code == 2 and out == "" and "missing shards [0, 1, 2]" in err
+    for shard in range(3):
+        assert run_json(capsys, *args, "--shard", str(shard))[0] == 0
+    code, merged, _ = run_json(capsys, *args, "--merge")
+    assert code == 0
+    assert merged == exhaustive_max(5, "m").to_json_dict()
+    assert (tmp_path / temp).read_text() == ""
+
+
+def test_the_same_shard_twice_at_once_leaves_one_checkpoint(tmp_path):
+    # both processes create their temporary files before either sweeps;
+    # each moves its own into place, and the later replace wins
+    barrier, checkpoints = tmp_path / "barrier", tmp_path / "checkpoints"
+    barrier.mkdir()
+    checkpoints.mkdir()
+    argv = [sys.executable, "-c", TOGETHER_SCRIPT, str(barrier), "2", "verify",
+            "--n", "5", "--quantity", "m", "--shards", "3", "--shard", "1"]
+    results = _communicate([
+        subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                         text=True, env=_verify_env(checkpoints))
+        for _ in range(2)
+    ])
+    shard = exhaustive_max(5, "m", shards=3, shard=1)
+    assert results == [(0, json.dumps(shard.to_json_dict()) + "\n", "")] * 2
+    assert [path.name for path in checkpoints.iterdir()] == ["sweep_m_n5_s3_1.txt"]
+    assert (checkpoints / "sweep_m_n5_s3_1.txt").read_text() == (
+        sweep.checkpoint_line(1, shard) + "\n")
 
 
 def test_verify_merge_incomplete(tmp_path, capsys, monkeypatch):
@@ -333,39 +439,39 @@ def test_verify_merge_needs_checkpoints(capsys, monkeypatch):
 
 
 def _checkpointed_n4(tmp_path, capsys, monkeypatch):
-    """Run both shards of the n = 4 p2 sweep; returns (args, checkpoint)."""
+    """Run both shards of the n = 4 p2 sweep; returns (args, the two
+    checkpoint files)."""
     monkeypatch.setenv("BRAIDCENSUS_CHECKPOINT_DIR", str(tmp_path))
     args = ("verify", "--n", "4", "--quantity", "p2", "--shards", "2")
     for shard in range(2):
         assert run_json(capsys, *args, "--shard", str(shard))[0] == 0
-    return args, tmp_path / "sweep_p2_n4_s2_classes.txt"
+    return args, [tmp_path / f"sweep_p2_n4_s2_{shard}.txt" for shard in range(2)]
 
 
 def test_verify_merge_rejects_bad_integers(tmp_path, capsys, monkeypatch):
-    args, checkpoint = _checkpointed_n4(tmp_path, capsys, monkeypatch)
-    with checkpoint.open("a") as fh:
-        fh.write("x,2,C~\n")
+    args, files = _checkpointed_n4(tmp_path, capsys, monkeypatch)
+    files[1].write_text("x,2,C~\n")
     code, out, err = run(capsys, *args, "--merge")
     assert code == 2 and out == ""
     assert "malformed checkpoint line" in err and "Traceback" not in err
 
 
-def test_verify_merge_rejects_conflicting_duplicates(tmp_path, capsys, monkeypatch):
-    # K4 ("C~") really scores 1, so only the disagreement with the true
-    # shard-0 line (max 2) can reject this line
-    args, checkpoint = _checkpointed_n4(tmp_path, capsys, monkeypatch)
-    with checkpoint.open("a") as fh:
-        fh.write("0,1,C~\n")
+def test_verify_merge_rejects_the_line_of_another_shard(tmp_path, capsys, monkeypatch):
+    # shard 0's true line is well formed and scores its max, but in shard
+    # 1's file it would leave shard 1 unswept
+    args, files = _checkpointed_n4(tmp_path, capsys, monkeypatch)
+    files[1].write_text(files[0].read_text())
     code, out, err = run(capsys, *args, "--merge")
     assert code == 2 and out == ""
-    assert "conflicting lines for shard 0" in err
+    assert f"checkpoint {files[1]} holds the line of shard 0" in err
+    code, out, err = run(capsys, *args, "--shard", "1")
+    assert code == 2 and out == ""
 
 
 def test_verify_merge_rescores_extremal_codes(tmp_path, capsys, monkeypatch):
     # a forged shard line claiming p2 = 5 for K4 used to merge to max 5
-    args, checkpoint = _checkpointed_n4(tmp_path, capsys, monkeypatch)
-    lines = checkpoint.read_text().splitlines()
-    checkpoint.write_text("0,5,C~\n" + "\n".join(lines[1:]) + "\n")
+    args, files = _checkpointed_n4(tmp_path, capsys, monkeypatch)
+    files[0].write_text("0,5,C~\n")
     code, out, err = run(capsys, *args, "--merge")
     assert code == 2 and out == ""
     assert "C~ scores 1, not 5" in err
@@ -374,10 +480,9 @@ def test_verify_merge_rescores_extremal_codes(tmp_path, capsys, monkeypatch):
 def test_verify_merge_rejects_non_canonical_codes(tmp_path, capsys, monkeypatch):
     # "Cl" is C] relabeled: it scores the max, but merged it would be
     # reported as a third extremal class
-    args, checkpoint = _checkpointed_n4(tmp_path, capsys, monkeypatch)
-    lines = checkpoint.read_text().splitlines()
-    assert lines[1] == "1,2,C],C^"
-    checkpoint.write_text(lines[0] + "\n1,2,C],C^,Cl\n")
+    args, files = _checkpointed_n4(tmp_path, capsys, monkeypatch)
+    assert files[1].read_text() == "1,2,C],C^\n"
+    files[1].write_text("1,2,C],C^,Cl\n")
     code, out, err = run(capsys, *args, "--merge")
     assert code == 2 and out == ""
     assert "Cl is not canonical" in err
@@ -386,9 +491,8 @@ def test_verify_merge_rejects_non_canonical_codes(tmp_path, capsys, monkeypatch)
 def test_verify_merge_rejects_codes_on_the_wrong_vertex_count(
         tmp_path, capsys, monkeypatch):
     # K5 ("D~{") is a well-formed canonical code, but not on 4 vertices
-    args, checkpoint = _checkpointed_n4(tmp_path, capsys, monkeypatch)
-    lines = checkpoint.read_text().splitlines()
-    checkpoint.write_text(lines[0] + "\n1,2,C],C^,D~{\n")
+    args, files = _checkpointed_n4(tmp_path, capsys, monkeypatch)
+    files[1].write_text("1,2,C],C^,D~{\n")
     code, out, err = run(capsys, *args, "--merge")
     assert code == 2 and out == ""
     assert "D~{ has 5 vertices, not 4" in err
@@ -397,57 +501,36 @@ def test_verify_merge_rejects_codes_on_the_wrong_vertex_count(
 
 
 def test_verify_merge_beyond_the_sweep_limit(tmp_path, capsys, monkeypatch):
+    # n is checked before any file is read, whether the files are there
+    # or not
     monkeypatch.setenv("BRAIDCENSUS_CHECKPOINT_DIR", str(tmp_path))
-    (tmp_path / "sweep_m_n9_s2_classes.txt").write_text("0,1,B~\n1,1,B~\n")
-    code, out, err = run(capsys, "verify", "--n", "9", "--quantity", "m",
-                         "--shards", "2", "--merge")
+    argv = ("verify", "--n", "9", "--quantity", "m", "--shards", "2", "--merge")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "got 9" in err
+    for shard in range(2):
+        (tmp_path / f"sweep_m_n9_s2_{shard}.txt").write_text(f"{shard},1,B~\n")
+    code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and "got 9" in err
 
 
-def test_verify_torn_checkpoint_line_reruns_its_shard(tmp_path, capsys, monkeypatch):
-    # a shard killed mid-append leaves its line without the newline; that
-    # line is unwritten, and the next append cuts it off
-    monkeypatch.setenv("BRAIDCENSUS_CHECKPOINT_DIR", str(tmp_path))
-    args = ("verify", "--n", "5", "--quantity", "m", "--shards", "3")
-    checkpoint = tmp_path / "sweep_m_n5_s3_classes.txt"
-    checkpoint.write_text("1,10")
-    code, out, err = run(capsys, *args, "--merge")
-    assert code == 2 and "missing shards [0, 1, 2]" in err
-    for shard in range(3):
-        assert run_json(capsys, *args, "--shard", str(shard))[0] == 0
-        lines = checkpoint.read_text().split("\n")
-        assert lines[-1] == "" and len(lines) == shard + 2
-        assert "1,10" not in lines
-    code, merged, _ = run_json(capsys, *args, "--merge")
-    assert code == 0
-    assert merged == exhaustive_max(5, "m").to_json_dict()
-
-    # torn again after the three lines: merge still sees every shard
-    with checkpoint.open("a") as fh:
-        fh.write("1,10")
-    assert run_json(capsys, *args, "--merge")[1] == merged
-    # but a complete line that is malformed is an error
-    with checkpoint.open("a") as fh:
-        fh.write("\n")
-    code, out, err = run(capsys, *args, "--merge")
-    assert code == 2 and out == ""
-    assert "malformed checkpoint line: '1,10\\n'" in err
-
-
 def test_verify_ignores_labelled_scan_checkpoints(tmp_path, capsys, monkeypatch):
-    # a checkpoint of the older labelled-code shards sits under the
-    # untagged name; its line is well formed and scores its max (K5 has
-    # 10 triangles), but shard 0 now covers other graphs, so it must rerun
+    # the shared log of the class sweep and the untagged file of the older
+    # labelled-code shards; each line is well formed and scores its max
+    # (K5 has 10 triangles), but neither layout is read, so shard 0 reruns
+    # and both files stay as they were
     monkeypatch.setenv("BRAIDCENSUS_CHECKPOINT_DIR", str(tmp_path))
-    old = tmp_path / "sweep_m_n5_s3.txt"
-    old.write_text("0,10,D~{\n")
+    old = [tmp_path / "sweep_m_n5_s3.txt", tmp_path / "sweep_m_n5_s3_classes.txt"]
+    for path in old:
+        path.write_text("0,10,D~{\n")
     args = ("verify", "--n", "5", "--quantity", "m", "--shards", "3")
     code, doc, _ = run_json(capsys, *args, "--shard", "0")
     assert code == 0
     assert doc == exhaustive_max(5, "m", shards=3, shard=0).to_json_dict()
     assert doc["max"] != "10"
-    assert (tmp_path / "sweep_m_n5_s3_classes.txt").read_text().count("\n") == 1
-    assert old.read_text() == "0,10,D~{\n"
+    assert (tmp_path / "sweep_m_n5_s3_0.txt").read_text().count("\n") == 1
+    assert [path.read_text() for path in old] == ["0,10,D~{\n"] * 2
+    code, out, err = run(capsys, *args, "--merge")
+    assert code == 2 and "missing shards [1, 2]" in err
 
 
 def test_verify_checks_the_checkpoint_directory_before_the_sweep(
@@ -462,9 +545,21 @@ def test_verify_checks_the_checkpoint_directory_before_the_sweep(
     assert calls == []
 
 
+def test_verify_removes_its_temporary_file_when_the_sweep_fails(
+    tmp_path, capsys, monkeypatch
+):
+    # n = 8 without --long-run: the temporary file is made, then the
+    # sweep refuses to run
+    monkeypatch.setenv("BRAIDCENSUS_CHECKPOINT_DIR", str(tmp_path))
+    code, out, err = run(capsys, "verify", "--n", "8", "--quantity", "m",
+                         "--shards", "2", "--shard", "0")
+    assert code == 2 and out == "" and "long_run" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_unreadable_checkpoints_are_input_errors(tmp_path, capsys, monkeypatch):
-    args, checkpoint = _checkpointed_n4(tmp_path, capsys, monkeypatch)
-    checkpoint.write_bytes(checkpoint.read_bytes() + b"1,2,C\xff\n")
+    args, files = _checkpointed_n4(tmp_path, capsys, monkeypatch)
+    files[1].write_bytes(b"1,2,C\xff\n")
     code, out, err = run(capsys, *args, "--merge")
     assert code == 2 and out == "" and err.startswith("error: ")
     monkeypatch.setenv("BRAIDCENSUS_CHECKPOINT_DIR", str(tmp_path / "missing"))
@@ -682,9 +777,9 @@ def test_each_subcommand_loads_only_its_engines(tmp_path, argv, engines):
     # engine it runs and what that engine imports: the sweep's audit
     # needs census, families, formulas and recognition, never the game
     if "--merge" in argv:
-        (tmp_path / "sweep_p2_n4_s2_classes.txt").write_text("".join(
-            sweep.checkpoint_line(i, exhaustive_max(4, "p2", shards=2, shard=i)) + "\n"
-            for i in range(2)))
+        for i in range(2):
+            (tmp_path / f"sweep_p2_n4_s2_{i}.txt").write_text(sweep.checkpoint_line(
+                i, exhaustive_max(4, "p2", shards=2, shard=i)) + "\n")
     code, out, err = _python("-c", LOADED_SCRIPT, *argv,
                              BRAIDCENSUS_CHECKPOINT_DIR=str(tmp_path))
     assert code == 0, err

@@ -5,7 +5,7 @@ CLI must answer with exit 0 and exactly one line on stdout, or with exit
 2 and nothing on stdout; never with a traceback.  That holds for any
 graph6 text and vertex arguments of count, paths, recognize, game and
 atypical, for any --family/--n/--variant of construct, count and paths,
-and for any checkpoint file read by verify --merge.
+and for any checkpoint files read by verify --merge.
 """
 
 import contextlib
@@ -14,7 +14,7 @@ import os
 import tempfile
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from braidcensus.cli import CHECKPOINT_DIR_VAR, main
@@ -146,12 +146,13 @@ def test_cli_answers_or_rejects_any_family_argument(argv):
     assert_one_line_or_exit_2(*run_main(argv))
 
 
-# every shard line of the n = 4 p2 sweep in three shards, as written by
-# verify; the fuzzed files mix them with damaged and arbitrary lines
+# every shard line of the n = 4 p2 sweep in three shards, and the three
+# files verify writes; the fuzzed files drop, swap, cut and bury the lines
 MERGE_ARGS = ["verify", "--n", "4", "--quantity", "p2", "--shards", "3", "--merge"]
 SHARD_LINES = [
     checkpoint_line(i, exhaustive_max(4, "p2", shards=3, shard=i)) for i in range(3)
 ]
+SHARD_FILES = tuple((line + "\n").encode() for line in SHARD_LINES)
 
 
 JUNK_LINE = st.one_of(
@@ -164,26 +165,41 @@ JUNK_LINE = st.one_of(
 
 
 @st.composite
-def checkpoint_files(draw):
-    """The shard lines shuffled with a few other lines, some of them
-    dropped and the last one perhaps cut short; or arbitrary bytes."""
-    if draw(st.integers(0, 9)) == 0:
+def shard_file(draw, own):
+    """What one shard's file holds, or None for no file: mostly its own
+    line; else arbitrary bytes, another shard's line, its own line cut
+    short, or its own line among junk lines."""
+    kind = draw(st.integers(0, 9))
+    if kind == 0:
+        return None
+    if kind == 1:
         return draw(st.binary(max_size=40))
-    lines = draw(st.permutations(SHARD_LINES + draw(st.lists(JUNK_LINE, max_size=2))))
-    lines = [line for line in lines if draw(st.integers(0, 5))]
-    if lines and draw(st.booleans()):
-        lines[-1] = lines[-1][:draw(st.integers(0, len(lines[-1])))]
-    return ("\n".join(lines) + draw(st.sampled_from(["\n", ""]))).encode()
+    if kind == 2:
+        text = draw(st.sampled_from(SHARD_LINES))
+    elif kind == 3:
+        text = own[:draw(st.integers(0, len(own)))]
+    elif kind == 4:
+        junk = draw(st.lists(JUNK_LINE, min_size=1, max_size=2))
+        text = "\n".join(draw(st.permutations([own] + junk)))
+    else:
+        text = own
+    return (text + draw(st.sampled_from(["\n", ""]))).encode()
 
 
 @settings(max_examples=300, deadline=None)
-@given(checkpoint_files())
-def test_verify_merge_answers_or_rejects_any_checkpoint(data):
+@given(st.tuples(*map(shard_file, SHARD_LINES)))
+@example(SHARD_FILES)
+def test_verify_merge_answers_or_rejects_any_checkpoint(files):
     with tempfile.TemporaryDirectory() as directory:
-        with open(os.path.join(directory, "sweep_p2_n4_s3_classes.txt"), "wb") as fh:
-            fh.write(data)
+        for shard, data in enumerate(files):
+            if data is not None:
+                name = f"sweep_p2_n4_s3_{shard}.txt"
+                with open(os.path.join(directory, name), "wb") as fh:
+                    fh.write(data)
         with mock.patch.dict(os.environ, {CHECKPOINT_DIR_VAR: directory}):
             code, out, err = run_main(MERGE_ARGS)
     assert_one_line_or_exit_2(code, out, err)
     if code == 0:
         assert out == run_main(["verify", "--n", "4", "--quantity", "p2"])[1]
+    if files == SHARD_FILES:
+        assert code == 0, err

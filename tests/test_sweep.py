@@ -357,7 +357,8 @@ def test_uniqueness_rejects_a_non_braid_at_the_maximum():
     # a forged sweep whose only extremal graph is C5: its five
     # non-adjacent pairs have two induced paths each, and none is the
     # pair of end clusters of a path braid
-    forged = SweepResult(5, "p2", ExactCount(2), frozenset({canon(cycle_graph(5))}), 1)
+    forged = SweepResult(5, "p2", ExactCount(2), frozenset({canon(cycle_graph(5))}),
+                         1 << 10)
     report = verify_extremal_uniqueness(5, sweep=forged)
     assert report.counterexample_codes == ("DLo",)
     assert report.all_match is False
@@ -372,3 +373,16 @@ def test_uniqueness_input_checks():
     doc = verify_extremal_uniqueness(4).to_json_dict()
     assert doc["all_match"] is True
     assert doc["counterexample_codes"] == []
+
+
+def test_uniqueness_rejects_a_shard():
+    # shard 0 of 3 at n = 6 holds one extremal class, whose one pair
+    # matches: checked alone, it would pass for the whole sweep
+    shard = exhaustive_max(6, "p2", shards=3, shard=0)
+    with pytest.raises(InputError, match="full sweep"):
+        verify_extremal_uniqueness(6, sweep=shard)
+    full = exhaustive_max(6, "p2")
+    report = verify_extremal_uniqueness(6, sweep=full)
+    assert report == verify_extremal_uniqueness(6)
+    assert report.all_match and report.pairs_checked == 17
+    assert report.central_multisets == {(2, 2), (4,)}
