@@ -2,8 +2,13 @@
 
 networkx is used as an independent oracle for graph6 encoding, BFS
 layers and distances, components, and isomorphism; the package itself
-never imports it.
+never imports it.  canonical_code is checked against its definition by
+brute force over all n! labelings, and against an earlier list-based
+branch and bound kept here as a second oracle.
 """
+
+import itertools
+import random
 
 import networkx as nx
 import pytest
@@ -39,6 +44,7 @@ from braidcensus.graphs import (
     vertices_of,
 )
 from braidcensus.recognition import _components
+from braidcensus.sweep import _classes
 
 
 @st.composite
@@ -299,7 +305,98 @@ def test_every_vertex_argument_is_range_checked(name):
 # ----------------------------------------------------------------------
 
 
-@given(graphs(max_n=8), st.randoms())
+def brute_canonical_g6(g: Graph) -> str:
+    """The definition of canonical_code: graph6 of the relabeling whose
+    pair bits, read in pair_order, are lexicographically least over all
+    n! labelings."""
+    pairs = pair_order(g.n)
+    best = min(
+        tuple(g.adj[perm[i]] >> perm[j] & 1 for i, j in pairs)
+        for perm in itertools.permutations(range(g.n))
+    )
+    return to_graph6(graph_from_pair_bits(g.n, sum(b << t for t, b in enumerate(best))))
+
+
+def reference_canonical_g6(g: Graph) -> str:
+    """An earlier implementation of canonical_code, kept as an oracle: the
+    same branch and bound over labelings, with the incumbent and each
+    prefix held as lists of bits."""
+    n = g.n
+    best: list[list[int] | None] = [None]
+    placed = [0] * n
+
+    def extend(depth: int, used_mask: int, acc: list[int]) -> None:
+        if depth == n:
+            if best[0] is None or acc < best[0]:
+                best[0] = list(acc)
+            return
+        tried: list[int] = []
+        cands = []
+        for v in range(n):
+            if used_mask >> v & 1:
+                continue
+            newbits = [g.adj[v] >> placed[k] & 1 for k in range(depth)]
+            cands.append((newbits, v))
+        cands.sort()
+        for newbits, v in cands:
+            skip = False
+            for u in tried:
+                pairm = ~((1 << u) | (1 << v))
+                if g.adj[u] & pairm == g.adj[v] & pairm:
+                    skip = True  # (u v) swap is an automorphism
+                    break
+            if skip:
+                continue
+            incumbent = best[0]
+            if incumbent is not None:
+                if acc + newbits > incumbent[: len(acc) + depth]:
+                    continue
+            tried.append(v)
+            placed[depth] = v
+            acc.extend(newbits)
+            extend(depth + 1, used_mask | 1 << v, acc)
+            del acc[len(acc) - depth:]
+
+    extend(0, 0, [])
+    packed = sum(b << t for t, b in enumerate(best[0]))
+    return to_graph6(graph_from_pair_bits(n, packed))
+
+
+def random_graph(rng: random.Random, n: int) -> Graph:
+    """G(n, p) with p drawn from sparse to dense."""
+    p = rng.choice((0.15, 0.3, 0.5, 0.7, 0.85))
+    k = n * (n - 1) // 2
+    return graph_from_pair_bits(n, sum(1 << t for t in range(k) if rng.random() < p))
+
+
+def test_canonical_code_is_the_least_labeling_of_every_small_graph():
+    for n in range(1, 6):
+        for bits in range(1 << (n * (n - 1) // 2)):
+            g = graph_from_pair_bits(n, bits)
+            assert canonical_code(g).g6 == brute_canonical_g6(g), (n, bits)
+
+
+def test_canonical_code_is_the_least_labeling_of_every_six_vertex_class():
+    for g, _ in _classes(6):
+        assert canonical_code(g).g6 == brute_canonical_g6(g), to_graph6(g)
+
+
+def test_canonical_code_is_the_least_labeling_of_random_seven_vertex_graphs():
+    rng = random.Random(7)
+    for _ in range(40):
+        g = random_graph(rng, 7)
+        assert canonical_code(g).g6 == brute_canonical_g6(g), to_graph6(g)
+
+
+@pytest.mark.parametrize("n", [8, 9, 10])
+def test_canonical_code_matches_the_reference_search(n):
+    rng = random.Random(n)
+    for _ in range(40):
+        g = random_graph(rng, n)
+        assert canonical_code(g).g6 == reference_canonical_g6(g), to_graph6(g)
+
+
+@given(graphs(max_n=CANON_MAX_N), st.randoms())
 @settings(max_examples=100, deadline=None)
 def test_canonical_is_relabel_invariant(g, rng):
     perm = list(range(g.n))
