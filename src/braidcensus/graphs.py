@@ -13,11 +13,12 @@ Also provided:
   upper triangle packed into 6-bit chunks offset by 63),
 * breadth-first distance layers, and from them balls N^r[v], distances
   and connectivity,
-* a canonical labeling for small graphs (exhaustive branch and bound over
-  vertex orderings, minimizing the packed upper-triangle bit string).
+* a canonical labeling for small graphs: an exhaustive branch and bound
+  over vertex orderings, on plain ints, for the least upper-triangle bit
+  string of a relabeling.
 
-The canonical code is emitted as the graph6 encoding of the relabeled
-graph, so codes are directly printable and decodable.
+That least string, written top bit first, is the graph6 body of the
+canonical code, so codes are directly printable and decodable.
 """
 
 from __future__ import annotations
@@ -310,10 +311,9 @@ def pair_bits_of(g: Graph) -> int:
     return bits
 
 
-def to_graph6(g: Graph) -> str:
-    """Encode as graph6, n up to 258047 (the 4-byte size header covers
-    n >= 63).  Linear in the code length."""
-    n = g.n
+def _graph6(n: int, stream: int) -> str:
+    """graph6 of the n-vertex graph whose C(n, 2) pair bits, in pair_order,
+    are written top bit first in stream."""
     if n <= 62:
         head = chr(n + 63)
     elif n <= 258047:
@@ -321,13 +321,17 @@ def to_graph6(g: Graph) -> str:
     else:
         raise UnsupportedError(f"graph6 size header for n={n} not supported")
     k = n * (n - 1) // 2
-    # the pair bits first pair first, padded to whole 6-bit groups, each
-    # group read with its first bit high
-    stream = format(pair_bits_of(g), f"0{k}b")[::-1] + "0" * (-k % 6) if k else ""
-    body = "".join(
-        chr(int(stream[i:i + 6], 2) + 63) for i in range(0, len(stream), 6)
-    )
-    return head + body
+    # padded to whole 6-bit groups, each group read with its first bit high
+    bits = bin(1 << k | stream)[3:] + "0" * (-k % 6)
+    return head + "".join(chr(int(bits[i:i + 6], 2) + 63) for i in range(0, len(bits), 6))
+
+
+def to_graph6(g: Graph) -> str:
+    """Encode as graph6, n up to 258047 (the 4-byte size header covers
+    n >= 63).  Linear in the code length."""
+    k = g.n * (g.n - 1) // 2
+    # pair_bits_of holds the first pair in its low bit
+    return _graph6(g.n, int(format(pair_bits_of(g), f"0{k}b")[::-1], 2))
 
 
 def parse_graph6(text: str) -> Graph:
@@ -401,68 +405,44 @@ class CanonicalCode:
 def canonical_code(g: Graph) -> CanonicalCode:
     """Canonical form by exhaustive branch and bound over labelings.
 
-    Minimizes the packed upper-triangle bit string (pair_order order) over
-    all n! relabelings, with two prunings: lexicographic prefix cutoff
-    against the incumbent, and skipping a candidate vertex when swapping it
-    with an already-tried sibling is an automorphism of the whole graph
-    (that collapses the factorial blowup on graphs with many twins, e.g.
-    empty or complete graphs).  Exact but exponential in the worst case,
-    hence the hard cap at n = CANON_MAX_N.
+    The code is the graph6 of the relabeling whose pair bits, read in
+    pair_order as one number with the first pair on top, are least over
+    all n! labelings: that number, top bit first, is the graph6 body.
+    Vertices are placed one position at a time.  Each unplaced vertex
+    carries its column against the placed ones as an int, the first placed
+    on top, so a prefix grows as prefix << depth | col.  Candidates go in
+    (column, vertex) order.  A prefix above the incumbent's prefix of the
+    same length cuts off its candidate and every later one, and a
+    candidate whose swap with an explored sibling is an automorphism is
+    skipped (that collapses the factorial blowup on graphs with many
+    twins, e.g. empty or complete graphs).  Exact but exponential in the
+    worst case, hence the hard cap at n = CANON_MAX_N.
     """
     n = g.n
     if n > CANON_MAX_N:
         raise UnsupportedError(
             f"canonical_code supports n <= {CANON_MAX_N}, got {n}"
         )
-    if n == 1:
-        return CanonicalCode(to_graph6(g))
+    adj = g.adj
+    total = n * (n - 1) // 2
+    best = 1 << total  # above every code, so the first leaf replaces it
 
-    best: list[list[int] | None] = [None]
-    placed = [0] * n  # placed[k] = original vertex put at position k
-
-    def extend(depth: int, used_mask: int, acc: list[int]) -> None:
-        # acc holds the packed bits contributed by positions 0..depth-1.
-        if depth == n:
-            if best[0] is None or acc < best[0]:
-                best[0] = list(acc)
+    def extend(depth: int, prefix: int, cols: list[tuple[int, int]]) -> None:
+        nonlocal best
+        if not cols:
+            best = prefix  # not cut off, so at most best
             return
+        shift = total - depth * (depth + 1) // 2
         tried: list[int] = []
-        cands = []
-        for v in range(n):
-            if used_mask >> v & 1:
-                continue
-            newbits = [g.adj[v] >> placed[k] & 1 for k in range(depth)]
-            cands.append((newbits, v))
-        cands.sort()
-        for newbits, v in cands:
-            skip = False
-            for u in tried:
-                pairm = ~((1 << u) | (1 << v))
-                if g.adj[u] & pairm == g.adj[v] & pairm:
-                    skip = True  # (u v) swap is an automorphism
-                    break
-            if skip:
-                continue
-            incumbent = best[0]
-            if incumbent is not None:
-                # Prune only if the whole extended prefix already exceeds the
-                # incumbent; comparing newbits alone is wrong when acc is
-                # strictly below the incumbent's prefix.
-                if acc + newbits > incumbent[: len(acc) + depth]:
-                    continue
+        for col, v in sorted(cols):
+            if any((adj[u] ^ adj[v]) & ~(1 << u | 1 << v) == 0 for u in tried):
+                continue  # (u v) swap is an automorphism
+            grown = prefix << depth | col
+            if grown > best >> shift:
+                break  # the candidates after v have columns at least col
             tried.append(v)  # only subtrees actually explored justify twin skips
-            placed[depth] = v
-            acc.extend(newbits)
-            extend(depth + 1, used_mask | 1 << v, acc)
-            del acc[len(acc) - depth:]
-        return
+            extend(depth + 1, grown,
+                   [(c << 1 | adj[u] >> v & 1, u) for c, u in cols if u != v])
 
-    extend(0, 0, [])
-    bits_list = best[0]
-    if bits_list is None:
-        raise InternalError(f"canonical_code found no labeling of an n={n} graph")
-    packed = 0
-    for t, b in enumerate(bits_list):
-        if b:
-            packed |= 1 << t
-    return CanonicalCode(to_graph6(graph_from_pair_bits(n, packed)))
+    extend(0, 0, [(0, v) for v in range(n)])
+    return CanonicalCode(_graph6(n, best))
