@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .graphs import InputError, InternalError
+from .graphs import InputError, InternalError, UnsupportedError
 
 # Cycles shorter than ALPHA * n are "short"; their total is bounded by a
 # crude binomial sum that is still exponentially smaller than 3^(n/3).
@@ -117,7 +117,14 @@ def vertex_cycle_bound(n: int, d: int) -> RealBound:
         raise InputError(f"vertex_cycle_bound needs n >= 1, got {n}")
     if not 0 <= d < n:
         raise InputError(f"degree d must satisfy 0 <= d < n, got d={d}, n={n}")
-    return RealBound(math.comb(d, 2) * 3.0 ** ((n - d - 1) / 3))
+    pairs = math.comb(d, 2)
+    try:
+        value = pairs * 3.0 ** ((n - d - 1) / 3) if pairs else 0.0
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise UnsupportedError(f"vertex_cycle_bound(n={n}, d={d}) exceeds the float range")
+    return RealBound(value)
 
 
 def short_cycle_mass(n: int) -> ExactCount:

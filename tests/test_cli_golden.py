@@ -217,7 +217,8 @@ def _formula_cases():
                      ("short_mass", (0, 1, 9, 10, 100, 1000))]:
         for n in ns:
             yield {"argv": ["formula", "--name", name, "--n", str(n)]}
-    for n, d in [(16, 6), (1, 0), (5, 5), (5, -1), (0, 0), (40, 3), (1000, 2)]:
+    for n, d in [(16, 6), (1, 0), (5, 5), (5, -1), (0, 0), (40, 3), (1000, 2),
+                 (3000, 2)]:
         yield {"argv": ["formula", "--name", "vertex_bound", "--n", str(n),
                         "--d", str(d)]}
     yield {"argv": ["formula", "--name", "vertex_bound", "--n", "16"]}

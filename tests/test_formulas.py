@@ -22,7 +22,7 @@ from braidcensus.formulas import (
     vertex_cycle_bound,
 )
 from braidcensus.formulas import _pow3
-from braidcensus.graphs import InputError, InternalError
+from braidcensus.graphs import InputError, InternalError, UnsupportedError
 
 
 def max_part_product(total: int, count_parity: str) -> int:
@@ -90,6 +90,15 @@ def test_vertex_cycle_bound_values():
     assert vertex_cycle_bound(9, 1).value == 0.0
     # non-integer exponent stays real
     assert vertex_cycle_bound(12, 6).value == pytest.approx(15 * 3 ** (5 / 3))
+
+
+def test_vertex_cycle_bound_beyond_the_float_range_is_unsupported():
+    # 3^((n - d - 1) / 3) itself overflows, or only its product with C(d, 2)
+    for n, d in [(3000, 2), (1945, 6), (10 ** 400, 5)]:
+        with pytest.raises(UnsupportedError):
+            vertex_cycle_bound(n, d)
+    assert vertex_cycle_bound(1940, 2).value > 1e308
+    assert vertex_cycle_bound(3000, 1).value == 0.0
 
 
 def test_short_cycle_mass_values():

@@ -5,7 +5,8 @@ CLI must answer with exit 0 and exactly one line on stdout, or with exit
 2 and nothing on stdout; never with a traceback.  That holds for any
 graph6 text and vertex arguments of count, paths, recognize, game and
 atypical, for any --family/--n/--variant of construct, count and paths,
-and for any checkpoint files read by verify --merge.
+for any --name/--n/--d of formula with n up to 10^4, and for any
+checkpoint files read by verify --merge.
 """
 
 import contextlib
@@ -143,6 +144,23 @@ def family_calls(draw):
 @settings(max_examples=300, deadline=None)
 @given(family_calls())
 def test_cli_answers_or_rejects_any_family_argument(argv):
+    assert_one_line_or_exit_2(*run_main(argv))
+
+
+@st.composite
+def formula_calls(draw):
+    name = draw(st.sampled_from(["f2", "f2o", "f2e", "m_lower", "short_mass",
+                                 "vertex_bound", "f3"]))
+    n = draw(st.one_of(st.integers(-3, 40), st.integers(-3, 10 ** 4)))
+    argv = ["formula", "--name", name, "--n", str(n)]
+    d = draw(st.one_of(st.none(), st.integers(-3, n + 3), st.integers()))
+    return argv if d is None else argv + ["--d", str(d)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(formula_calls())
+@example(["formula", "--name", "vertex_bound", "--n", "3000", "--d", "2"])
+def test_cli_answers_or_rejects_any_formula_argument(argv):
     assert_one_line_or_exit_2(*run_main(argv))
 
 
