@@ -133,4 +133,8 @@ def short_cycle_mass(n: int) -> ExactCount:
     if n < 1:
         raise InputError(f"short_cycle_mass needs n >= 1, got {n}")
     top = 11 * n // 100  # floor(0.11 * n) in exact integer arithmetic
-    return ExactCount(sum(math.comb(n, i) for i in range(1, top + 1)))
+    total, binom = 0, 1  # binom is C(n, i - 1) at the top of the loop
+    for i in range(1, top + 1):
+        binom = binom * (n - i + 1) // i
+        total += binom
+    return ExactCount(total)

@@ -8,6 +8,9 @@ total n - 2 and constrained part-count parity", computable directly: for a
 fixed part count t the product is maximized by near-equal parts.
 """
 
+import math
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -106,6 +109,27 @@ def test_short_cycle_mass_values():
         assert short_cycle_mass(n).value == 0
     assert short_cycle_mass(20).value == 210
     assert short_cycle_mass(30).value == 4525
+
+
+def test_short_cycle_mass_is_the_binomial_sum():
+    for n in range(1, 2001):
+        want = sum(math.comb(n, i) for i in range(1, 11 * n // 100 + 1))
+        assert short_cycle_mass(n).value == want, n
+
+
+def test_short_cycle_mass_at_fifty_thousand():
+    # the sum of math.comb calls took 7.9 s here; walk down from the top
+    # binomial instead, an independent recurrence with its own anchor
+    n = 50_000
+    start = time.perf_counter()
+    got = short_cycle_mass(n).value
+    assert time.perf_counter() - start < 2.0
+    top = 11 * n // 100
+    binom, want = math.comb(n, top), 0
+    for i in range(top, 0, -1):
+        want += binom
+        binom = binom * i // (n - i + 1)
+    assert got == want
 
 
 # ----------------------------------------------------------------------
