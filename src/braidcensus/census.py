@@ -37,21 +37,21 @@ whose only contribution is their closure count, are folded into their
 parent and never stored.  The search is iterative, so depth is no limit.
 
 Per-vertex counts.  One root's memo is a DAG of states, each holding the
-histogram B of the completions below it.  A forward pass walks the states
-in order of blocked size, which is topological (a child's blocked mask
-strictly contains its parent's), recomputing each state's children from
-its key, and sums into every state the histogram F of the depths at which
-the root's paths reach it.  The edge from state P through vertex z into
-state C then carries (F[P] << width) * B[C] cycles through z, by length:
-packed histograms multiply as polynomials in 2^width (a Kronecker
-substitution), and every field of the product counts distinct cycles, so
-stays below 2^(n+1) and never carries into the next.  A closing vertex
-takes F one step on, summed per closing set before it is handed out; the
-anchor takes the root's total.  Twins share states here as in the fold,
-so a braid still costs polynomially many.  A state's entry is dropped once
-it is expanded: every edge into it comes from a smaller blocked mask.
-Each vertex's credits are kept as (base, packed) like the memo's values,
-so a long cycle does not cost O(n^2) bits per vertex.
+histogram B of the completions below it.  The fold stores a state only
+after all of its children, so the memo popped last-stored-first hands out
+every state after all of its parents.  A forward pass pops the states in
+that order, recomputing each state's children from its key, and sums into
+every state the histogram F of the depths at which the root's paths reach
+it; a state never reached has no completions and is skipped.  The edge
+from state P through vertex z into state C then carries (F[P] << width) *
+B[C] cycles through z, by length: packed histograms multiply as
+polynomials in 2^width (a Kronecker substitution), and every field of the
+product counts distinct cycles, so stays below 2^(n+1) and never carries
+into the next.  A closing vertex takes F one step on, summed per closing
+set before it is handed out; the anchor takes the root's total.  Twins
+share states here as in the fold, so a braid still costs polynomially
+many.  Each vertex's credits are kept as (base, packed) like the memo's
+values, so a long cycle does not cost O(n^2) bits per vertex.
 
 count_cycles_through(g, v) is a second route: one fold per neighbour u1
 of v, with no anchor order (every vertex but v may be used) and closure
@@ -315,7 +315,7 @@ def _cycles_through(adj, v: int, above: int, width: int,
         # neighbour, which fixes its orientation
         close = adj_v & (-1 << (u1 + 1))
         if close:
-            memo: dict[tuple[int, int], tuple[int, ...]] = {}
+            memo: dict[tuple[int, int], tuple[int, int]] = {}
             base, packed = _fold(adj, above, adj_v, close, u1, width, memo)
             if packed and credit is not None:
                 bases, packs = credit
@@ -330,22 +330,19 @@ def _forward(adj, above: int, stop: int, close: int, start: int, width: int,
     """Credit every vertex but the anchor on the paths of one fold from
     start with the cycles through it (see "Per-vertex counts" above).
 
-    Consumes the fold's memo: a state reached here has its entry
-    extended from (base, packed) to (base, packed, pbase, prefix), where
-    field j of prefix counts the paths that reach the state with their
-    endpoint j + pbase steps beyond the anchor, and it is deleted once
-    expanded."""
-    # the reached states by the size of their blocked mask
-    levels: list[list[tuple[int, int]]] = [[] for _ in range(above.bit_count() + 1)]
+    Consumes the fold's memo, last stored first, so that every state
+    comes after all of its parents.  reach holds each state reached and
+    not yet expanded as (pbase, prefix), where field j of prefix counts
+    the paths that reach the state with their endpoint j + pbase steps
+    beyond the anchor."""
+    reach: dict[tuple[int, int], tuple[int, int]] = {}
     # closing set -> histogram of the depths of the endpoints next to it
     shut_at: dict[int, tuple[int, int]] = {}
     # the first state is the anchor at depth 0, with start its one child
     below = ext = 1 << start
     base, acc = 0, 1
-    level = 0
     while True:
         step = base + 1
-        later = levels[below.bit_count()]
         while ext:
             bit = ext & -ext
             ext ^= bit
@@ -354,16 +351,11 @@ def _forward(adj, above: int, stop: int, close: int, start: int, width: int,
             shut = cands & close
             if cands & ~stop and close & ~(below | cands):
                 child = (cands, below)
-                hist = memo[child]
-                off, val = hist[0], hist[1]
+                off, val = memo[child]
                 if not val:
                     continue
                 # sum the prefixes of all edges into the state, twins too
-                if len(hist) == 2:
-                    memo[child] = (off, val, step, acc)
-                    later.append(child)
-                else:
-                    memo[child] = (off, val) + _add(hist[2:], step, acc, width)
+                reach[child] = _add(reach.get(child, (0, 0)), step, acc, width)
             elif shut:
                 # a leaf: its closures are all it has
                 off, val = 1, shut.bit_count()
@@ -380,17 +372,17 @@ def _forward(adj, above: int, stop: int, close: int, start: int, width: int,
             else:
                 packs[z] = (packs[z] << (width * -shift)) + acc * val
                 bases[z] = off
-        # the next state in order of blocked size, which is topological:
-        # a child's blocked mask strictly contains its parent's
-        while not levels[level]:
-            level += 1
-            if level == len(levels):
-                for shut, (base, acc) in shut_at.items():
-                    for c in bits_of(shut):
-                        bases[c], packs[c] = _add((bases[c], packs[c]), base + 1, acc, width)
-                return
-        key = levels[level].pop()
-        _, _, base, acc = memo.pop(key)
+        # the next reached state; one never reached has no completions
+        while memo:
+            key = memo.popitem()[0]
+            if key in reach:
+                break
+        else:
+            for shut, (base, acc) in shut_at.items():
+                for c in bits_of(shut):
+                    bases[c], packs[c] = _add((bases[c], packs[c]), base + 1, acc, width)
+            return
+        base, acc = reach.pop(key)
         cands, blocked = key
         below = blocked | cands
         ext = cands & ~stop
