@@ -155,29 +155,22 @@ def build_braid(spec: BraidSpec) -> tuple[Graph, ClusterPartition]:
         )
     n = sum(sizes)
     _check_size(n)
-    starts = []
-    at = 0
-    for s in sizes:
-        starts.append(at)
-        at += s
-    clusters = tuple(
-        tuple(range(starts[i], starts[i] + sizes[i])) for i in range(len(sizes))
-    )
-    edges: list[tuple[int, int]] = []
     k = len(sizes)
-    joins = list(range(k - 1)) if not spec.cyclic else list(range(k))
-    for i in joins:
-        j = (i + 1) % k
-        if i == j:
-            continue
-        for u in clusters[i]:
-            for v in clusters[j]:
-                edges.append((u, v))
-    for i, cluster in enumerate(clusters):
-        for a, b in _intra_pairs(spec.intra_for(i), sizes[i], i):
-            edges.append((cluster[a], cluster[b]))
-    g = Graph.from_edge_list(n, edges)
-    return g, ClusterPartition(clusters, spec.cyclic)
+    starts = [0, *itertools.accumulate(sizes)]
+    masks = [((1 << s) - 1) << at for s, at in zip(sizes, starts)]
+    rows = []
+    for i, s in enumerate(sizes):
+        # an end cluster of a path braid has one neighbouring cluster
+        near = masks[i - 1] if spec.cyclic or i > 0 else 0
+        if spec.cyclic or i < k - 1:
+            near |= masks[(i + 1) % k]
+        local = [0] * s
+        for a, b in _intra_pairs(spec.intra_for(i), s, i):
+            local[a] |= 1 << b
+            local[b] |= 1 << a
+        rows += [near | row << starts[i] for row in local]
+    clusters = tuple(tuple(range(starts[i], starts[i + 1])) for i in range(k))
+    return Graph(n, rows), ClusterPartition(clusters, spec.cyclic)
 
 
 # ======================================================================
