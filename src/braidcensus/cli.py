@@ -63,14 +63,23 @@ def _emit(doc: dict) -> None:
 # ======================================================================
 
 
+def _read_ascii(path: str) -> str:
+    """The text of an ASCII file; InputError, naming it, if it is not ASCII."""
+    with open(path, encoding="ascii") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path} is not ASCII: byte offset {exc.start}") from None
+
+
 def _load_graph(text: str) -> Graph:
     """A literal graph6 code, or a file whose first line holds one."""
     if os.path.isfile(text):
-        with open(text, encoding="ascii") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    return parse_graph6(line)
+        # universal newlines already made every line end in "\n"
+        for line in _read_ascii(text).split("\n"):
+            line = line.strip()
+            if line:
+                return parse_graph6(line)
         raise InputError(f"no graph6 code in {text}")
     return parse_graph6(text)
 
@@ -187,8 +196,7 @@ def _read_checkpoint(path: str, args: argparse.Namespace, shard: int):
     from . import sweep
 
     try:
-        with open(path, encoding="ascii") as fh:
-            text = fh.read()
+        text = _read_ascii(path)
     except FileNotFoundError:
         return None
     found, result = sweep.parse_checkpoint_line(args.n, args.quantity, args.shards, text)
@@ -358,9 +366,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (InputError, OSError, UnicodeDecodeError) as exc:
-        # OSError and UnicodeDecodeError: an --input file or a checkpoint
-        # that cannot be read or written, or is not ASCII
+    except (InputError, OSError) as exc:
+        # OSError: an --input or checkpoint file that cannot be read or written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InternalError as exc:

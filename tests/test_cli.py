@@ -562,6 +562,7 @@ def test_verify_unreadable_checkpoints_are_input_errors(tmp_path, capsys, monkey
     files[1].write_bytes(b"1,2,C\xff\n")
     code, out, err = run(capsys, *args, "--merge")
     assert code == 2 and out == "" and err.startswith("error: ")
+    assert str(files[1]) in err
     monkeypatch.setenv("BRAIDCENSUS_CHECKPOINT_DIR", str(tmp_path / "missing"))
     code, out, err = run(capsys, *args, "--shard", "0")
     assert code == 2 and out == "" and err.startswith("error: ")

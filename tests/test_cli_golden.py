@@ -214,7 +214,7 @@ def _formula_cases():
                      ("f2o", (9, 10, 11, 12, 13, 14, 15, 100)),
                      ("f2e", (9, 10, 11, 12, 13, 14, 15, 100)),
                      ("m_lower", (11, 12, 13, 14, 200)),
-                     ("short_mass", (0, 1, 9, 10, 100, 1000))]:
+                     ("short_mass", (0, 1, 9, 10, 100, 1000, 100001))]:
         for n in ns:
             yield {"argv": ["formula", "--name", name, "--n", str(n)]}
     for n, d in [(16, 6), (1, 0), (5, 5), (5, -1), (0, 0), (40, 3), (1000, 2),

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidcensus.formulas import (
+    EXACT_MAX_N,
     ExactCount,
     RealBound,
     f2,
@@ -164,6 +165,15 @@ def test_domain_errors():
     ):
         with pytest.raises(InputError):
             bad_call()
+
+
+def test_exact_counts_share_one_upper_limit():
+    for count in (f2, f2_odd, f2_even, m_lower, short_cycle_mass):
+        assert count(EXACT_MAX_N).value > 0
+        with pytest.raises(UnsupportedError, match=f"n <= {EXACT_MAX_N}"):
+            count(EXACT_MAX_N + 1)
+    # the float bound keeps its own rule: it answers wherever it is finite
+    assert vertex_cycle_bound(10 ** 7, 10 ** 7 - 1).value == math.comb(10 ** 7 - 1, 2)
 
 
 def test_negative_exponent_is_an_internal_error():

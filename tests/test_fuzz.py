@@ -5,8 +5,9 @@ CLI must answer with exit 0 and exactly one line on stdout, or with exit
 2 and nothing on stdout; never with a traceback.  That holds for any
 graph6 text and vertex arguments of count, paths, recognize, game and
 atypical, for any --family/--n/--variant of construct, count and paths,
-for any --name/--n/--d of formula with n up to 10^4, and for any
-checkpoint files read by verify --merge.
+for any --name/--n/--d of formula with n up to 10^7, for any checkpoint
+files read by verify --merge, and for any bytes in an --input file or a
+shard file, which the error names when they are not ASCII.
 """
 
 import contextlib
@@ -151,7 +152,8 @@ def test_cli_answers_or_rejects_any_family_argument(argv):
 def formula_calls(draw):
     name = draw(st.sampled_from(["f2", "f2o", "f2e", "m_lower", "short_mass",
                                  "vertex_bound", "f3"]))
-    n = draw(st.one_of(st.integers(-3, 40), st.integers(-3, 10 ** 4)))
+    n = draw(st.one_of(st.integers(-3, 40), st.integers(-3, 10 ** 4),
+                       st.integers(-3, 10 ** 7)))
     argv = ["formula", "--name", name, "--n", str(n)]
     d = draw(st.one_of(st.none(), st.integers(-3, n + 3), st.integers()))
     return argv if d is None else argv + ["--d", str(d)]
@@ -221,3 +223,47 @@ def test_verify_merge_answers_or_rejects_any_checkpoint(files):
         assert out == run_main(["verify", "--n", "4", "--quantity", "p2"])[1]
     if files == SHARD_FILES:
         assert code == 0, err
+
+
+@st.composite
+def damaged_file(draw, valid):
+    """Arbitrary bytes, or the bytes of a valid file with one byte
+    replaced or added."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=40))
+    data = draw(valid)
+    i = draw(st.integers(0, len(data)))
+    byte = bytes([draw(st.integers(0, 255))])
+    return draw(st.sampled_from([data[:i] + byte + data[i + 1:], data[:i] + byte + data[i:]]))
+
+
+@st.composite
+def named_file(draw):
+    """(name, bytes) of the --input file of count, or of one shard's file
+    among the true files of a merge."""
+    if draw(st.booleans()):
+        valid = small_graph6().map(lambda code: (code + "\n").encode())
+        return "graph.g6", draw(damaged_file(valid))
+    shard = draw(st.integers(0, 2))
+    return f"sweep_p2_n4_s3_{shard}.txt", draw(damaged_file(st.just(SHARD_FILES[shard])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(named_file())
+@example(("graph.g6", b"D\xe9c\n"))
+@example(("sweep_p2_n4_s3_1.txt", b"1,2,C\xff\n"))
+def test_cli_answers_or_rejects_any_file_and_names_it_if_not_ascii(file):
+    name, data = file
+    with tempfile.TemporaryDirectory() as directory:
+        for shard, true in enumerate(SHARD_FILES):
+            with open(os.path.join(directory, f"sweep_p2_n4_s3_{shard}.txt"), "wb") as fh:
+                fh.write(true)
+        path = os.path.join(directory, name)
+        with open(path, "wb") as fh:
+            fh.write(data)
+        argv = ["count", "--input", path] if name == "graph.g6" else MERGE_ARGS
+        with mock.patch.dict(os.environ, {CHECKPOINT_DIR_VAR: directory}):
+            code, out, err = run_main(argv)
+    assert_one_line_or_exit_2(code, out, err)
+    if not data.isascii():
+        assert code == 2 and path in err, err
