@@ -377,7 +377,7 @@ def _forward(adj, above: int, stop: int, close: int, start: int, width: int,
             key = memo.popitem()[0]
             if key in reach:
                 break
-        else:
+        else:  # every state is done: hand each closing set's sum to its vertices
             for shut, (base, acc) in shut_at.items():
                 for c in bits_of(shut):
                     bases[c], packs[c] = _add((bases[c], packs[c]), base + 1, acc, width)
