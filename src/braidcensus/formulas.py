@@ -49,7 +49,7 @@ def _check_n(name: str, n: int, low: int) -> None:
     if n < low:
         raise InputError(f"{name} needs n >= {low}, got {n}")
     if n > EXACT_MAX_N:
-        raise UnsupportedError(f"{name} supports n <= {EXACT_MAX_N}, got {n}")
+        raise UnsupportedError(f"{name} supports n <= {EXACT_MAX_N}")
 
 
 def _pow3(k: int) -> int:
