@@ -25,8 +25,9 @@ from braidcensus import (
 # on n vertices up to isomorphism.  The value below is the best count
 # over every graph and every endpoint pair.
 
+sweeps = {}
 for n in (4, 5, 6):
-    result = exhaustive_max(n, "p2")
+    result = sweeps[n] = exhaustive_max(n, "p2")
     formula = f2(n).value
     print(
         f"n={n}: swept {result.graphs_scanned} graphs, "
@@ -39,15 +40,15 @@ for n in (4, 5, 6):
 # every winner is a path braid
 # ----------------------------------------------------------------------
 
-# The uniqueness check revisits each extremal graph, finds every
-# endpoint pair achieving the maximum, and tries to lay the graph out
-# as a path braid between those endpoints.  central_multisets collects
-# the cluster sizes it saw, which should match the family table:
-# one size-2 cluster at n = 4, one size-3 at n = 5, and either a
-# size-4 or two size-2 clusters at n = 6.
+# The uniqueness check takes each sweep above, revisits its extremal
+# graphs, finds every endpoint pair achieving the maximum, and tries to
+# lay the graph out as a path braid between those endpoints.
+# central_multisets collects the cluster sizes it saw, which should
+# match the family table: one size-2 cluster at n = 4, one size-3 at
+# n = 5, and either a size-4 or two size-2 clusters at n = 6.
 
 for n in (4, 5, 6):
-    report = verify_extremal_uniqueness(n)
+    report = verify_extremal_uniqueness(n, sweeps[n])
     expected = set(f_central_multisets(n))
     print(
         f"n={n}: {report.pairs_checked} extremal (graph, pair) combos, "

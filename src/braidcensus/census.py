@@ -128,19 +128,16 @@ class CycleCensus:
     def odd_holes(self) -> int:
         return self.f_o - self.by_length.get(3, 0)
 
-    def to_json_dict(self, n: int | None = None) -> dict:
-        out: dict = {}
-        if n is not None:
-            out["n"] = n
-        out["by_length"] = {
-            str(k): str(v) for k, v in sorted(self.by_length.items())
+    def to_json_dict(self, n: int) -> dict:
+        return {
+            "n": n,
+            "by_length": {str(k): str(v) for k, v in sorted(self.by_length.items())},
+            "f": str(self.f),
+            "f_odd": str(self.f_o),
+            "f_even": str(self.f_e),
+            "holes": str(self.holes),
+            "odd_holes": str(self.odd_holes),
         }
-        out["f"] = str(self.f)
-        out["f_odd"] = str(self.f_o)
-        out["f_even"] = str(self.f_e)
-        out["holes"] = str(self.holes)
-        out["odd_holes"] = str(self.odd_holes)
-        return out
 
 
 @dataclass(frozen=True)
@@ -168,17 +165,15 @@ class PathCensus:
     def p2_even(self) -> int:
         return sum(c for length, c in self.by_length.items() if length % 2 == 1)
 
-    def to_json_dict(self, x: int | None = None, y: int | None = None) -> dict:
-        out: dict = {}
-        if x is not None:
-            out["x"], out["y"] = x, y
-        out["by_length"] = {
-            str(k): str(v) for k, v in sorted(self.by_length.items())
+    def to_json_dict(self, x: int, y: int) -> dict:
+        return {
+            "x": x,
+            "y": y,
+            "by_length": {str(k): str(v) for k, v in sorted(self.by_length.items())},
+            "p2": str(self.p2),
+            "p2_odd": str(self.p2_odd),
+            "p2_even": str(self.p2_even),
         }
-        out["p2"] = str(self.p2)
-        out["p2_odd"] = str(self.p2_odd)
-        out["p2_even"] = str(self.p2_even)
-        return out
 
 
 @dataclass(frozen=True)

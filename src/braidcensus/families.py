@@ -16,9 +16,11 @@ clusters at the lowest indices, so output is reproducible):
 * build_E(n): empty cyclic braid, size exceptions by n mod 6 (the odd
   table shifted by 3); even-cycle extremal.
 * member_of_F(n, parity, variant): path braids (1, c_1..c_t, 1) with
-  singleton ends, central sizes by the n mod 3 table ("all") or the
-  n mod 6 tables ("odd"/"even"); variants enumerate admissible central
-  multisets and their orderings up to reversal.
+  singleton ends and empty clusters, central sizes by the n mod 3 table
+  ("all") or the n mod 6 tables ("odd"/"even"); variants enumerate
+  admissible central multisets and their orderings up to reversal.
+  Intra-cluster edges are free in these families; the members that have
+  them are build_braid(BraidSpec((1, *central, 1), intra=...)).
 * members_of_script_G(n): one representative per (size multiset, necklace
   placement, empty/full intra) for the odd-hole family, including the
   extra four-2s multiset at n = 5 mod 6.
@@ -87,7 +89,6 @@ class ClusterPartition:
 class FamilyId:
     tag: str
     n: int
-    variant: int = 0
 
     def __post_init__(self):
         if self.tag not in FAMILY_TAGS:
@@ -283,11 +284,11 @@ def f_central_sequences(n: int, parity: str = "all") -> list[tuple[int, ...]]:
 
 
 def member_of_F(
-    n: int, parity: str = "all", variant: int = 0, intra: IntraSpec | None = None
+    n: int, parity: str = "all", variant: int = 0
 ) -> tuple[Graph, ClusterPartition]:
     """Build the variant-th braid of the requested path family, with
-    singleton end clusters first and last.  Intra edges default empty;
-    pass "full" or explicit per-central-cluster pairs to override."""
+    singleton end clusters first and last and no intra-cluster edges.
+    For other intra edges, build the same sizes with build_braid."""
     _check_size(n)
     seqs = f_central_sequences(n, parity)
     if not 0 <= variant < len(seqs):
@@ -295,18 +296,7 @@ def member_of_F(
             f"variant {variant} out of range: {parity} family at n={n} "
             f"has {len(seqs)} variants"
         )
-    central = seqs[variant]
-    sizes = (1,) + central + (1,)
-    if intra is None or isinstance(intra, str):
-        intra_spec: tuple[IntraSpec, ...] | IntraSpec = intra or "empty"
-    else:
-        # explicit per-central-cluster intra lists; ends are singletons
-        if len(intra) != len(central):
-            raise InputError(
-                f"intra override needs {len(central)} entries, got {len(intra)}"
-            )
-        intra_spec = (("empty",) + tuple(intra) + ("empty",))
-    return build_braid(BraidSpec(sizes, cyclic=False, intra=intra_spec))
+    return build_braid(BraidSpec((1, *seqs[variant], 1)))
 
 
 # ======================================================================
@@ -401,16 +391,15 @@ def build_family(tag: str, n: int, variant: int) -> tuple[Graph, ClusterPartitio
 # ======================================================================
 
 
-def random_intra(
-    sizes: Sequence[int], rng, density: float = 0.5
-) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Random explicit intra-edge lists, one per cluster (test helper)."""
+def random_intra(sizes: Sequence[int], rng) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Random explicit intra-edge lists, one per cluster, each pair kept
+    with probability 1/2 (test helper)."""
     out = []
     for s in sizes:
         pairs = [
             (a, b)
             for a, b in itertools.combinations(range(s), 2)
-            if rng.random() < density
+            if rng.random() < 0.5
         ]
         out.append(tuple(pairs))
     return tuple(out)

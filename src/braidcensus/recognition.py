@@ -41,9 +41,10 @@ Every emitted partition is checked against the sandwich condition.
 Maximal 3-braids are grown as chains of completely-joined disjoint
 triples.  Appending a triple makes the old end central, which pins the
 new triple to cover that end's remaining neighbors; a chain counts when
-neither end extends.  Chains whose vertex set is strictly contained in a
-longer chain's are dropped, and chains with the same cluster set (the
-wrap-around rotations of a cyclic braid) are reported once.
+neither end extends.  Chains with the same cluster set (the wrap-around
+rotations of a cyclic braid) are reported once.  A chain whose vertex
+set is strictly contained in another chain's is dropped; the larger set
+has more triples, so each chain is tested only against longer ones.
 """
 
 from __future__ import annotations
@@ -129,12 +130,10 @@ def _find_violation(g: Graph, p: ClusterPartition) -> tuple[int, str] | None:
     pairs = [(i, i + 1) for i in range(k - 1)]
     if p.cyclic:
         pairs.append((k - 1, 0))
+    # adjacency is symmetric, so a gap between the two is seen from i
     for i, j in pairs:
         for v in sorted(p.clusters[i]):
             if masks[j] & ~g.adj[v]:
-                return (v, COND_MISSING_JOIN)
-        for v in sorted(p.clusters[j]):
-            if masks[i] & ~g.adj[v]:
                 return (v, COND_MISSING_JOIN)
     # window upper bound for applicable clusters
     applicable = range(k) if p.cyclic else range(1, k - 1)
@@ -202,9 +201,7 @@ def _match_families(
     g: Graph, p: ClusterPartition, profiles: dict[str, set[tuple[int, ...]]]
 ) -> list[FamilyId]:
     """Family tags this exact partition certifies, in report order;
-    profiles is `_family_profiles(g.n)`."""
-    if not p.cyclic or p.vertex_mask() != g.full_mask():
-        return []
+    p is cyclic and covers g, and profiles is `_family_profiles(g.n)`."""
     ms = p.size_multiset()
     tags = [tag for tag, sizes in profiles.items() if ms in sizes]
     if not tags:
@@ -360,12 +357,6 @@ def classify_family_all(g: Graph) -> list[FamilyId]:
     return [found[t] for t in profiles if t in found]
 
 
-def classify_family(g: Graph) -> FamilyId | None:
-    """The first matching family tag, if any."""
-    matches = classify_family_all(g)
-    return matches[0] if matches else None
-
-
 # ======================================================================
 # maximal 3-braids
 # ======================================================================
@@ -402,13 +393,11 @@ def maximal_3braids(g: Graph) -> list[ClusterPartition]:
 
     Maximal means no triple extends either end and no longer discovered
     braid covers the vertex set; rotations of one cyclic wrap collapse to
-    a single report.  Cost: growing the chains from the seed triples is
-    cheap; the time goes to the last step, which tests every chain against
-    every other for containment, so it is quadratic in the chain count.  On
-    a 2-core Xeon (Python 3.11), G(20, 0.7) gives 14,227 chains, grown in
-    0.2 s, and the filter, which drops none, takes the other 21 s."""
-    if g.n < 6:
-        return []
+    a single report.  Cost: the output can be exponential (G(20, 0.7)
+    has 14,227 chains), and the time goes to growing the chains from the
+    C(n, 3) seed triples.  The containment filter compares a chain only
+    with chains of more triples, so chains of one length, as in that
+    graph, cost it nothing."""
     # one entry per cluster set: its least chain or reversal, and the
     # vertex mask, which every chain on that cluster set shares
     found: dict[frozenset, tuple[tuple, int]] = {}
@@ -433,9 +422,14 @@ def maximal_3braids(g: Graph) -> list[ClusterPartition]:
     for seed in itertools.combinations(range(g.n), 3):
         grow((seed,), mask_of(seed))
 
-    masks = [mask for _, mask in found.values()]
+    # a strict superset has more vertices, so only larger sets can drop a chain
+    by_size: dict[int, list[int]] = {}
+    for _, mask in found.values():
+        by_size.setdefault(mask.bit_count(), []).append(mask)
     return [
         ClusterPartition(chain, cyclic=False)
         for chain, mask in sorted(found.values())
-        if not any(mask != other and mask | other == other for other in masks)
+        if not any(mask | other == other
+                   for size, others in by_size.items() if size > mask.bit_count()
+                   for other in others)
     ]

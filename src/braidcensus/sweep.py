@@ -381,16 +381,13 @@ def _path_braid_central(g: Graph, x: int, y: int) -> tuple[int, ...] | None:
     return central
 
 
-def verify_extremal_uniqueness(
-    n: int, sweep: SweepResult | None = None
-) -> UniquenessReport:
+def verify_extremal_uniqueness(n: int, sweep: SweepResult) -> UniquenessReport:
     """Confirm the path-maximum extremal graphs are path braids with the
-    achieving pair as end clusters, for 4 <= n <= 7; a given sweep must
-    cover all 2^C(n,2) graphs."""
+    achieving pair as end clusters, for 4 <= n <= 7.  sweep is the p2
+    sweep at n, such as exhaustive_max(n, "p2") or the merge of its
+    shards, and must cover all 2^C(n,2) graphs."""
     if not 4 <= n <= 7:
         raise InputError(f"uniqueness check supports 4 <= n <= 7, got {n}")
-    if sweep is None:
-        sweep = exhaustive_max(n, "p2")
     if (sweep.n, sweep.quantity) != (n, "p2"):
         raise InputError("uniqueness check needs a p2 sweep for the same n")
     if sweep.graphs_scanned != 1 << (n * (n - 1) // 2):

@@ -21,6 +21,8 @@ from braidcensus.census import (
     visit_induced_cycles,
 )
 from braidcensus.families import (
+    BraidSpec,
+    build_braid,
     build_E,
     build_G,
     build_H,
@@ -160,9 +162,9 @@ def test_criterion_05_odd_path_families():
     for n in range(10, 21):
         expected = f2_odd(n).value
         for variant, central in enumerate(f_central_sequences(n, "odd")):
-            patterns = ["empty", "full", random_intra(central, rng)]
-            for intra in patterns:
-                g, _ = member_of_F(n, "odd", variant, intra=intra)
+            sizes = (1, *central, 1)
+            for intra in ["empty", "full", random_intra(sizes, rng)]:
+                g, _ = build_braid(BraidSpec(sizes, intra=intra))
                 pc = count_induced_st_paths(g, 0, n - 1)
                 assert pc.p2_odd == expected, (
                     f"n={n} variant {variant}: p2_odd {pc.p2_odd} != {expected}"

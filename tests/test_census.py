@@ -50,7 +50,14 @@ from braidcensus.families import (
     random_intra,
 )
 from braidcensus.formulas import f2, f2_even, f2_odd, m_lower, vertex_cycle_bound
-from braidcensus.graphs import Graph, InputError, UnsupportedError, bits_of, graph_from_pair_bits
+from braidcensus.graphs import (
+    Graph,
+    InputError,
+    InternalError,
+    UnsupportedError,
+    bits_of,
+    graph_from_pair_bits,
+)
 
 # ======================================================================
 # reference implementations (independent of the package internals)
@@ -367,7 +374,8 @@ def test_h_triangle_free_above_ten():
 def test_slow_census_agrees_on_families():
     graphs_to_check = [build_H(n)[0] for n in range(8, 19)]
     graphs_to_check += [member_of_F(n, "all", 0)[0] for n in range(4, 19)]
-    graphs_to_check += [member_of_F(14, "all", 0, intra="full")[0]]
+    full_f = BraidSpec((1, *f_central_sequences(14, "all")[0], 1), intra="full")
+    graphs_to_check += [build_braid(full_f)[0]]
     for g in graphs_to_check:
         assert count_induced_cycles(g).by_length == slow_census(g).by_length
 
@@ -508,6 +516,21 @@ else:
 """
 
 
+def test_per_vertex_identity_check_catches_a_false_credit(monkeypatch):
+    honest = braidcensus.census._forward
+    calls = []
+
+    def one_more(adj, above, stop, close, start, width, memo, bases, packs):
+        honest(adj, above, stop, close, start, width, memo, bases, packs)
+        calls.append(start)
+        if len(calls) == 1:
+            packs[start] += 1  # one cycle more at start's lowest depth
+
+    monkeypatch.setattr(braidcensus.census, "_forward", one_more)
+    with pytest.raises(InternalError, match="do not sum to length times"):
+        cycles_per_vertex(build_H(12)[0])
+
+
 def test_per_vertex_identity_check_survives_python_O():
     src = os.path.dirname(os.path.dirname(braidcensus.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -641,13 +664,14 @@ def test_f_members_hit_closed_form_any_intra():
     for n in range(4, 17):
         for parity, formula in (("all", f2),):
             target = formula(n).value
-            for variant, sizes in enumerate(f_central_sequences(n, parity)):
+            for variant, central in enumerate(f_central_sequences(n, parity)):
+                sizes = (1, *central, 1)
                 for intra in ("empty", "full"):
-                    g = member_of_F(n, parity, variant, intra=intra)[0]
+                    g = build_braid(BraidSpec(sizes, intra=intra))[0]
                     assert p2_max(g)[0] == target, (n, variant, intra)
                 for _ in range(3):
                     pattern = random_intra(sizes, rng)
-                    g = member_of_F(n, parity, variant, intra=pattern)[0]
+                    g = build_braid(BraidSpec(sizes, intra=pattern))[0]
                     assert p2_max(g)[0] == target, (n, variant, "random")
 
 

@@ -817,6 +817,9 @@ def test_cli_under_python_O_gives_the_library_answer(argv, answer):
     ("count", "--input", "~~??????"),  # the graph6 long-size form
     ("count", "--input", "~?!?"),  # a bad byte inside the 4-byte size header
     ("verify", "--n", "4", "--quantity", "m", "--shards", "0"),
+    ("count", "--input", "~"),  # a 4-byte size header cut short
+    ("count", "--input", "~A"),
+    ("count", "--input", "~AB"),
 ])
 def test_rejected_inputs_exit_2(tmp_path, capsys, argv):
     blank = tmp_path / "blank.g6"

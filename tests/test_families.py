@@ -237,15 +237,16 @@ def test_f_variant_enumeration():
 
 
 def test_f_intra_override():
-    g, p = member_of_F(10, "all", 0, intra="full")
+    # an F member with intra edges is build_braid on the member's sizes
+    sizes = (1, *f_central_sequences(10, "all")[0], 1)
+    assert build_braid(BraidSpec(sizes)) == member_of_F(10, "all", 0)
+    g, p = build_braid(BraidSpec(sizes, intra="full"))
     c = p.clusters[1]
     assert g.has_edge(c[0], c[1])
-    explicit = ((), ((0, 1),), ())
-    g2, p2 = member_of_F(10, "all", 0, intra=explicit)
+    explicit = ((), (), ((0, 1),), (), ())
+    g2, p2 = build_braid(BraidSpec(sizes, intra=explicit))
     b2 = p2.clusters[2]
     assert g2.has_edge(b2[0], b2[1]) and not g2.has_edge(b2[0], b2[2])
-    with pytest.raises(InputError):
-        member_of_F(10, "all", 0, intra=((), ()))
 
 
 @pytest.mark.parametrize("n", range(10, 31))

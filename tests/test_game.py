@@ -533,6 +533,9 @@ def test_local_structure_absent():
     g, _ = build_H(12)
     for z in range(12):
         assert local_structure(g, z) is None
+    # an edge from B_1 to B_4 of H(15) leaves every cross pair around
+    # Z = B_0 with common neighborhood Z; only the V-W edge rules it out
+    assert local_structure(build_H(15)[0].with_edge(3, 12), 0) is None
 
 
 def test_reports_are_json_friendly():

@@ -10,6 +10,7 @@ cluster structure (see the comments at the pins).
 import itertools
 import json
 import random
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -45,7 +46,6 @@ from braidcensus.recognition import (
     _find_violation,
     _match_families,
     candidate_cyclic_partitions,
-    classify_family,
     classify_family_all,
     discover_cyclic_braid,
     maximal_3braids,
@@ -170,7 +170,7 @@ def test_intra_edges_do_not_break_verification():
     assert report.verified
     assert report.intra_pattern == ("mixed", "empty", "empty", "empty")
     assert report.family is None
-    assert classify_family(g2) is None
+    assert classify_family_all(g2) == []
 
 
 def test_cross_edge_breaks_verification():
@@ -316,7 +316,7 @@ def test_discover_prefers_a_family_certified_four_cluster_split(builder, n):
         h = relabel(g, perm)
         found = discover_cyclic_braid(h)
         assert found is not None and found.size_multiset() == p.size_multiset()
-        assert verify_braid(h, found).family == classify_family(h)
+        assert [verify_braid(h, found).family] == classify_family_all(h)[:1]
     if n == 12:
         first = next(candidate_cyclic_partitions(g))
         assert first.size_multiset() == (1, 1, 5, 5)
@@ -563,17 +563,14 @@ def test_discovery_matches_the_seed_search_on_blowups(g):
 def test_classify_families():
     for n in range(8, 22):
         g, _ = build_H(n)
-        fam = classify_family(g)
-        assert fam is not None and fam.tag == "H", f"H_{n}"
+        assert classify_family_all(g)[:1] == [FamilyId("H", n)], f"H_{n}"
     for n in range(14, 22):
         g, _ = build_G(n)
-        fam = classify_family(g)
-        assert fam is not None and fam.tag == "G", f"G_{n}"
+        assert classify_family_all(g)[:1] == [FamilyId("G", n)], f"G_{n}"
     for n in range(14, 22):
         g, _ = build_E(n)
-        fam = classify_family(g)
         expect = "H" if n % 6 in (0, 1, 5) else "E"
-        assert fam is not None and fam.tag == expect, f"E_{n}"
+        assert classify_family_all(g)[:1] == [FamilyId(expect, n)], f"E_{n}"
 
 
 def test_classify_multi_membership():
@@ -598,9 +595,9 @@ def test_classify_multi_membership():
 def test_classify_rejects_lookalikes():
     # A cyclic arrangement of singleton clusters is a plain cycle; no
     # family has that size profile.
-    assert classify_family(cycle_graph(9)) is None
-    assert classify_family(complete_graph(9)) is None
-    assert classify_family(path_graph(15)) is None
+    assert classify_family_all(cycle_graph(9)) == []
+    assert classify_family_all(complete_graph(9)) == []
+    assert classify_family_all(path_graph(15)) == []
 
 
 def test_classify_label_invariance():
@@ -608,8 +605,7 @@ def test_classify_label_invariance():
     g, _ = build_E(15)
     perm = list(range(15))
     rng.shuffle(perm)
-    fam = classify_family(relabel(g, perm))
-    assert fam is not None and fam.tag == "E"
+    assert classify_family_all(relabel(g, perm))[:1] == [FamilyId("E", 15)]
 
 
 @pytest.mark.parametrize("a, tags", [(7, ["E"]), (12, []), (30, []), (60, [])])
@@ -718,6 +714,21 @@ def test_maximal_3braids_two_components_through_cut_vertex():
     }
     for b in braids2:
         assert verify_braid(g2, b).verified
+
+
+def test_maximal_3braids_dense_graph_within_budget():
+    # This G(20, 0.7) has 14,227 maximal chains, all of two triples.
+    # Tested pairwise for containment they would cost some 10^8
+    # comparisons; chains of one length need none.
+    rng = random.Random(1)
+    g = graph_from_edges(
+        20, [e for e in itertools.combinations(range(20), 2) if rng.random() < 0.7]
+    )
+    start = time.perf_counter()
+    braids = maximal_3braids(g)
+    assert time.perf_counter() - start < 5
+    assert len(braids) == 14227
+    assert {b.k for b in braids} == {2}
 
 
 def test_maximal_3braids_reports_are_braids():

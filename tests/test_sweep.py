@@ -342,13 +342,14 @@ def test_quantity_of_graph_matches_known_counts():
 
 
 def test_uniqueness_small_n():
-    report = verify_extremal_uniqueness(4)
+    report = verify_extremal_uniqueness(4, exhaustive_max(4, "p2"))
     assert report.all_match
     assert report.pairs_checked == 3  # two pairs on the square, one on
     # the diamond
     assert report.central_multisets == {(2,)}
-    assert verify_extremal_uniqueness(5).central_multisets == {(3,)}
-    six = verify_extremal_uniqueness(6)
+    five = verify_extremal_uniqueness(5, exhaustive_max(5, "p2"))
+    assert five.central_multisets == {(3,)}
+    six = verify_extremal_uniqueness(6, exhaustive_max(6, "p2"))
     assert six.all_match
     assert six.central_multisets == {(4,), (2, 2)}
 
@@ -365,12 +366,28 @@ def test_uniqueness_rejects_a_non_braid_at_the_maximum():
     assert report.pairs_checked == 5
 
 
+def test_uniqueness_rejects_layerings_that_are_not_admissible_braids():
+    # In C6 an antipodal pair's distance layers end at the other vertex,
+    # but the two middle layers are not completely joined.  P5 is a path
+    # braid between its ends, with central sizes (1, 1, 1), which no F
+    # member has.
+    p5 = graph_from_edges(5, [(i, i + 1) for i in range(4)])
+    for g, best, pairs in ((cycle_graph(6), 2, 9), (p5, 1, 10)):
+        code = canon(g)
+        forged = SweepResult(g.n, "p2", ExactCount(best), frozenset({code}),
+                             1 << g.n * (g.n - 1) // 2)
+        report = verify_extremal_uniqueness(g.n, forged)
+        assert report.counterexample_codes == (code.g6,)
+        assert report.pairs_checked == pairs
+        assert report.central_multisets == frozenset()
+
+
 def test_uniqueness_input_checks():
     with pytest.raises(InputError):
-        verify_extremal_uniqueness(3)
+        verify_extremal_uniqueness(3, exhaustive_max(3, "p2"))
     with pytest.raises(InputError):
         verify_extremal_uniqueness(4, sweep=exhaustive_max(4, "m"))
-    doc = verify_extremal_uniqueness(4).to_json_dict()
+    doc = verify_extremal_uniqueness(4, exhaustive_max(4, "p2")).to_json_dict()
     assert doc["all_match"] is True
     assert doc["counterexample_codes"] == []
 
@@ -383,6 +400,5 @@ def test_uniqueness_rejects_a_shard():
         verify_extremal_uniqueness(6, sweep=shard)
     full = exhaustive_max(6, "p2")
     report = verify_extremal_uniqueness(6, sweep=full)
-    assert report == verify_extremal_uniqueness(6)
     assert report.all_match and report.pairs_checked == 17
     assert report.central_multisets == {(2, 2), (4,)}
