@@ -48,10 +48,10 @@ _EXPORTS = {
         "solve_typical_game",
     ),
     "graphs": (
-        "FAMILY_TAGS", "QUANTITIES", "CanonicalCode", "Graph", "Graph6Error",
-        "InputError", "InternalError", "UnsupportedError", "ball",
-        "canonical_code", "distance", "graph_from_pair_bits", "is_connected",
-        "pair_bits_of", "parse_graph6", "to_graph6",
+        "FAMILY_TAGS", "QUANTITIES", "Graph", "Graph6Error", "InputError",
+        "InternalError", "UnsupportedError", "ball", "canonical_code",
+        "distance", "graph_from_pair_bits", "is_connected", "pair_bits_of",
+        "parse_graph6", "to_graph6",
     ),
     "recognition": (
         "RecognitionReport", "candidate_cyclic_partitions",

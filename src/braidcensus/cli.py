@@ -89,20 +89,21 @@ def _graph_argument(args: argparse.Namespace) -> Graph:
     if args.input is not None:
         if args.family is not None or args.n is not None:
             raise InputError("give either --input or --family/--n, not both")
+        if args.variant is not None:
+            raise InputError("--variant only applies to --family, not --input")
         return _load_graph(args.input)
     if args.family is None or args.n is None:
         raise InputError("need an input source: --input, or --family with --n")
     from .families import build_family
 
-    return build_family(args.family, args.n, args.variant)[0]
+    return build_family(args.family, args.n, args.variant or 0)[0]
 
 
-def _add_graph_source(sub: argparse.ArgumentParser, family_too: bool) -> None:
+def _add_graph_source(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--input", help="graph6 code or file")
-    if family_too:
-        sub.add_argument("--family", choices=FAMILY_TAGS)
-        sub.add_argument("--n", type=int)
-        sub.add_argument("--variant", type=int, default=0)
+    sub.add_argument("--family", choices=FAMILY_TAGS)
+    sub.add_argument("--n", type=int)
+    sub.add_argument("--variant", type=int)
 
 
 # ======================================================================
@@ -311,11 +312,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(handler=_cmd_construct)
 
     sub = subs.add_parser("count", help="induced cycle census of one graph")
-    _add_graph_source(sub, family_too=True)
+    _add_graph_source(sub)
     sub.set_defaults(handler=_cmd_count)
 
     sub = subs.add_parser("paths", help="induced x-y path census")
-    _add_graph_source(sub, family_too=True)
+    _add_graph_source(sub)
     sub.add_argument("--x", type=int, required=True)
     sub.add_argument("--y", type=int, required=True)
     sub.set_defaults(handler=_cmd_paths)

@@ -18,12 +18,12 @@ Also provided:
   string of a relabeling.
 
 That least string, written top bit first, is the graph6 body of the
-canonical code, so codes are directly printable and decodable.
+canonical code: a canonical code is a graph6 string, directly printable
+and decodable with parse_graph6.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 # ======================================================================
@@ -105,7 +105,7 @@ class Graph:
     they can be used as dict keys in memo tables.
     """
 
-    __slots__ = ("n", "adj", "_hash")
+    __slots__ = ("n", "adj")
 
     def __init__(self, n: int, adj: Iterable[int]):
         rows = tuple(adj)
@@ -125,7 +125,6 @@ class Graph:
                     raise InputError(f"asymmetric adjacency between {u} and {v}")
         self.n = n
         self.adj = rows
-        self._hash = hash((n, rows))
 
     # -- constructors --------------------------------------------------
 
@@ -181,10 +180,6 @@ class Graph:
         _check_vertex(self, v)
         return bool(self.adj[u] >> v & 1)
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        _check_vertex(self, v)
-        return vertices_of(self.adj[v])
-
     def degree(self, v: int) -> int:
         _check_vertex(self, v)
         return self.adj[v].bit_count()
@@ -197,23 +192,8 @@ class Graph:
                 out.append((v, u))
         return out
 
-    def edge_count(self) -> int:
-        return sum(r.bit_count() for r in self.adj) // 2
-
     def full_mask(self) -> int:
         return (1 << self.n) - 1
-
-    def closed(self, v: int) -> int:
-        """Closed neighborhood N[v] as a mask."""
-        _check_vertex(self, v)
-        return self.adj[v] | (1 << v)
-
-    def closed_of(self, mask: int) -> int:
-        """Closed neighborhood of a vertex set, as a mask."""
-        out = mask
-        for v in bits_of(mask):
-            out |= self.adj[v]
-        return out
 
     # -- dunder ----------------------------------------------------------
 
@@ -221,7 +201,7 @@ class Graph:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.n, self.adj))
 
     def __repr__(self) -> str:
         e = self.edges()
@@ -312,14 +292,12 @@ def pair_bits_of(g: Graph) -> int:
 
 
 def _graph6(n: int, stream: int) -> str:
-    """graph6 of the n-vertex graph whose C(n, 2) pair bits, in pair_order,
-    are written top bit first in stream."""
+    """graph6 of the n-vertex graph, n <= 258047, whose C(n, 2) pair bits,
+    in pair_order, are written top bit first in stream."""
     if n <= 62:
         head = chr(n + 63)
-    elif n <= 258047:
-        head = "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
     else:
-        raise UnsupportedError(f"graph6 size header for n={n} not supported")
+        head = "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
     k = n * (n - 1) // 2
     # padded to whole 6-bit groups, each group read with its first bit high
     bits = bin(1 << k | stream)[3:] + "0" * (-k % 6)
@@ -329,6 +307,9 @@ def _graph6(n: int, stream: int) -> str:
 def to_graph6(g: Graph) -> str:
     """Encode as graph6, n up to 258047 (the 4-byte size header covers
     n >= 63).  Linear in the code length."""
+    if g.n > 258047:
+        # checked before the C(n, 2)-character bit string is built
+        raise UnsupportedError(f"graph6 size header for n={g.n} not supported")
     k = g.n * (g.n - 1) // 2
     # pair_bits_of holds the first pair in its low bit
     return _graph6(g.n, int(format(pair_bits_of(g), f"0{k}b")[::-1], 2))
@@ -392,22 +373,13 @@ def parse_graph6(text: str) -> Graph:
 CANON_MAX_N = 10
 
 
-@dataclass(frozen=True)
-class CanonicalCode:
-    """Isomorphism-invariant code: graph6 of the minimal relabeling."""
-
-    g6: str
-
-    def graph(self) -> Graph:
-        return parse_graph6(self.g6)
-
-
-def canonical_code(g: Graph) -> CanonicalCode:
+def canonical_code(g: Graph) -> str:
     """Canonical form by exhaustive branch and bound over labelings.
 
-    The code is the graph6 of the relabeling whose pair bits, read in
-    pair_order as one number with the first pair on top, are least over
-    all n! labelings: that number, top bit first, is the graph6 body.
+    The code, an isomorphism invariant, is the graph6 string of the
+    relabeling whose pair bits, read in pair_order as one number with the
+    first pair on top, are least over all n! labelings: that number, top
+    bit first, is the graph6 body.
     Vertices are placed one position at a time.  Each unplaced vertex
     carries its column against the placed ones as an int, the first placed
     on top, so a prefix grows as prefix << depth | col.  Candidates go in
@@ -445,4 +417,4 @@ def canonical_code(g: Graph) -> CanonicalCode:
                    [(c << 1 | adj[u] >> v & 1, u) for c, u in cols if u != v])
 
     extend(0, 0, [(0, v) for v in range(n)])
-    return CanonicalCode(_graph6(n, best))
+    return _graph6(n, best)

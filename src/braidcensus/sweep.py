@@ -51,12 +51,12 @@ from .graphs import (
     CYCLE_QUANTITIES,
     PATH_QUANTITIES,
     QUANTITIES,
-    CanonicalCode,
     Graph,
     InputError,
     InternalError,
     _layers,
     canonical_code,
+    parse_graph6,
     vertices_of,
 )
 from .recognition import verify_braid
@@ -80,7 +80,7 @@ class SweepResult:
     n: int
     quantity: str
     max: ExactCount
-    extremal_codes: frozenset[CanonicalCode]
+    extremal_codes: frozenset[str]
     graphs_scanned: int
 
     def __post_init__(self):
@@ -97,7 +97,7 @@ class SweepResult:
             "quantity": self.quantity,
             "max": str(self.max.value),
             "graphs_scanned": str(self.graphs_scanned),
-            "extremal_codes": sorted(c.g6 for c in self.extremal_codes),
+            "extremal_codes": sorted(self.extremal_codes),
         }
 
 
@@ -118,7 +118,7 @@ def _classes(k: int) -> tuple[tuple[Graph, int], ...]:
     """One (graph, labelled count) per isomorphism class on k vertices."""
     if k == 1:
         return ((Graph(1, (0,)), 1),)
-    found: dict[CanonicalCode, list] = {}
+    found: dict[str, list] = {}
     for parent, lab in _classes(k - 1):
         for nbhd in range(1 << (k - 1)):
             g = _extend(parent, nbhd)
@@ -230,7 +230,8 @@ def exhaustive_max(
     if n > limit:
         raise InputError(
             f"n={n} exceeds the sweep limit {limit}"
-            + ("" if long_run else " (pass long_run=True up to n=8)")
+            + ("" if long_run else
+               " (pass long_run=True, or --long-run on the CLI, up to n=8)")
         )
     lo, hi = shard_range(n, shards, shard)
     best, winners = -1, []
@@ -258,16 +259,16 @@ def exhaustive_max(
 def _bad_code(result: SweepResult) -> str | None:
     """Why the first extremal code that is not a canonical code on n
     vertices scoring the result's max fails, or None if every code is."""
-    for code in sorted(result.extremal_codes, key=lambda c: c.g6):
-        g = code.graph()
+    for code in sorted(result.extremal_codes):
+        g = parse_graph6(code)
         if g.n != result.n:
-            return f"{code.g6} has {g.n} vertices, not {result.n}"
+            return f"{code} has {g.n} vertices, not {result.n}"
         achieved = quantity_of_graph(g, result.quantity)
         if achieved != result.max.value:
-            return f"{code.g6} scores {achieved}, not {result.max.value}"
+            return f"{code} scores {achieved}, not {result.max.value}"
         # an isomorphic relabeling would merge as one more extremal class
         if canonical_code(g) != code:
-            return f"{code.g6} is not canonical"
+            return f"{code} is not canonical"
     return None
 
 
@@ -298,7 +299,7 @@ def checkpoint_line(shard: int, result: SweepResult) -> str:
     """One completed shard as a plain line: shard,max,codes..."""
     return ",".join(
         [str(shard), str(result.max.value)]
-        + sorted(c.g6 for c in result.extremal_codes)
+        + sorted(result.extremal_codes)
     )
 
 
@@ -320,7 +321,7 @@ def parse_checkpoint_line(
         n=n,
         quantity=quantity,
         max=ExactCount(best),
-        extremal_codes=frozenset(CanonicalCode(g6) for g6 in fields[2:]),
+        extremal_codes=frozenset(fields[2:]),
         graphs_scanned=_labelled_count(n, lo, hi),
     )
     bad = _bad_code(result)
@@ -397,15 +398,15 @@ def verify_extremal_uniqueness(n: int, sweep: SweepResult) -> UniquenessReport:
     bad: set[str] = set()
     multisets: set[tuple[int, ...]] = set()
     checked = 0
-    for code in sorted(sweep.extremal_codes, key=lambda c: c.g6):
-        g = code.graph()
+    for code in sorted(sweep.extremal_codes):
+        g = parse_graph6(code)
         for x, y in itertools.combinations(range(n), 2):
             if count_induced_st_paths(g, x, y).p2 != best:
                 continue
             checked += 1
             central = _path_braid_central(g, x, y)
             if central is None:
-                bad.add(code.g6)
+                bad.add(code)
             else:
                 multisets.add(tuple(sorted(central)))
     return UniquenessReport(

@@ -153,6 +153,10 @@ def test_count_input_source_is_exclusive(capsys):
         capsys, "count", "--input", "Dhc", "--family", "H", "--n", "12"
     )
     assert code == 2 and out == ""
+    # --variant picks a family member, so it has no meaning next to --input
+    for argv in (("count",), ("paths", "--x", "0", "--y", "2")):
+        code, out, err = run(capsys, *argv, "--input", "Dhc", "--variant", "1")
+        assert code == 2 and out == "" and "--variant" in err
     code, out, err = run(capsys, "count")
     assert code == 2 and "input source" in err
 
@@ -571,6 +575,7 @@ def test_verify_unreadable_checkpoints_are_input_errors(tmp_path, capsys, monkey
 def test_verify_long_run_guard(capsys):
     code, out, err = run(capsys, "verify", "--n", "8", "--quantity", "m")
     assert code == 2 and "long_run" in err
+    assert "--long-run" in err  # the flag a CLI user passes
 
 
 # ======================================================================
@@ -639,13 +644,13 @@ def test_unknown_flags_and_commands_exit_2(capsys):
 
 # what "from braidcensus import *" binds
 PUBLIC_NAMES = [
-    "AtypicalReport", "BraidSpec", "CanonicalCode", "ClusterPartition",
-    "CycleCensus", "ExactCount", "FAMILY_TAGS", "FamilyId", "GameState",
-    "GameVerdict", "Graph", "Graph6Error", "InputError", "InternalError",
-    "PathCensus", "QUANTITIES", "RealBound", "RecognitionReport",
-    "SweepResult", "TreeStats", "UniquenessReport", "UnsupportedError",
-    "apply_move", "atypical_set", "ball", "build_E", "build_G", "build_H",
-    "build_braid", "candidate_cyclic_partitions", "canonical_code", "census",
+    "AtypicalReport", "BraidSpec", "ClusterPartition", "CycleCensus",
+    "ExactCount", "FAMILY_TAGS", "FamilyId", "GameState", "GameVerdict",
+    "Graph", "Graph6Error", "InputError", "InternalError", "PathCensus",
+    "QUANTITIES", "RealBound", "RecognitionReport", "SweepResult",
+    "TreeStats", "UniquenessReport", "UnsupportedError", "apply_move",
+    "atypical_set", "ball", "build_E", "build_G", "build_H", "build_braid",
+    "candidate_cyclic_partitions", "canonical_code", "census",
     "classify_family_all", "count_cycles_through", "count_induced_cycles",
     "count_induced_st_paths", "cycles_per_vertex", "discover_cyclic_braid",
     "distance", "e_sizes", "exhaustive_max", "f2", "f2_even", "f2_odd",

@@ -326,6 +326,7 @@ def _input_error_cases():
            "files": {"blank.g6": "\n   \n"}}
     yield {"argv": ["count", "--input", "{dir}/latin.g6"],
            "files": {"latin.g6": "D\xe9c\n"}}
+    yield {"argv": ["count", "--input", C5, "--variant", "1"]}
 
 
 def cases():

@@ -177,6 +177,14 @@ def test_broken_residue_table_is_an_internal_error(monkeypatch):
         g_sizes(14)
 
 
+def test_parity_row_mixing_a_2_and_a_4_is_an_internal_error(monkeypatch):
+    # the row for n = 14 sums right, but _arrangements orders only
+    # multisets with one size other than 3
+    monkeypatch.setitem(families._F_ODD_SPECIALS, 2, [[2, 4]])
+    with pytest.raises(InternalError, match="two sizes other than 3"):
+        f_central_sequences(14, "odd")
+
+
 def test_build_g_full_intra_build_e_empty():
     g, p = build_G(16)
     check_braid_structure(g, p, "full")

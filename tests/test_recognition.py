@@ -458,7 +458,8 @@ def reference_partitions(g: Graph):
         return None
 
     full = g.full_mask()
-    comps = _components(tuple(full & ~g.closed(v) for v in range(g.n)), full)
+    complement = tuple(full & ~(row | 1 << v) for v, row in enumerate(g.adj))
+    comps = _components(complement, full)
     if len(comps) >= 3:
         part = emit([comps[0], comps[1], full & ~(comps[0] | comps[1])])
         if part is not None:

@@ -22,12 +22,13 @@ from braidcensus.families import member_of_F, build_H
 from braidcensus.formulas import ExactCount, f2
 from braidcensus.graphs import (
     QUANTITIES,
-    CanonicalCode,
     Graph,
     InputError,
     InternalError,
     canonical_code,
     graph_from_pair_bits,
+    parse_graph6,
+    to_graph6,
 )
 from braidcensus.sweep import (
     SweepResult,
@@ -63,7 +64,7 @@ def complete_bipartite(a: int, b: int) -> Graph:
     )
 
 
-def canon(g: Graph) -> CanonicalCode:
+def canon(g: Graph) -> str:
     return canonical_code(g)
 
 
@@ -180,7 +181,7 @@ def test_sweep_matches_the_labelled_scan(n, quantity):
     assert {
         "max": result.max.value,
         "graphs_scanned": result.graphs_scanned,
-        "extremal_codes": sorted(c.g6 for c in result.extremal_codes),
+        "extremal_codes": sorted(result.extremal_codes),
     } == GOLDEN[f"{n}/{quantity}"]
 
 
@@ -199,7 +200,7 @@ def test_merged_classes_fail_the_class_count_gate(monkeypatch):
     # a canonical form that merges non-isomorphic graphs (here: all with
     # the same edge count) must stop the sweep, not shrink it
     monkeypatch.setattr(
-        sweep, "canonical_code", lambda g: CanonicalCode(str(g.edge_count()))
+        sweep, "canonical_code", lambda g: str(sum(map(int.bit_count, g.adj)) // 2)
     )
     sweep._classes.cache_clear()
     try:
@@ -228,11 +229,20 @@ LYING_ENGINE_SCRIPT = """
 import sys
 from braidcensus import sweep
 from braidcensus.cli import main
-from braidcensus.graphs import InternalError
+from braidcensus.graphs import InternalError, canonical_code, to_graph6
 
 if __debug__:
     sys.exit("assertions are on: run with python -O")
 honest = sweep.quantity_of_graph
+sweep.quantity_of_graph = lambda g, q: honest(g, q) - (
+    g.n == 5 and canonical_code(g) == to_graph6(g))
+try:
+    sweep.exhaustive_max(5, "m_even")
+except InternalError as exc:
+    if "post-sweep check failed" not in str(exc):
+        sys.exit(f"the audit, not the post-sweep check, tripped: {exc}")
+else:
+    sys.exit("exhaustive_max accepted extremal codes that miss the max")
 sweep.quantity_of_graph = lambda g, q: honest(g, q) + (g.n == 4)
 try:
     sweep.exhaustive_max(4, "p2")
@@ -242,6 +252,21 @@ else:
     sys.exit("exhaustive_max accepted a lying engine")
 sys.exit(main(["verify", "--n", "4", "--quantity", "p2"]))
 """
+
+
+def lowered_in_canonical_labelling(g: Graph, quantity: str) -> int:
+    """An engine that scores 5-vertex graphs already in canonical
+    labelling one lower: the units the sampled audit draws at (5, m_even)
+    are not such graphs, but every extremal code is one."""
+    lowered = g.n == 5 and canonical_code(g) == to_graph6(g)
+    return quantity_of_graph(g, quantity) - lowered
+
+
+def test_post_sweep_check_rescores_every_extremal_code(monkeypatch):
+    monkeypatch.setattr(sweep, "quantity_of_graph", lowered_in_canonical_labelling)
+    with pytest.raises(InternalError,
+                       match="post-sweep check failed: DFw scores 2, not 3"):
+        exhaustive_max(5, "m_even")
 
 
 def test_cross_checks_survive_python_O():
@@ -313,7 +338,7 @@ def test_long_run_shard_at_n8():
     assert part.graphs_scanned == 33
     assert part.extremal_codes == {canon(complete_graph(8))}
     for code in part.extremal_codes:
-        assert quantity_of_graph(code.graph(), "m") == 56
+        assert quantity_of_graph(parse_graph6(code), "m") == 56
 
 
 def test_result_validation_and_json():
@@ -377,7 +402,7 @@ def test_uniqueness_rejects_layerings_that_are_not_admissible_braids():
         forged = SweepResult(g.n, "p2", ExactCount(best), frozenset({code}),
                              1 << g.n * (g.n - 1) // 2)
         report = verify_extremal_uniqueness(g.n, forged)
-        assert report.counterexample_codes == (code.g6,)
+        assert report.counterexample_codes == (code,)
         assert report.pairs_checked == pairs
         assert report.central_multisets == frozenset()
 
