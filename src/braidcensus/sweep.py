@@ -9,31 +9,41 @@ re-check its extremal codes and every checkpoint line.
 Classes.  _classes(k) holds one graph per isomorphism class on k
 vertices with its labelled count lab, the number of graphs on 0..k-1
 isomorphic to it.  It extends every class on k - 1 vertices by vertex
-k - 1 once per neighbourhood and deduplicates on canonical_code; lab of
-a class sums lab of the parents over the extensions landing on it.  The
-class counts must equal OEIS A000088, or the build raises InternalError.
+k - 1 once per orbit of neighbourhoods under swaps of the parent's
+twins (vertices with the same neighbours besides each other: swapping
+two is an automorphism), keeping the neighbourhood that holds the
+lowest twins of each twin class, and deduplicates on canonical_code.
+lab of a class sums lab of the parents times the orbit sizes over the
+extensions landing on it.  The class counts must equal OEIS A000088 and
+the labs must sum to 2^C(k,2), or the build raises InternalError.
 
-Units.  A sweep on n vertices scores every unit (class P on n - 1
-vertices, neighbourhood N of vertex n - 1), with no deduplication at
-level n.  A labelled graph is its restriction to 0..n-2 plus the
-neighbourhood of n - 1, and relabelling the restriction onto P maps
-exactly lab(P) labelled graphs, all isomorphic to it, onto each unit.
-So the best unit is the best graph, and graphs_scanned, the sum of
-lab(P) over the units, is 2^C(n,2) for a full sweep.  Only units at the
-maximum are canonicalized.  Unit u is (class u >> (n - 1), N = its low
-n - 1 bits).  A sweep runs in one process; shards, contiguous unit
+Units.  A sweep on n vertices ranges over every unit (class P on n - 1
+vertices, neighbourhood N of vertex n - 1).  A labelled graph is its
+restriction to 0..n-2 plus the neighbourhood of n - 1, and relabelling
+the restriction onto P maps exactly lab(P) labelled graphs, all
+isomorphic to it, onto each unit.  So the best unit is the best graph,
+and graphs_scanned, the sum of lab(P) over the units, is 2^C(n,2) for a
+full sweep.  A unit is not scored when swapping twins u < w of P, w in
+N and u not, gives a neighbourhood N' < N that the shard also holds:
+by induction on N, each unit skipped has an isomorphic unit scored in
+the same shard, so no shard's maximum or codes change.  Only units at
+the maximum are canonicalized.  Unit u is (class u >> (n - 1), N = its
+low n - 1 bits).  A sweep runs in one process; shards, contiguous unit
 ranges merged by merge_sweeps, are the way to run one in parallel (one
 process per shard), and any shard split gives the same result.
 
-Audit.  slow_census, the subset oracle, re-scores sampled units.  For a
-path quantity: G plus a vertex z adjacent to exactly x and y has one
-induced cycle with L + 2 vertices through z per induced x-y path of G
-with L edges, and no other cycle through z.
+Audit.  slow_census, the subset oracle, re-scores sampled units, scored
+or skipped: each must match the per-graph engines, score at most the
+shard's maximum, and at the maximum have its class among the shard's
+codes.  For a path quantity: G plus a vertex z adjacent to exactly x
+and y has one induced cycle with L + 2 vertices through z per induced
+x-y path of G with L edges, and no other cycle through z.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -119,14 +129,65 @@ def _classes(k: int) -> tuple[tuple[Graph, int], ...]:
     if k == 1:
         return ((Graph(1, (0,)), 1),)
     found: dict[str, list] = {}
-    for parent, lab in _classes(k - 1):
+    for index, (parent, lab) in enumerate(_classes(k - 1)):
+        twins = _twins(k - 1, index)
         for nbhd in range(1 << (k - 1)):
+            # a skipped nbhd's twin image came earlier in this loop and
+            # landed on the same class, so no representative changes
+            if _twin_swap_below(nbhd, twins, 0):
+                continue
             g = _extend(parent, nbhd)
-            found.setdefault(canonical_code(g), [g, 0])[1] += lab
+            weight = lab * _orbit_size(nbhd, twins)
+            found.setdefault(canonical_code(g), [g, 0])[1] += weight
     if len(found) != A000088[k]:
         raise InternalError(f"{len(found)} isomorphism classes on {k} "
                             f"vertices, not {A000088[k]}")
+    # the class count cannot see a wrong weight
+    labelled = sum(lab for _, lab in found.values())
+    if labelled != 1 << k * (k - 1) // 2:
+        raise InternalError(f"the classes on {k} vertices count {labelled} "
+                            f"labelled graphs, not 2^{k * (k - 1) // 2}")
     return tuple((g, lab) for g, lab in found.values())
+
+
+@lru_cache(maxsize=None)
+def _twins(k: int, index: int) -> tuple[int, ...]:
+    """The twin classes of two or more vertices of _classes(k)[index],
+    as bit masks: twins have the same neighbours besides each other, so
+    swapping two is an automorphism."""
+    adj = _classes(k)[index][0].adj
+    classes, left = [], (1 << k) - 1
+    while left:
+        u = (left & -left).bit_length() - 1
+        twin = sum(1 << w for w in vertices_of(left)
+                   if (adj[u] ^ adj[w]) & ~(1 << u | 1 << w) == 0)
+        left &= ~twin
+        if twin != 1 << u:
+            classes.append(twin)
+    return tuple(classes)
+
+
+def _twin_swap_below(nbhd: int, twins: tuple[int, ...], floor: int) -> bool:
+    """Whether swapping twins u < w of the parent, w in nbhd and u not,
+    gives a neighbourhood N' with floor <= N' < nbhd: an isomorphic
+    extension met before nbhd by a scan that starts at floor."""
+    for twin in twins:
+        out = twin & ~nbhd
+        # the swap with the smallest drop moves the lowest member w of
+        # nbhd above a non-member down to the non-member u next below w
+        above = nbhd & twin & -((out & -out) << 1)
+        if above:
+            w = above & -above
+            u = 1 << (out & (w - 1)).bit_length() - 1
+            if nbhd - w + u >= floor:
+                return True
+    return False
+
+
+def _orbit_size(nbhd: int, twins: tuple[int, ...]) -> int:
+    """How many neighbourhoods swaps of twins map nbhd to."""
+    return math.prod(math.comb(twin.bit_count(), (nbhd & twin).bit_count())
+                     for twin in twins)
 
 
 def _unit_graph(n: int, unit: int) -> Graph:
@@ -171,9 +232,12 @@ def _slow_quantity(g: Graph, quantity: str) -> int:
     return best
 
 
-def _audit(n: int, quantity: str, lo: int, hi: int) -> None:
-    """Sampled cross-check: the per-graph engines and the independent
-    subset oracle must agree on random units of [lo, hi)."""
+def _audit(result: SweepResult, lo: int, hi: int) -> None:
+    """Sampled cross-check of the shard [lo, hi) on random units, scored
+    or skipped: the per-graph engines and the independent subset oracle
+    must agree on each, and the oracle's score must not beat the
+    result's max, nor reach it with a class missing from its codes."""
+    n, quantity, best = result.n, result.quantity, result.max.value
     rng = random.Random(f"sweep:{n}:{quantity}")
     for _ in range(AUDIT_SAMPLES):
         unit = rng.randrange(lo, hi)
@@ -184,6 +248,12 @@ def _audit(n: int, quantity: str, lo: int, hi: int) -> None:
                 f"engine mismatch at unit {unit}: census {fast}, "
                 f"subset oracle {slow}"
             )
+        if slow > best:
+            raise InternalError(f"unit {unit} scores {slow} under the subset "
+                                f"oracle, above the shard's max {best}")
+        if slow == best and canonical_code(g) not in result.extremal_codes:
+            raise InternalError(f"unit {unit} scores the shard's max {best}, "
+                                f"but its class is missing from the codes")
 
 
 # ======================================================================
@@ -213,14 +283,17 @@ def exhaustive_max(
     shards: int = 1,
     shard: int = 0,
 ) -> SweepResult:
-    """Score all graphs on n vertices (or one shard of them) and
-    maximize the quantity; path quantities maximize over unordered
-    endpoint pairs within each graph first.
+    """Maximize the quantity over all graphs on n vertices (or one shard
+    of them); path quantities maximize over unordered endpoint pairs
+    within each graph first.  A unit that a swap of twins maps onto an
+    earlier unit of the shard is not scored (see the module docstring);
+    graphs_scanned still counts every labelled graph the shard covers.
 
     n <= 7 is always allowed; n = 8 needs long_run=True (133,632 units
-    standing for a quarter billion labelled graphs).  Shards split the
-    units for checkpointed runs and for parallel ones, one process per
-    shard; combine shard results with merge_sweeps.
+    standing for a quarter billion labelled graphs, of which 94,956 are
+    scored).  Shards split the units for checkpointed runs and for
+    parallel ones, one process per shard; combine shard results with
+    merge_sweeps.
     """
     if quantity not in QUANTITIES:
         raise InputError(f"quantity must be one of {QUANTITIES}")
@@ -236,13 +309,18 @@ def exhaustive_max(
     lo, hi = shard_range(n, shards, shard)
     best, winners = -1, []
     for unit in range(lo, hi):
+        nbhd = unit & ((1 << (n - 1)) - 1)
+        # a twin image below the shard's first unit of the class is not
+        # in the shard, so it cannot stand in for this unit
+        floor = max(lo - (unit - nbhd), 0)
+        if _twin_swap_below(nbhd, _twins(n - 1, unit >> (n - 1)), floor):
+            continue
         value = quantity_of_graph(_unit_graph(n, unit), quantity)
         if value > best:
             best, winners = value, [unit]
         elif value == best:
             winners.append(unit)
     codes = {canonical_code(_unit_graph(n, unit)) for unit in winners}
-    _audit(n, quantity, lo, hi)
     result = SweepResult(
         n=n,
         quantity=quantity,
@@ -250,6 +328,7 @@ def exhaustive_max(
         extremal_codes=frozenset(codes),
         graphs_scanned=_labelled_count(n, lo, hi),
     )
+    _audit(result, lo, hi)
     bad = _bad_code(result)
     if bad:
         raise InternalError(f"post-sweep check failed: {bad}")

@@ -31,6 +31,7 @@ from braidcensus.graphs import (
     to_graph6,
 )
 from braidcensus.sweep import (
+    A000088,
     SweepResult,
     checkpoint_line,
     exhaustive_max,
@@ -169,7 +170,9 @@ def test_odd_and_even_partition_the_total():
 # ======================================================================
 
 # max, extremal codes and labelled count of every sweep with 2 <= n <= 7,
-# as the vectorized scan over all 2^C(n,2) labelled graphs computed them
+# as the vectorized scan over all 2^C(n,2) labelled graphs computed them;
+# the n = 8 records come from the unit scan that scored every unit, before
+# units that a twin swap maps onto an earlier one were skipped
 with open(os.path.join(os.path.dirname(__file__), "sweep_golden.json")) as fh:
     GOLDEN = json.load(fh)
 
@@ -185,15 +188,66 @@ def test_sweep_matches_the_labelled_scan(n, quantity):
     } == GOLDEN[f"{n}/{quantity}"]
 
 
+@pytest.mark.parametrize("quantity", QUANTITIES)
+def test_n8_records_are_canonical_and_score_their_max(quantity):
+    # a resweep takes seconds to a minute per quantity, so the records are
+    # checked without one: every labelled graph, and codes that are
+    # canonical on 8 vertices and score the max
+    record = GOLDEN[f"8/{quantity}"]
+    assert record["graphs_scanned"] == 1 << 28
+    assert record["extremal_codes"] == sorted(set(record["extremal_codes"]))
+    result = SweepResult(8, quantity, ExactCount(record["max"]),
+                         frozenset(record["extremal_codes"]), 1 << 28)
+    assert sweep._bad_code(result) is None
+
+
+def unpruned_sweep(n: int, quantity: str, shards: int, shard: int,
+                   scores: list[int]) -> SweepResult:
+    """The unit scan before twin skips: it scores every unit of the shard
+    (scores[unit] is quantity_of_graph of the unit's graph)."""
+    lo, hi = shard_range(n, shards, shard)
+    best, winners = -1, []
+    for unit in range(lo, hi):
+        value = scores[unit]
+        if value > best:
+            best, winners = value, [unit]
+        elif value == best:
+            winners.append(unit)
+    codes = {canonical_code(sweep._unit_graph(n, unit)) for unit in winners}
+    return SweepResult(n, quantity, ExactCount(best), frozenset(codes),
+                       sweep._labelled_count(n, lo, hi))
+
+
+def test_twin_skips_change_no_shard_result():
+    # every split at n <= 6, and the n = 7 splits of the benchmark, which
+    # cut through classes: a skipped unit's twin image must lie in its shard
+    cases = [(n, quantity, [k for k in (1, 2, 3, 7, 16) if k <= A000088[n - 1] << (n - 1)])
+             for n in range(2, 7) for quantity in QUANTITIES]
+    cases += [(7, "m", [16]), (7, "p2", [32])]
+    for n, quantity, splits in cases:
+        scores = [quantity_of_graph(sweep._unit_graph(n, unit), quantity)
+                  for unit in range(A000088[n - 1] << (n - 1))]
+        for shards in splits:
+            for shard in range(shards):
+                assert exhaustive_max(n, quantity, shards=shards, shard=shard) == \
+                    unpruned_sweep(n, quantity, shards, shard, scores), (n, quantity, shards, shard)
+
+
 def test_classes_follow_a000088_and_count_every_labelled_graph():
     for k in range(1, 7):
         classes = sweep._classes(k)
         assert len(classes) == sweep.A000088[k]
         assert sum(lab for _, lab in classes) == 1 << (k * (k - 1) // 2)
         assert len({canonical_code(g) for g, _ in classes}) == len(classes)
-    for g, lab in sweep._classes(5):
-        # lab = 5! / |Aut g|, the number of distinct relabelings
-        assert lab == len({g.relabeled(p) for p in itertools.permutations(range(5))})
+    for k in (5, 6):
+        for g, lab in sweep._classes(k):
+            # lab = k! / |Aut g|, the number of distinct relabelings
+            assert lab == len({g.relabeled(p) for p in itertools.permutations(range(k))})
+
+
+def clear_class_caches():
+    sweep._classes.cache_clear()
+    sweep._twins.cache_clear()
 
 
 def test_merged_classes_fail_the_class_count_gate(monkeypatch):
@@ -202,12 +256,39 @@ def test_merged_classes_fail_the_class_count_gate(monkeypatch):
     monkeypatch.setattr(
         sweep, "canonical_code", lambda g: str(sum(map(int.bit_count, g.adj)) // 2)
     )
-    sweep._classes.cache_clear()
+    clear_class_caches()
     try:
         with pytest.raises(InternalError, match="isomorphism classes on 4"):
             exhaustive_max(5, "m")
     finally:
-        sweep._classes.cache_clear()
+        clear_class_caches()
+
+
+def test_wrong_orbit_sizes_fail_the_labelled_count_gate(monkeypatch):
+    # weighting each kept neighbourhood once keeps every class, so only
+    # the labelled count can see it: on 3 vertices each of the two
+    # parents keeps 0, {0} and {0, 1}, and {0} stands for two
+    monkeypatch.setattr(sweep, "_orbit_size", lambda nbhd, twins: 1)
+    clear_class_caches()
+    try:
+        with pytest.raises(InternalError, match=r"count 6 labelled graphs, not 2\^3"):
+            sweep._classes(3)
+    finally:
+        clear_class_caches()
+
+
+def test_audit_checks_sampled_units_against_the_result():
+    # forged results for the 32 units on 4 vertices: no unit has an odd
+    # hole, so at max 0 every sampled unit's class must be a code, and
+    # some sampled unit holds a triangle
+    lo, hi = shard_range(4, 1, 0)
+    only_empty = SweepResult(4, "m_odd_holes", ExactCount(0), frozenset({"C?"}), 64)
+    with pytest.raises(InternalError, match="class is missing from the codes"):
+        sweep._audit(only_empty, lo, hi)
+    every_class = frozenset(canonical_code(g) for g, _ in sweep._classes(4))
+    no_triangle = SweepResult(4, "m", ExactCount(0), every_class, 64)
+    with pytest.raises(InternalError, match="above the shard's max 0"):
+        sweep._audit(no_triangle, lo, hi)
 
 
 def test_audit_reads_paths_as_cycles_through_an_added_vertex():
@@ -223,16 +304,36 @@ def test_audit_reads_paths_as_cycles_through_an_added_vertex():
 
 
 # Run under python -O, where assert statements are stripped: the sweep's
-# cross-checks must still catch a per-graph engine that lies at n = 4,
-# in the library and through the CLI.
+# cross-checks must still catch wrong orbit sizes in the class build, a
+# shard result that misses a sampled unit's class and a per-graph engine
+# that lies at n = 4, in the library and through the CLI.
 LYING_ENGINE_SCRIPT = """
 import sys
 from braidcensus import sweep
 from braidcensus.cli import main
+from braidcensus.formulas import ExactCount
 from braidcensus.graphs import InternalError, canonical_code, to_graph6
 
 if __debug__:
     sys.exit("assertions are on: run with python -O")
+orbit_size = sweep._orbit_size
+sweep._orbit_size = lambda nbhd, twins: 1
+try:
+    sweep._classes(4)
+except InternalError as exc:
+    if "labelled graphs" not in str(exc):
+        sys.exit(f"the labelled count, not another check, should trip: {exc}")
+else:
+    sys.exit("_classes accepted wrong orbit sizes")
+sweep._orbit_size = orbit_size
+sweep._classes.cache_clear()
+try:
+    sweep._audit(sweep.SweepResult(4, "m_odd_holes", ExactCount(0), frozenset({"C?"}), 64),
+                 0, 32)
+except InternalError:
+    pass
+else:
+    sys.exit("the audit accepted a result missing a sampled unit's class")
 honest = sweep.quantity_of_graph
 sweep.quantity_of_graph = lambda g, q: honest(g, q) - (
     g.n == 5 and canonical_code(g) == to_graph6(g))
