@@ -6,15 +6,17 @@ which consecutive clusters are completely joined and every vertex of a
 has its whole neighborhood inside the three-cluster window around it.
 Edges inside a cluster are unrestricted.
 
+Every family's sizes are a residue row of 2s and 4s (the _*_SPECIALS
+tables, by n mod 3 for H and F, by n mod 6 otherwise) filled up with 3s;
+this module is their one owner, and formulas.py reads the path rows.
 Families built here (vertex numbering is cluster-major ascending, special
 clusters at the lowest indices, so output is reproducible):
 
-* build_H(n): empty cyclic braid, clusters all 3 except one 2 (n = 3k-1)
-  or one 4 (n = 3k+1); the all-cycle extremal construction.
-* build_G(n): full cyclic braid, size exceptions by n mod 6; odd-cycle
+* build_H(n): empty cyclic braid, one 2 (n = 3k-1) or one 4 (n = 3k+1);
+  the all-cycle extremal construction.
+* build_G(n): full cyclic braid; odd-cycle extremal.
+* build_E(n): empty cyclic braid (the odd table shifted by 3); even-cycle
   extremal.
-* build_E(n): empty cyclic braid, size exceptions by n mod 6 (the odd
-  table shifted by 3); even-cycle extremal.
 * member_of_F(n, parity, variant): path braids (1, c_1..c_t, 1) with
   singleton ends and empty clusters, central sizes by the n mod 3 table
   ("all") or the n mod 6 tables ("odd"/"even"); variants enumerate
@@ -179,23 +181,7 @@ def build_braid(spec: BraidSpec) -> tuple[Graph, ClusterPartition]:
 # ======================================================================
 
 
-def h_sizes(n: int) -> tuple[int, ...]:
-    if n < 8:
-        raise InputError(f"build_H needs n >= 8, got {n}")
-    r = n % 3
-    if r == 0:
-        return tuple([3] * (n // 3))
-    if r == 1:  # n = 3k+1: one 4, k-1 threes
-        return tuple([4] + [3] * ((n - 4) // 3))
-    return tuple([2] + [3] * ((n - 2) // 3))  # n = 3k-1: one 2
-
-
-def build_H(n: int) -> tuple[Graph, ClusterPartition]:
-    """Empty cyclic braid with the all-cycles extremal size profile."""
-    _check_size(n)
-    return build_braid(BraidSpec(h_sizes(n), cyclic=True, intra="empty"))
-
-
+_H_SPECIALS = {0: [], 1: [4], 2: [2]}
 _G_SPECIALS = {0: [2, 2, 2], 1: [2, 2], 2: [2], 3: [], 4: [4], 5: [4, 4]}
 _E_SPECIALS = {0: [], 1: [4], 2: [4, 4], 3: [2, 2, 2], 4: [2, 2], 5: [2]}
 
@@ -208,18 +194,28 @@ def _threes(rest: int, what: str) -> list[int]:
     return [3] * (rest // 3)
 
 
-def _cyclic_sizes(n: int, specials: list[int], who: str) -> tuple[int, ...]:
-    if n < 14:
-        raise InputError(f"build_{who} needs n >= 14, got {n}")
+def _cyclic_sizes(n: int, specials: list[int], who: str, low: int) -> tuple[int, ...]:
+    if n < low:
+        raise InputError(f"build_{who} needs n >= {low}, got {n}")
     return tuple(specials + _threes(n - sum(specials), f"{who} at n={n}"))
 
 
+def h_sizes(n: int) -> tuple[int, ...]:
+    return _cyclic_sizes(n, _H_SPECIALS[n % 3], "H", 8)
+
+
+def build_H(n: int) -> tuple[Graph, ClusterPartition]:
+    """Empty cyclic braid with the all-cycles extremal size profile."""
+    _check_size(n)
+    return build_braid(BraidSpec(h_sizes(n), cyclic=True, intra="empty"))
+
+
 def g_sizes(n: int) -> tuple[int, ...]:
-    return _cyclic_sizes(n, _G_SPECIALS[n % 6], "G")
+    return _cyclic_sizes(n, _G_SPECIALS[n % 6], "G", 14)
 
 
 def e_sizes(n: int) -> tuple[int, ...]:
-    return _cyclic_sizes(n, _E_SPECIALS[n % 6], "E")
+    return _cyclic_sizes(n, _E_SPECIALS[n % 6], "E", 14)
 
 
 def build_G(n: int) -> tuple[Graph, ClusterPartition]:
@@ -239,6 +235,7 @@ def build_E(n: int) -> tuple[Graph, ClusterPartition]:
 # path families: F, F_odd, F_even
 # ======================================================================
 
+_F_SPECIALS = {0: [[4], [2, 2]], 1: [[2]], 2: [[]]}
 _F_ODD_SPECIALS = {0: [[4]], 1: [[4, 4], [2, 2, 2, 2]], 2: [[2, 2, 2]],
                    3: [[2, 2]], 4: [[2]], 5: [[]]}
 _F_EVEN_SPECIALS = {0: [[2, 2]], 1: [[2]], 2: [[]], 3: [[4]],
@@ -251,13 +248,7 @@ def f_central_multisets(n: int, parity: str = "all") -> list[tuple[int, ...]]:
     if parity == "all":
         if n < 4:
             raise InputError(f"path family needs n >= 4, got {n}")
-        r = n % 3
-        if r == 0:
-            options = [[4], [2, 2]]
-        elif r == 1:
-            options = [[2]]
-        else:
-            options = [[]]
+        options = _F_SPECIALS[n % 3]
     elif parity in ("odd", "even"):
         if n < 10:
             raise InputError(f"parity path families need n >= 10, got {n}")

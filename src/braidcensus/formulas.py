@@ -1,14 +1,15 @@
 """Closed-form counts and bounds for braid-structured extremal graphs.
 
-Everything here is exact integer arithmetic on residue-dispatched
-expressions; the only real-valued quantity is the per-vertex cycle bound,
-whose exponent (n - d - 1)/3 need not be an integer.
+Everything here is exact integer arithmetic but the per-vertex cycle
+bound, whose exponent (n - d - 1)/3 need not be an integer.
 
-The even-path count f2_even is not given anywhere as a closed form; we
-define it as the product of the central cluster sizes of the even-parity
-extremal braid family and verify that definition in tests against an
-independent maximizer (max product of parts with an even part count) and
-against the path census of the built graphs.
+The induced-path maxima f2, f2_odd and f2_even are the products of the
+central cluster sizes of the extremal path braids F, F_odd and F_even, read
+from the residue rows that families.py owns (imported only when a path form
+is asked for).  Tests check them against an independent maximizer (max
+product of parts with a given part-count parity) and against the path
+census of the built graphs.  m_lower keeps its own residue dispatch: an
+induced-cycle count adds short-cycle terms to the product of cluster sizes.
 """
 
 from __future__ import annotations
@@ -58,50 +59,32 @@ def _pow3(k: int) -> int:
     return 3 ** k
 
 
+def _central_product(n: int, parity: str) -> ExactCount:
+    """Central-size product of the extremal path braids: every admissible
+    multiset of the family's residue row has the same one, so read the first."""
+    from .families import f_central_multisets
+
+    sizes = f_central_multisets(n, parity)[0]
+    others = [s for s in sizes if s != 3]
+    return ExactCount(3 ** (len(sizes) - len(others)) * math.prod(others))
+
+
 def f2(n: int) -> ExactCount:
     """Maximum number of induced paths between a fixed vertex pair."""
     _check_n("f2", n, 4)
-    r = n % 3
-    if r == 2:
-        return ExactCount(_pow3((n - 2) // 3))
-    if r == 0:
-        return ExactCount(4 * _pow3((n - 6) // 3))
-    return ExactCount(2 * _pow3((n - 4) // 3))
+    return _central_product(n, "all")
 
 
 def f2_odd(n: int) -> ExactCount:
     """Maximum number of induced odd paths (odd = odd vertex count)."""
     _check_n("f2_odd", n, 10)
-    r = n % 6
-    if r == 0:
-        return ExactCount(4 * _pow3((n - 6) // 3))
-    if r == 1:
-        return ExactCount(2 ** 4 * _pow3((n - 10) // 3))
-    if r == 2:
-        return ExactCount(2 ** 3 * _pow3((n - 8) // 3))
-    if r == 3:
-        return ExactCount(2 ** 2 * _pow3((n - 6) // 3))
-    if r == 4:
-        return ExactCount(2 * _pow3((n - 4) // 3))
-    return ExactCount(_pow3((n - 2) // 3))
+    return _central_product(n, "odd")
 
 
 def f2_even(n: int) -> ExactCount:
-    """Maximum number of induced even paths: central-size product of the
-    even-parity extremal family (equivalently f2_odd(n + 3) / 3)."""
+    """Maximum number of induced even paths (even = even vertex count)."""
     _check_n("f2_even", n, 10)
-    r = n % 6
-    if r == 0:
-        return ExactCount(4 * _pow3((n - 6) // 3))  # two 2s
-    if r == 1:
-        return ExactCount(2 * _pow3((n - 4) // 3))  # one 2
-    if r == 2:
-        return ExactCount(_pow3((n - 2) // 3))  # all 3s
-    if r == 3:
-        return ExactCount(4 * _pow3((n - 6) // 3))  # one 4
-    if r == 4:
-        return ExactCount(2 ** 4 * _pow3((n - 10) // 3))  # two 4s / four 2s
-    return ExactCount(2 ** 3 * _pow3((n - 8) // 3))  # three 2s
+    return _central_product(n, "even")
 
 
 def m_lower(n: int) -> ExactCount:

@@ -773,7 +773,9 @@ SWEEP = {"census", "families", "formulas", "recognition", "sweep"}
     (("recognize", "--input", H15_G6), {"families", "recognition"}),
     (("game", "--input", H30_G6, "--v", "0", "--w", "15"), {"game"}),
     (("atypical", "--input", H30_G6, "--v", "0"), {"game"}),
-    (("formula", "--name", "f2", "--n", "40"), {"formulas"}),
+    (("formula", "--name", "f2", "--n", "40"), {"families", "formulas"}),
+    (("formula", "--name", "m_lower", "--n", "40"), {"formulas"}),
+    (("formula", "--name", "short_mass", "--n", "40"), {"formulas"}),
     (("formula", "--name", "vertex_bound", "--n", "40", "--d", "3"), {"formulas"}),
     (("verify", "--n", "4", "--quantity", "m"), SWEEP),
     (("verify", "--n", "4", "--quantity", "p2", "--shards", "2", "--merge"), SWEEP),
@@ -815,6 +817,25 @@ def test_cli_under_python_O_gives_the_library_answer(argv, answer):
     code, out, err = _python("-O", "-m", "braidcensus.cli", *argv)
     assert code == 0, err
     assert out.count("\n") == 1 and json.loads(out) == answer()
+
+
+# Run under python -O, where assert statements are stripped: a broken
+# residue row must still stop the closed form the CLI prints.
+BROKEN_ROW_SCRIPT = """
+import sys
+from braidcensus import cli, families
+
+if __debug__:
+    sys.exit("assertions are on: run with python -O")
+families._F_ODD_SPECIALS[2] = [[2, 2]]
+sys.exit(cli.main(["formula", "--name", "f2o", "--n", "14"]))
+"""
+
+
+def test_broken_residue_row_fails_the_formula_under_python_O():
+    code, out, err = _python("-O", "-c", BROKEN_ROW_SCRIPT)
+    assert code == 4 and out == ""
+    assert "internal check failed" in err
 
 
 @pytest.mark.parametrize("argv", [

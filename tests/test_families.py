@@ -185,6 +185,40 @@ def test_parity_row_mixing_a_2_and_a_4_is_an_internal_error(monkeypatch):
         f_central_sequences(14, "odd")
 
 
+@pytest.mark.parametrize("row, broken, sizes", [
+    ("_H_SPECIALS", [2, 2], h_sizes),
+    ("_F_SPECIALS", [[2, 2]], f_central_multisets),
+])
+def test_broken_mod_3_row_is_an_internal_error(monkeypatch, row, broken, sizes):
+    monkeypatch.setitem(getattr(families, row), 2, broken)
+    with pytest.raises(InternalError, match="residue table broken"):
+        sizes(14)
+
+
+def _rows(tag, n):
+    """The size profiles of a family at n: whole rings, or the central
+    clusters of a path braid."""
+    if tag in ("H", "G", "E"):
+        return [{"H": h_sizes, "G": g_sizes, "E": e_sizes}[tag](n)]
+    if tag == "G_script":
+        return script_g_multisets(n)
+    return f_central_multisets(n, {"F": "all", "F_odd": "odd", "F_even": "even"}[tag])
+
+
+@pytest.mark.parametrize("tag, low, period", [
+    ("H", 8, 3), ("G", 14, 6), ("E", 14, 6), ("F", 4, 3),
+    ("F_odd", 10, 6), ("F_even", 10, 6), ("G_script", 14, 6),
+])
+def test_each_residue_row_fills_its_smallest_n(tag, low, period):
+    # the smallest admissible n of each residue class: a short row shows
+    # first here, before its 3s pad it out
+    central = tag.startswith("F")
+    for n in range(low, low + period):
+        for sizes in _rows(tag, n):
+            assert sum(sizes) == n - 2 * central, (tag, n, sizes)
+            assert set(sizes) <= {2, 3, 4}, (tag, n, sizes)
+
+
 def test_build_g_full_intra_build_e_empty():
     g, p = build_G(16)
     check_braid_structure(g, p, "full")

@@ -14,6 +14,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from braidcensus.families import f_central_sequences
 from braidcensus.formulas import (
     EXACT_MAX_N,
     ExactCount,
@@ -46,20 +47,31 @@ def max_part_product(total: int, count_parity: str) -> int:
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("n", range(4, 41))
+@pytest.mark.parametrize("n", range(4, 201))
 def test_f2_equals_part_product_maximum(n):
     assert f2(n).value == max_part_product(n - 2, "any")
 
 
-@pytest.mark.parametrize("n", range(10, 41))
+@pytest.mark.parametrize("n", range(10, 201))
 def test_f2_odd_equals_odd_count_maximum(n):
     # path vertex count = central part count + 2, so odd paths <=> odd t
     assert f2_odd(n).value == max_part_product(n - 2, "odd")
 
 
-@pytest.mark.parametrize("n", range(10, 41))
+@pytest.mark.parametrize("n", range(10, 201))
 def test_f2_even_equals_even_count_maximum(n):
     assert f2_even(n).value == max_part_product(n - 2, "even")
+
+
+@pytest.mark.parametrize("n", range(4, 61))
+def test_every_arrangement_has_the_closed_form_product(n):
+    # the closed forms read the first multiset of a row; every ordering of
+    # every multiset in the row must reach the same product
+    forms = [("all", f2)] + ([("odd", f2_odd), ("even", f2_even)] if n >= 10 else [])
+    for parity, form in forms:
+        want = form(n).value
+        for seq in f_central_sequences(n, parity):
+            assert math.prod(seq) == want, (parity, n, seq)
 
 
 # ----------------------------------------------------------------------
