@@ -64,10 +64,12 @@ cycles_per_vertex, they are the checks on the memo and the forward pass.
 Path-tree statistics.  The x-y path tree is the rooted tree whose nodes
 are the growing induced paths, except that a node whose endpoint is
 adjacent to y has exactly one child, y itself.  We never materialize it.
-Leaf counts, the sibling-balance flag and the set of child-count multisets
-along root-to-leaf paths (the forced unary y-step excluded) are cached per
-(cands, blocked) the same way; a node's value holds the multisets of its
-root-to-leaf suffixes, each packed as an int of per-child-count fields.
+Its internal nodes are the states of the x-y fold (whose prune never
+fires there, as a path next to y ends), so a second pass reads the memo
+children first, recomputes each state's children from its key, and
+replaces each histogram by leaf counts, the sibling-balance flag and the
+multisets of child counts along its root-to-leaf suffixes (the forced
+unary y-step excluded), each packed as an int of per-child-count fields.
 
 slow_census is the independent oracle.  It decides vertices 0..n-1 in
 order and drops a branch once a chosen vertex has three chosen neighbours,
@@ -212,7 +214,9 @@ def _fold(adj, above: int, stop: int, close: int, start: int, width: int,
     Returns (base, packed): field k of packed << (width * base) counts the
     completions whose closing vertex lies k steps beyond the vertex
     before start.  Every state expanded is left in memo, keyed
-    (cands, blocked), with its histogram as (base, packed).
+    (cands, blocked), with its histogram as (base, packed), and stored
+    only after all of its children: _forward and path_tree_stats read
+    the memo in that order.
     """
     stack = []
     # the current frame: memo key, blocked below it, children left, and
@@ -512,55 +516,31 @@ def path_tree_stats(g: Graph, x: int, y: int) -> TreeStats:
     _check_pair(g, x, y)
     adj = g.adj
     ybit = 1 << y
+    memo: dict = {}
+    _fold(adj, g.full_mask(), ybit, ybit, x, g.n + 1, memo)
     width = g.n.bit_length()
-    memo: dict[tuple[int, int], tuple[int, int, set[int], bool]] = {}
-    stack = []
-    # the current frame: memo key, blocked below it, children left, its
-    # child count as a packed multiset, then its running statistics:
-    # leaves, y-leaves, the first child's y-leaves, balanced, and the
-    # packed child-count multisets of its root-to-leaf suffixes.  The
-    # first frame stands for the vertex before x and counts nothing.
-    key, nb, todo, step = None, 1 << x, 1 << x, 0
-    leaves, y_leaves, first, balanced, suffixes = 0, 0, -1, True, set()
-    while True:
-        if todo:
-            bit = todo & -todo
-            todo ^= bit
-            z = bit.bit_length() - 1
-            cands = adj[z] & ~nb
-            if adj[z] & ybit or not cands:
+    # children first, each state's histogram gives way to its statistics;
+    # last comes the root, the vertex before x (blocked 0), whose one child x is no branching
+    for cands, blocked in [*memo, (1 << x, 0)]:
+        below = blocked | cands
+        step = 1 << (width * cands.bit_count()) if blocked else 0
+        leaves, y_leaves, ys, balanced, suffixes = 0, 0, set(), True, set()
+        for z in bits_of(cands):
+            c = adj[z] & ~below
+            if adj[z] & ybit or not c:
                 # a y-leaf (z's unique child is y; that forced step is not
                 # recorded in the multiset) or a dead end
-                sub = (1, 1 if adj[z] & ybit else 0, None, True)
+                sub = 1, adj[z] >> y & 1, (0,), True
             else:
-                child = (cands, nb)
-                sub = memo.get(child)
-                if sub is None:
-                    stack.append((key, nb, todo, step, leaves, y_leaves, first,
-                                  balanced, suffixes))
-                    key, nb, todo = child, nb | cands, cands
-                    step = 1 << (width * cands.bit_count())
-                    leaves, y_leaves, first, balanced, suffixes = 0, 0, -1, True, set()
-                    continue
-        else:
-            if not stack:
-                break
-            sub = memo[key] = (leaves, y_leaves, suffixes, balanced)
-            (key, nb, todo, step, leaves, y_leaves, first, balanced,
-             suffixes) = stack.pop()
-        sub_leaves, sub_y, sub_suffixes, sub_balanced = sub
-        leaves += sub_leaves
-        y_leaves += sub_y
-        # balanced: every node's children carry equal y-leaf counts
-        if first < 0:
-            first = sub_y
-        elif first != sub_y:
-            balanced = False
-        balanced = balanced and sub_balanced
-        if sub_suffixes is None:
-            suffixes.add(step)
-        else:
+                sub = memo[c, below]
+            sub_leaves, sub_y, sub_suffixes, sub_balanced = sub
+            leaves += sub_leaves
+            y_leaves += sub_y
+            ys.add(sub_y)
+            balanced = balanced and sub_balanced
             suffixes.update(m + step for m in sub_suffixes)
+        balanced = balanced and len(ys) < 2  # children's y-leaf counts all equal
+        memo[cands, blocked] = (leaves, y_leaves, suffixes, balanced)
     multisets = frozenset(
         tuple(d for d, count in _unpack(packed, width, 0).items() for _ in range(count))
         for packed in suffixes

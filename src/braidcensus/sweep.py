@@ -55,7 +55,6 @@ from .census import (
     p2_max,
     slow_census,
 )
-from .families import ClusterPartition, f_central_multisets
 from .formulas import ExactCount
 from .graphs import (
     CYCLE_QUANTITIES,
@@ -69,7 +68,6 @@ from .graphs import (
     parse_graph6,
     vertices_of,
 )
-from .recognition import verify_braid
 
 SWEEP_MAX_N = 7
 LONG_RUN_MAX_N = 8
@@ -448,6 +446,9 @@ def _path_braid_central(g: Graph, x: int, y: int) -> tuple[int, ...] | None:
     and {y} and admissible central sizes, else None.  In such a braid
     the clusters are exactly the distance layers from x, so recognition
     reduces to verifying that layering."""
+    from .families import ClusterPartition, f_central_multisets
+    from .recognition import verify_braid
+
     layers = _layers(g.adj, x)
     if sum(layers) != g.full_mask() or len(layers) < 3 or layers[-1] != 1 << y:
         return None

@@ -6,10 +6,12 @@ slow_census subset oracle (itself checked against that filter), and
 hand-pinned values for structured graphs whose counts have closed forms.
 Random graphs rarely have twins, so the memo is also exercised on
 blow-ups of small graphs and on braids up to n = 120; path-tree
-statistics are checked against a plain recursive walk.  The per-vertex
-counts are checked against a tally of the enumerated cycles, against
-the single rooted fold of count_cycles_through, and by the identity
-sum_v f_v(L) = L c_L, whose built-in check must also fire under -O.
+statistics are checked against a plain recursive walk, among others on
+every ordered pair of every graph class up to seven vertices.  The
+per-vertex counts are checked against a tally of the enumerated cycles,
+against the single rooted fold of count_cycles_through, and by the
+identity sum_v f_v(L) = L c_L, whose built-in check must also fire
+under -O.
 """
 
 import itertools
@@ -57,7 +59,9 @@ from braidcensus.graphs import (
     UnsupportedError,
     bits_of,
     graph_from_pair_bits,
+    to_graph6,
 )
+from braidcensus.sweep import _classes
 
 # ======================================================================
 # reference implementations (independent of the package internals)
@@ -710,6 +714,57 @@ def test_f_members_hit_closed_forms_at_scale():
 # ======================================================================
 
 
+def fold_states_after_children(g: Graph, above: int, stop: int, close: int,
+                                start: int) -> int:
+    """Run one fold and assert that every internal child of each state in
+    its memo was stored before that state, the order the forward pass and
+    the path-tree pass read; returns how many states were checked."""
+    memo: dict = {}
+    braidcensus.census._fold(g.adj, above, stop, close, start, g.n + 1, memo)
+    order = {key: i for i, key in enumerate(memo)}
+    for i, (cands, blocked) in enumerate(memo):
+        below = blocked | cands
+        for z in bits_of(cands & ~stop):
+            c = g.adj[z] & above & ~below
+            if c & ~stop and close & ~(below | c):
+                assert order[c, below] < i
+    return len(memo)
+
+
+def test_fold_stores_every_state_after_its_children():
+    rng = random.Random(0x5EED)
+    cases = [build_H(15)[0], build_G(14)[0], member_of_F(16, "all", 0)[0]]
+    for _ in range(12):
+        n = rng.randint(8, 14)
+        cases.append(Graph.from_edge_list(
+            n, [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.35]))
+    checked = 0
+    for g in cases:
+        full = g.full_mask()
+        for a in range(g.n):
+            # the cycle folds of anchor a, one per first neighbour u1
+            above = full & (-1 << (a + 1))
+            for u1 in bits_of(g.adj[a] & above):
+                close = g.adj[a] & (-1 << (u1 + 1))
+                if close:
+                    checked += fold_states_after_children(g, above, g.adj[a], close, u1)
+        for x, y in itertools.permutations(range(g.n), 2):
+            if not g.has_edge(x, y):
+                checked += fold_states_after_children(g, full, 1 << y, 1 << y, x)
+    assert checked > 1000
+
+
+def test_tree_stats_match_recursive_walk_on_every_small_class():
+    pairs = 0
+    for k in range(2, 8):
+        for g, _ in _classes(k):
+            for x, y in itertools.permutations(range(k), 2):
+                assert path_tree_stats(g, x, y) == recursive_tree_stats(g, x, y), (
+                    to_graph6(g), x, y)
+                pairs += 1
+    assert pairs == 49_368
+
+
 @settings(max_examples=150, deadline=None)
 @given(blow_ups(), st.data())
 def test_tree_stats_twin_rich_match_recursive_walk(g, data):
@@ -774,8 +829,11 @@ def test_tree_y_leaves_equal_p2(g, data):
     y = data.draw(st.integers(0, g.n - 1))
     if x == y or g.has_edge(x, y):
         return
+    # the tree and count_induced_st_paths share the fold, so the subset
+    # filter is the independent check
     stats = path_tree_stats(g, x, y)
     assert stats.y_leaf_count == count_induced_st_paths(g, x, y).p2
+    assert stats.y_leaf_count == sum(naive_path_census(g, x, y).values())
 
 
 def test_extremal_members_balanced():

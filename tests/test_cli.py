@@ -758,7 +758,7 @@ print(code, json.dumps(sorted(m for m in sys.modules if m.startswith("braidcensu
 """
 
 H30_G6 = to_graph6(build_H(30)[0])
-SWEEP = {"census", "families", "formulas", "recognition", "sweep"}
+SWEEP = {"census", "formulas", "sweep"}
 
 
 @pytest.mark.parametrize("argv, engines", [
@@ -782,8 +782,9 @@ SWEEP = {"census", "families", "formulas", "recognition", "sweep"}
 ])
 def test_each_subcommand_loads_only_its_engines(tmp_path, argv, engines):
     # besides cli and graphs, which hold the parser, a call loads the
-    # engine it runs and what that engine imports: the sweep's audit
-    # needs census, families, formulas and recognition, never the game
+    # engine it runs and what that engine imports: a sweep and its audit
+    # need census and formulas; families and recognition load only for
+    # the uniqueness check, and the game never
     if "--merge" in argv:
         for i in range(2):
             (tmp_path / f"sweep_p2_n4_s2_{i}.txt").write_text(sweep.checkpoint_line(
