@@ -19,10 +19,6 @@ from dataclasses import dataclass
 
 from .graphs import InputError, InternalError, UnsupportedError
 
-# Cycles shorter than ALPHA * n are "short"; their total is bounded by a
-# crude binomial sum that is still exponentially smaller than 3^(n/3).
-ALPHA = 0.11
-
 # The one upper limit of the exact counts, checked by _check_n: on a 2-core
 # Xeon, short_cycle_mass and its decimal form take 0.1 s at 10^5, 13 s at 10^6.
 EXACT_MAX_N = 100_000
@@ -118,8 +114,9 @@ def vertex_cycle_bound(n: int, d: int) -> RealBound:
 
 
 def short_cycle_mass(n: int) -> ExactCount:
-    """Sum of C(n, i) for 1 <= i <= floor(ALPHA * n): a coarse cap on the
-    number of induced cycles of length below ALPHA * n."""
+    """Sum of C(n, i) for 1 <= i <= floor(0.11 * n): a coarse cap on the
+    number of induced cycles of length below 0.11 * n, still exponentially
+    smaller than 3^(n/3)."""
     _check_n("short_cycle_mass", n, 1)
     top = 11 * n // 100  # floor(0.11 * n) in exact integer arithmetic
     total, binom = 0, 1  # binom is C(n, i - 1) at the top of the loop

@@ -104,8 +104,6 @@ class RecognitionReport:
 
 def _intra_pattern(g: Graph, cluster: tuple[int, ...]) -> str:
     s = len(cluster)
-    if s < 2:
-        return "empty"
     inside = mask_of(cluster)
     have = sum((g.adj[v] & inside).bit_count() for v in cluster) // 2
     if have == 0:
@@ -204,8 +202,6 @@ def _match_families(
     p is cyclic and covers g, and profiles is `_family_profiles(g.n)`."""
     ms = p.size_multiset()
     tags = [tag for tag, sizes in profiles.items() if ms in sizes]
-    if not tags:
-        return []
     patterns = {_intra_pattern(g, c) for c in p.clusters}
     arc = _consecutive_arc(p.k, [i for i, s in enumerate(p.sizes()) if s != 3])
     texture = {
@@ -275,8 +271,7 @@ def candidate_cyclic_partitions(g: Graph):
     A graph with two co-components yields one four-cluster partition
     per prefix split of each side's components; any other graph yields
     at most one partition."""
-    if g.n >= 3:
-        yield from _partitions(g, *_co_components(g))
+    yield from _partitions(g, *_co_components(g))
 
 
 def _co_components(g: Graph) -> tuple[tuple[int, ...], list[int]]:
@@ -340,8 +335,6 @@ def classify_family_all(g: Graph) -> list[FamilyId]:
     order.  Searches all candidate partitions, so degenerate four-cluster
     graphs still match their families."""
     profiles = _family_profiles(g.n)
-    if not profiles:
-        return []
     complement, comps = _co_components(g)
     # the co-components fix the cluster count: three or more give k = 3,
     # two give k = 4 and one gives k >= 5

@@ -11,11 +11,12 @@ vertices with its labelled count lab, the number of graphs on 0..k-1
 isomorphic to it.  It extends every class on k - 1 vertices by vertex
 k - 1 once per orbit of neighbourhoods under swaps of the parent's
 twins (vertices with the same neighbours besides each other: swapping
-two is an automorphism), keeping the neighbourhood that holds the
-lowest twins of each twin class, and deduplicates on canonical_code.
-lab of a class sums lab of the parents times the orbit sizes over the
-extensions landing on it.  The class counts must equal OEIS A000088 and
-the labs must sum to 2^C(k,2), or the build raises InternalError.
+two is an automorphism), keeping the neighbourhood N only if it is its
+least twin image (each twin class's members of N moved to its lowest
+vertices), and deduplicates on canonical_code.  lab of a class sums lab
+of the parents times the orbit sizes over the extensions landing on it.
+The class counts must equal OEIS A000088 and the labs must sum to
+2^C(k,2), or the build raises InternalError.
 
 Units.  A sweep on n vertices ranges over every unit (class P on n - 1
 vertices, neighbourhood N of vertex n - 1).  A labelled graph is its
@@ -23,14 +24,14 @@ restriction to 0..n-2 plus the neighbourhood of n - 1, and relabelling
 the restriction onto P maps exactly lab(P) labelled graphs, all
 isomorphic to it, onto each unit.  So the best unit is the best graph,
 and graphs_scanned, the sum of lab(P) over the units, is 2^C(n,2) for a
-full sweep.  A unit is not scored when swapping twins u < w of P, w in
-N and u not, gives a neighbourhood N' < N that the shard also holds:
-by induction on N, each unit skipped has an isomorphic unit scored in
-the same shard, so no shard's maximum or codes change.  Only units at
-the maximum are canonicalized.  Unit u is (class u >> (n - 1), N = its
-low n - 1 bits).  A sweep runs in one process; shards, contiguous unit
-ranges merged by merge_sweeps, are the way to run one in parallel (one
-process per shard), and any shard split gives the same result.
+full sweep.  A unit is not scored when the unit of its least twin image
+N' < N is in the same shard: that unit is isomorphic to it and is
+scored, being its own least image, so no shard's maximum or codes
+change.  Only units at the maximum are canonicalized.  Unit u is (class
+u >> (n - 1), N = its low n - 1 bits).  A sweep runs in one process;
+shards, contiguous unit ranges merged by merge_sweeps, are the way to
+run one in parallel (one process per shard), and any shard split gives
+the same result.
 
 Audit.  slow_census, the subset oracle, re-scores sampled units, scored
 or skipped: each must match the per-graph engines, score at most the
@@ -130,9 +131,9 @@ def _classes(k: int) -> tuple[tuple[Graph, int], ...]:
     for index, (parent, lab) in enumerate(_classes(k - 1)):
         twins = _twins(k - 1, index)
         for nbhd in range(1 << (k - 1)):
-            # a skipped nbhd's twin image came earlier in this loop and
-            # landed on the same class, so no representative changes
-            if _twin_swap_below(nbhd, twins, 0):
+            # the least of each orbit is the first this loop meets, so
+            # no class changes its representative
+            if _twin_least(nbhd, twins) != nbhd:
                 continue
             g = _extend(parent, nbhd)
             weight = lab * _orbit_size(nbhd, twins)
@@ -165,21 +166,15 @@ def _twins(k: int, index: int) -> tuple[int, ...]:
     return tuple(classes)
 
 
-def _twin_swap_below(nbhd: int, twins: tuple[int, ...], floor: int) -> bool:
-    """Whether swapping twins u < w of the parent, w in nbhd and u not,
-    gives a neighbourhood N' with floor <= N' < nbhd: an isomorphic
-    extension met before nbhd by a scan that starts at floor."""
+def _twin_least(nbhd: int, twins: tuple[int, ...]) -> int:
+    """The least neighbourhood that swaps of twins map nbhd to: each twin
+    class's members of nbhd move to the lowest vertices of the class."""
     for twin in twins:
-        out = twin & ~nbhd
-        # the swap with the smallest drop moves the lowest member w of
-        # nbhd above a non-member down to the non-member u next below w
-        above = nbhd & twin & -((out & -out) << 1)
-        if above:
-            w = above & -above
-            u = 1 << (out & (w - 1)).bit_length() - 1
-            if nbhd - w + u >= floor:
-                return True
-    return False
+        high = twin
+        for _ in range((nbhd & twin).bit_count()):
+            high &= high - 1
+        nbhd = nbhd & ~twin | twin & ~high
+    return nbhd
 
 
 def _orbit_size(nbhd: int, twins: tuple[int, ...]) -> int:
@@ -283,7 +278,7 @@ def exhaustive_max(
 ) -> SweepResult:
     """Maximize the quantity over all graphs on n vertices (or one shard
     of them); path quantities maximize over unordered endpoint pairs
-    within each graph first.  A unit that a swap of twins maps onto an
+    within each graph first.  A unit whose least twin image is an
     earlier unit of the shard is not scored (see the module docstring);
     graphs_scanned still counts every labelled graph the shard covers.
 
@@ -308,10 +303,9 @@ def exhaustive_max(
     best, winners = -1, []
     for unit in range(lo, hi):
         nbhd = unit & ((1 << (n - 1)) - 1)
-        # a twin image below the shard's first unit of the class is not
-        # in the shard, so it cannot stand in for this unit
-        floor = max(lo - (unit - nbhd), 0)
-        if _twin_swap_below(nbhd, _twins(n - 1, unit >> (n - 1)), floor):
+        # the least image's unit is isomorphic, and scored if in the shard
+        image = unit - nbhd + _twin_least(nbhd, _twins(n - 1, unit >> (n - 1)))
+        if lo <= image < unit:
             continue
         value = quantity_of_graph(_unit_graph(n, unit), quantity)
         if value > best:
@@ -427,18 +421,6 @@ class UniquenessReport:
     @property
     def all_match(self) -> bool:
         return not self.counterexample_codes
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "max": str(self.max.value),
-            "pairs_checked": self.pairs_checked,
-            "counterexample_codes": list(self.counterexample_codes),
-            "central_multisets": sorted(
-                list(m) for m in self.central_multisets
-            ),
-            "all_match": self.all_match,
-        }
 
 
 def _path_braid_central(g: Graph, x: int, y: int) -> tuple[int, ...] | None:

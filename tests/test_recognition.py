@@ -259,8 +259,12 @@ def test_report_json_shape():
 
 
 def test_discover_absent_on_non_braids():
-    assert discover_cyclic_braid(path_graph(5)) is None
-    assert discover_cyclic_braid(path_graph(2)) is None
+    # a cyclic braid has at least three clusters, so graphs on one or two
+    # vertices have none, and no family is defined below 8 vertices
+    for g in (Graph(1, (0,)), Graph(2, (0, 0)), path_graph(2), path_graph(5)):
+        assert discover_cyclic_braid(g) is None
+        assert list(candidate_cyclic_partitions(g)) == []
+        assert classify_family_all(g) == []
     g, _ = build_H(12)
     padded = Graph(13, g.adj + (0,))  # isolated vertex: disconnected
     assert discover_cyclic_braid(padded) is None
@@ -599,6 +603,10 @@ def test_classify_rejects_lookalikes():
     assert classify_family_all(cycle_graph(9)) == []
     assert classify_family_all(complete_graph(9)) == []
     assert classify_family_all(path_graph(15)) == []
+    # cyclic braids, but on too few vertices for any family profile
+    assert _family_profiles(7) == {}
+    assert classify_family_all(cycle_graph(7)) == []
+    assert classify_family_all(complete_graph(4)) == []
 
 
 def test_classify_label_invariance():

@@ -233,6 +233,61 @@ def test_twin_skips_change_no_shard_result():
                     unpruned_sweep(n, quantity, shards, shard, scores), (n, quantity, shards, shard)
 
 
+def test_kept_neighbourhoods_follow_the_twin_classes():
+    # one neighbourhood per orbit of twin swaps: a class T of twins holds
+    # 0..|T| members of it, so a class on k vertices keeps the product of
+    # |T| + 1 over its twin classes, singletons included, which sums to
+    # the scored units of full sweeps on k + 1 vertices
+    def kept(g: Graph) -> int:
+        product, left = 1, set(range(g.n))
+        while left:
+            u = min(left)
+            twins = {w for w in left
+                     if all(g.has_edge(u, v) == g.has_edge(w, v)
+                            for v in range(g.n) if v not in (u, w))}
+            left -= twins
+            product *= len(twins) + 1
+        return product
+
+    units = {}
+    for k in range(1, 8):
+        counts = [kept(g) for g, _ in sweep._classes(k)]
+        for index, count in enumerate(counts):
+            twins = sweep._twins(k, index)
+            assert sum(sweep._twin_least(nbhd, twins) == nbhd
+                       for nbhd in range(1 << k)) == count, (k, index)
+        units[k + 1] = sum(counts)
+    assert (units[7], units[8]) == (6412, 94956)
+
+
+def test_skipped_units_have_their_least_image_scored_in_the_shard(monkeypatch):
+    # the units a shard's scan builds a graph for are the ones it scores
+    # (the audit, which builds sampled ones, is off); every other unit of
+    # the shard has a least image that it scores, of the same class
+    unit_graph, built = sweep._unit_graph, set()
+
+    def recording(n: int, unit: int) -> Graph:
+        built.add(unit)
+        return unit_graph(n, unit)
+
+    monkeypatch.setattr(sweep, "_unit_graph", recording)
+    monkeypatch.setattr(sweep, "_audit", lambda result, lo, hi: None)
+    for n in range(2, 8):
+        total = A000088[n - 1] << (n - 1)
+        codes = [canon(unit_graph(n, unit)) for unit in range(total)]
+        for shards in (k for k in (1, 2, 3, 7, 16, 32) if k <= total):
+            for shard in range(shards):
+                built.clear()
+                exhaustive_max(n, "m_odd_holes", shards=shards, shard=shard)
+                lo, hi = shard_range(n, shards, shard)
+                for unit in set(range(lo, hi)) - built:
+                    nbhd = unit & ((1 << (n - 1)) - 1)
+                    twins = sweep._twins(n - 1, unit >> (n - 1))
+                    image = unit - nbhd + sweep._twin_least(nbhd, twins)
+                    assert image in built and codes[image] == codes[unit], \
+                        (n, shards, shard, unit)
+
+
 def test_classes_follow_a000088_and_count_every_labelled_graph():
     for k in range(1, 7):
         classes = sweep._classes(k)
@@ -304,9 +359,10 @@ def test_audit_reads_paths_as_cycles_through_an_added_vertex():
 
 
 # Run under python -O, where assert statements are stripped: the sweep's
-# cross-checks must still catch wrong orbit sizes in the class build, a
-# shard result that misses a sampled unit's class and a per-graph engine
-# that lies at n = 4, in the library and through the CLI.
+# cross-checks must still catch wrong orbit sizes and a twin rule that
+# keeps every neighbourhood in the class build, a shard result that
+# misses a sampled unit's class and a per-graph engine that lies at
+# n = 4, in the library and through the CLI.
 LYING_ENGINE_SCRIPT = """
 import sys
 from braidcensus import sweep
@@ -326,6 +382,17 @@ except InternalError as exc:
 else:
     sys.exit("_classes accepted wrong orbit sizes")
 sweep._orbit_size = orbit_size
+sweep._classes.cache_clear()
+twin_least = sweep._twin_least
+sweep._twin_least = lambda nbhd, twins: nbhd
+try:
+    sweep._classes(4)
+except InternalError as exc:
+    if "labelled graphs" not in str(exc):
+        sys.exit(f"the labelled count, not another check, should trip: {exc}")
+else:
+    sys.exit("_classes accepted a twin rule that keeps every neighbourhood")
+sweep._twin_least = twin_least
 sweep._classes.cache_clear()
 try:
     sweep._audit(sweep.SweepResult(4, "m_odd_holes", ExactCount(0), frozenset({"C?"}), 64),
@@ -513,9 +580,9 @@ def test_uniqueness_input_checks():
         verify_extremal_uniqueness(3, exhaustive_max(3, "p2"))
     with pytest.raises(InputError):
         verify_extremal_uniqueness(4, sweep=exhaustive_max(4, "m"))
-    doc = verify_extremal_uniqueness(4, exhaustive_max(4, "p2")).to_json_dict()
-    assert doc["all_match"] is True
-    assert doc["counterexample_codes"] == []
+    report = verify_extremal_uniqueness(4, exhaustive_max(4, "p2"))
+    assert report.all_match
+    assert report.counterexample_codes == ()
 
 
 def test_uniqueness_rejects_a_shard():
