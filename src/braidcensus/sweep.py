@@ -3,8 +3,8 @@
 A sweep evaluates one census quantity on every graph on n vertices and
 reports the maximum with the graphs achieving it, up to isomorphism:
 the oracle that checks the closed forms where "all graphs" is literal.
-It scores graphs with quantity_of_graph, the per-graph engines that also
-re-check its extremal codes and every checkpoint line.
+It scores each graph from an induced-path list of the graph less its
+last vertex (see Scores).
 
 Classes.  _classes(k) holds one graph per isomorphism class on k
 vertices with its labelled count lab, the number of graphs on 0..k-1
@@ -19,7 +19,7 @@ The class counts must equal OEIS A000088 and the labs must sum to
 2^C(k,2), or the build raises InternalError.
 
 Units.  A sweep on n vertices ranges over every unit (class P on n - 1
-vertices, neighbourhood N of vertex n - 1).  A labelled graph is its
+vertices, neighbourhood N of vertex v = n - 1).  A labelled graph is its
 restriction to 0..n-2 plus the neighbourhood of n - 1, and relabelling
 the restriction onto P maps exactly lab(P) labelled graphs, all
 isomorphic to it, onto each unit.  So the best unit is the best graph,
@@ -33,12 +33,30 @@ shards, contiguous unit ranges merged by merge_sweeps, are the way to
 run one in parallel (one process per shard), and any shard split gives
 the same result.
 
-Audit.  slow_census, the subset oracle, re-scores sampled units, scored
-or skipped: each must match the per-graph engines, score at most the
+Scores.  One list of P's directed induced paths (start, end, vertex
+mask span, edge count L, neighbours of the span) scores all 2^(n-1)
+units of P: deleting v from G = P + v leaves P, and what v adds comes
+from paths of P that N meets only at their ends.
+- Cycles through v: a path s..e (s < e, L >= 1) with N & span = {s, e}
+  closes one with L + 2 vertices.  So the path counts for every N =
+  {s, e} | sub, sub a subset of the vertices off the span.  The cycles
+  of P itself are those that the same rule closes at their top vertex.
+- Paths between x and v: a path x..a with N & span = {a} and L + 1
+  edges.  Paths x..y through v: x..a, v, b..y for two such paths whose
+  spans are disjoint with no edge between them, L1 + L2 + 2 edges.
+  Paths of P are paths of every unit.  A unit's score is the largest
+  count over its pairs.
+quantity_of_graph, the per-graph engines, is the second engine: it
+re-scores every extremal code and every checkpoint line.
+
+Audit.  The subset oracle re-scores sampled units, scored or skipped:
+slow_census for the cycles, and for the paths one scan of the vertex
+sets, a set being an induced path between its two vertices with one
+neighbour in it when every vertex has one or two and it is connected.
+Each sampled unit's table entry must match it, score at most the
 shard's maximum, and at the maximum have its class among the shard's
-codes.  For a path quantity: G plus a vertex z adjacent to exactly x
-and y has one induced cycle with L + 2 vertices through z per induced
-x-y path of G with L edges, and no other cycle through z.
+codes; its parent's path list must match count_induced_st_paths on
+every ordered pair.
 """
 
 from __future__ import annotations
@@ -50,6 +68,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .census import (
+    CycleCensus,
     PathCensus,
     count_induced_cycles,
     count_induced_st_paths,
@@ -207,38 +226,154 @@ def quantity_of_graph(g: Graph, quantity: str) -> int:
     return p2_max(g, parity)[0]
 
 
-def _slow_quantity(g: Graph, quantity: str) -> int:
-    """The swept quantity of one graph, via the subset oracle alone."""
-    cycles = slow_census(g)
+def _induced_paths(adj: tuple[int, ...]) -> list[tuple[int, int, int, int, int]]:
+    """Every directed induced path of the graph with these adjacency rows,
+    single vertices included, as (start, end, span, edges, nbrs): span is
+    its vertex mask and nbrs the union of its vertices' rows.  A path
+    grows by a neighbour of its end that sees no other vertex of it."""
+    paths = []
+    for start in range(len(adj)):
+        stack = [(start, 1 << start, 0, adj[start])]
+        while stack:
+            end, span, edges, nbrs = stack.pop()
+            paths.append((start, end, span, edges, nbrs))
+            ext = adj[end] & ~span
+            while ext:
+                bit = ext & -ext
+                ext ^= bit
+                w = bit.bit_length() - 1
+                if adj[w] & span == 1 << end:
+                    stack.append((w, span | bit, edges + 1, nbrs | adj[w]))
+    return paths
+
+
+def _submasks(k: int) -> list[list[int]]:
+    """subs[mask] lists every submask of mask, for each mask on k bits."""
+    subs = []
+    for mask in range(1 << k):
+        sub, out = mask, [mask]
+        while sub:
+            sub = (sub - 1) & mask
+            out.append(sub)
+        subs.append(out)
+    return subs
+
+
+def _unit_scores(parent: Graph, quantity: str, subs: list[list[int]]) -> list[int]:
+    """Entry N is the quantity of parent plus a vertex v adjacent to
+    exactly N, for every N, read off the parent's induced paths (see
+    Scores in the module docstring); subs is _submasks(parent.n)."""
+    k, adj = parent.n, parent.adj
+    full = (1 << k) - 1
+    paths = _induced_paths(adj)
+    field = _CENSUS_FIELD[quantity]
     if quantity in CYCLE_QUANTITIES:
-        return getattr(cycles, _CENSUS_FIELD[quantity])
-    best = 0
-    for x, y in itertools.combinations(range(g.n), 2):
-        # the cycles through z with L + 2 vertices are the x-y paths with
-        # L edges (see the module docstring)
-        with_z = slow_census(_extend(g, 1 << x | 1 << y)).by_length
-        paths = PathCensus({
-            size - 2: count - cycles.by_length.get(size, 0)
-            for size, count in with_z.items()
-        })
-        best = max(best, getattr(paths, _CENSUS_FIELD[quantity]))
-    return best
+        # keep[L]: whether the cycle that a path of L edges closes counts
+        keep = [0] + [getattr(CycleCensus({edges + 2: 1}), field)
+                      for edges in range(1, k)]
+        closing = [(1 << s | 1 << e, span) for s, e, span, edges, _ in paths
+                   if s < e and keep[edges]]
+        # the cycles of parent, each closed at its top vertex w
+        scores = [sum(adj[w] & span == ends for ends, span in closing
+                      for w in range(span.bit_length(), k))] * (1 << k)
+        for ends, span in closing:
+            for sub in subs[full & ~span]:
+                scores[ends | sub] += 1
+        return scores
+    keep = [0] + [getattr(PathCensus({edges: 1}), field) for edges in range(1, k + 1)]
+    inside: dict[tuple[int, int], int] = {}
+    by_span: dict[int, list] = {}
+    for path in paths:
+        s, e, span, edges, _ = path
+        if s < e and keep[edges]:
+            inside[s, e] = inside.get((s, e), 0) + 1
+        by_span.setdefault(span, []).append(path)
+    # rows[x][y][N]: the x-y paths of the unit N, y = k standing for v
+    rows = [{y: [inside.get((x, y), 0)] * (1 << k) for y in range(x + 1, k + 1)}
+            for x in range(k)]
+    for s1, e1, span1, edges1, nbrs1 in paths:
+        row = rows[s1]
+        if keep[edges1 + 1]:
+            to_v = row[k]
+            for sub in subs[full & ~span1]:
+                to_v[1 << e1 | sub] += 1
+        # a second path off the closed neighbourhood of this one
+        for span2 in subs[full & ~(span1 | nbrs1)]:
+            for s2, e2, _, edges2, _ in by_span.get(span2, ()):
+                if s1 < s2 and keep[edges1 + edges2 + 2]:
+                    through_v, ends = row[s2], 1 << e1 | 1 << e2
+                    for sub in subs[full & ~(span1 | span2)]:
+                        through_v[ends | sub] += 1
+    return list(map(max, zip(*(r for x_rows in rows for r in x_rows.values()))))
 
 
-def _audit(result: SweepResult, lo: int, hi: int) -> None:
-    """Sampled cross-check of the shard [lo, hi) on random units, scored
-    or skipped: the per-graph engines and the independent subset oracle
-    must agree on each, and the oracle's score must not beat the
-    result's max, nor reach it with a class missing from its codes."""
-    n, quantity, best = result.n, result.quantity, result.max.value
+def _path_list_fault(g: Graph) -> str | None:
+    """How g's induced path list differs from count_induced_st_paths on
+    the first ordered end pair where it does, or None."""
+    found: dict[tuple[int, int], dict[int, int]] = {}
+    for s, e, _, edges, _ in _induced_paths(g.adj):
+        counts = found.setdefault((s, e), {})
+        counts[edges] = counts.get(edges, 0) + 1
+    for x, y in itertools.combinations_with_replacement(range(g.n), 2):
+        want = count_induced_st_paths(g, x, y).by_length if x != y else {0: 1}
+        for pair in (x, y), (y, x):
+            if found.get(pair, {}) != want:
+                return f"{pair} paths by length {found.get(pair, {})}, not {want}"
+    return None
+
+
+def _slow_quantity(g: Graph, quantity: str) -> int:
+    """The swept quantity of one graph, via the subset oracles alone."""
+    if quantity in CYCLE_QUANTITIES:
+        return getattr(slow_census(g), _CENSUS_FIELD[quantity])
+    adj, by_pair = g.adj, {}
+    for subset in range(1 << g.n):
+        # an induced path: one or two neighbours inside for every vertex,
+        # one for exactly two, and connected
+        ends, left = [], subset
+        while left:
+            low = left & -left
+            left ^= low
+            inside = (adj[low.bit_length() - 1] & subset).bit_count()
+            if inside == 1:
+                ends.append(low.bit_length() - 1)
+            elif inside != 2:
+                break
+        else:
+            if len(ends) == 2 and sum(_layers(adj, ends[0], subset)) == subset:
+                counts = by_pair.setdefault(tuple(ends), {})
+                edges = subset.bit_count() - 1
+                counts[edges] = counts.get(edges, 0) + 1
+    return max((getattr(PathCensus(counts), _CENSUS_FIELD[quantity])
+                for counts in by_pair.values()), default=0)
+
+
+def _audit_units(n: int, quantity: str, lo: int, hi: int) -> list[int]:
+    """The units of [lo, hi) that the audit samples."""
     rng = random.Random(f"sweep:{n}:{quantity}")
-    for _ in range(AUDIT_SAMPLES):
-        unit = rng.randrange(lo, hi)
+    return [rng.randrange(lo, hi) for _ in range(AUDIT_SAMPLES)]
+
+
+def _audit(result: SweepResult, lo: int, hi: int, tables: dict[int, list[int]]) -> None:
+    """Sampled cross-check of the shard [lo, hi) on random units, scored
+    or skipped: tables[class index] is the scan's _unit_scores of each
+    sampled unit's class.  The subset oracle must agree with the unit's
+    entry, and must not beat the result's max, nor reach it with a class
+    missing from its codes; the class's path list must be right."""
+    n, quantity, best = result.n, result.quantity, result.max.value
+    units = _audit_units(n, quantity, lo, hi)
+    for index in sorted({unit >> (n - 1) for unit in units}):
+        fault = _path_list_fault(_classes(n - 1)[index][0])
+        if fault:
+            raise InternalError(f"path list of class {index} on {n - 1} "
+                                f"vertices: {fault}")
+    for unit in units:
+        index, nbhd = unit >> (n - 1), unit & ((1 << (n - 1)) - 1)
         g = _unit_graph(n, unit)
-        fast, slow = quantity_of_graph(g, quantity), _slow_quantity(g, quantity)
+        fast, slow = tables[index][nbhd], _slow_quantity(g, quantity)
         if fast != slow:
             raise InternalError(
-                f"engine mismatch at unit {unit}: census {fast}, "
+                f"engine mismatch at unit {unit}: path table {fast}, "
                 f"subset oracle {slow}"
             )
         if slow > best:
@@ -300,14 +435,23 @@ def exhaustive_max(
                " (pass long_run=True, or --long-run on the CLI, up to n=8)")
         )
     lo, hi = shard_range(n, shards, shard)
-    best, winners = -1, []
+    classes, subs = _classes(n - 1), _submasks(n - 1)
+    audited = {unit >> (n - 1) for unit in _audit_units(n, quantity, lo, hi)}
+    tables: dict[int, list[int]] = {}
+    best, winners, index = -1, [], -1
     for unit in range(lo, hi):
         nbhd = unit & ((1 << (n - 1)) - 1)
+        if unit >> (n - 1) != index:
+            index = unit >> (n - 1)
+            twins = _twins(n - 1, index)
+            scores = _unit_scores(classes[index][0], quantity, subs)
+            if index in audited:
+                tables[index] = scores
         # the least image's unit is isomorphic, and scored if in the shard
-        image = unit - nbhd + _twin_least(nbhd, _twins(n - 1, unit >> (n - 1)))
+        image = unit - nbhd + _twin_least(nbhd, twins)
         if lo <= image < unit:
             continue
-        value = quantity_of_graph(_unit_graph(n, unit), quantity)
+        value = scores[nbhd]
         if value > best:
             best, winners = value, [unit]
         elif value == best:
@@ -320,7 +464,7 @@ def exhaustive_max(
         extremal_codes=frozenset(codes),
         graphs_scanned=_labelled_count(n, lo, hi),
     )
-    _audit(result, lo, hi)
+    _audit(result, lo, hi, tables)
     bad = _bad_code(result)
     if bad:
         raise InternalError(f"post-sweep check failed: {bad}")

@@ -18,6 +18,7 @@ import pytest
 
 import braidcensus
 from braidcensus import sweep
+from braidcensus.census import PathCensus, slow_census
 from braidcensus.families import member_of_F, build_H
 from braidcensus.formulas import ExactCount, f2
 from braidcensus.graphs import (
@@ -190,15 +191,42 @@ def test_sweep_matches_the_labelled_scan(n, quantity):
 
 @pytest.mark.parametrize("quantity", QUANTITIES)
 def test_n8_records_are_canonical_and_score_their_max(quantity):
-    # a resweep takes seconds to a minute per quantity, so the records are
-    # checked without one: every labelled graph, and codes that are
-    # canonical on 8 vertices and score the max
+    # every labelled graph, and codes that are canonical on 8 vertices
+    # and score the max under the per-graph engines
     record = GOLDEN[f"8/{quantity}"]
     assert record["graphs_scanned"] == 1 << 28
     assert record["extremal_codes"] == sorted(set(record["extremal_codes"]))
     result = SweepResult(8, quantity, ExactCount(record["max"]),
                          frozenset(record["extremal_codes"]), 1 << 28)
     assert sweep._bad_code(result) is None
+
+
+@pytest.mark.parametrize("quantity", QUANTITIES)
+def test_n8_resweep_matches_the_golden_records(quantity):
+    result = exhaustive_max(8, quantity, long_run=True)
+    assert {
+        "max": result.max.value,
+        "graphs_scanned": result.graphs_scanned,
+        "extremal_codes": sorted(result.extremal_codes),
+    } == GOLDEN[f"8/{quantity}"]
+
+
+def test_path_lists_match_the_path_census():
+    # every directed induced path of every class up to 7 vertices, by
+    # ordered end pair and length
+    for k in range(1, 8):
+        for g, _ in sweep._classes(k):
+            assert sweep._path_list_fault(g) is None, to_graph6(g)
+
+
+def test_unit_tables_match_the_per_graph_engines():
+    for n in range(2, 8):
+        subs = sweep._submasks(n - 1)
+        for parent, _ in sweep._classes(n - 1):
+            graphs = [sweep._extend(parent, nbhd) for nbhd in range(1 << (n - 1))]
+            for quantity in QUANTITIES:
+                assert sweep._unit_scores(parent, quantity, subs) == \
+                    [quantity_of_graph(g, quantity) for g in graphs], (n, quantity)
 
 
 def unpruned_sweep(n: int, quantity: str, shards: int, shard: int,
@@ -261,30 +289,39 @@ def test_kept_neighbourhoods_follow_the_twin_classes():
 
 
 def test_skipped_units_have_their_least_image_scored_in_the_shard(monkeypatch):
-    # the units a shard's scan builds a graph for are the ones it scores
-    # (the audit, which builds sampled ones, is off); every other unit of
-    # the shard has a least image that it scores, of the same class
-    unit_graph, built = sweep._unit_graph, set()
+    # the units whose table entry a shard's scan reads are the ones it
+    # scores (the audit, which reads sampled ones, is off); every other
+    # unit of the shard has a least image that it scores, of the same class
+    unit_scores, read = sweep._unit_scores, set()
 
-    def recording(n: int, unit: int) -> Graph:
-        built.add(unit)
-        return unit_graph(n, unit)
+    class Recording(list):
+        unit = 0
 
-    monkeypatch.setattr(sweep, "_unit_graph", recording)
-    monkeypatch.setattr(sweep, "_audit", lambda result, lo, hi: None)
+        def __getitem__(self, nbhd: int) -> int:
+            read.add(self.unit + nbhd)
+            return super().__getitem__(nbhd)
+
+    def recording(parent: Graph, quantity: str, subs) -> list[int]:
+        table = Recording(unit_scores(parent, quantity, subs))
+        index = [g for g, _ in sweep._classes(parent.n)].index(parent)
+        table.unit = index << parent.n
+        return table
+
+    monkeypatch.setattr(sweep, "_unit_scores", recording)
+    monkeypatch.setattr(sweep, "_audit", lambda result, lo, hi, tables: None)
     for n in range(2, 8):
         total = A000088[n - 1] << (n - 1)
-        codes = [canon(unit_graph(n, unit)) for unit in range(total)]
+        codes = [canon(sweep._unit_graph(n, unit)) for unit in range(total)]
         for shards in (k for k in (1, 2, 3, 7, 16, 32) if k <= total):
             for shard in range(shards):
-                built.clear()
+                read.clear()
                 exhaustive_max(n, "m_odd_holes", shards=shards, shard=shard)
                 lo, hi = shard_range(n, shards, shard)
-                for unit in set(range(lo, hi)) - built:
+                for unit in set(range(lo, hi)) - read:
                     nbhd = unit & ((1 << (n - 1)) - 1)
                     twins = sweep._twins(n - 1, unit >> (n - 1))
                     image = unit - nbhd + sweep._twin_least(nbhd, twins)
-                    assert image in built and codes[image] == codes[unit], \
+                    assert image in read and codes[image] == codes[unit], \
                         (n, shards, shard, unit)
 
 
@@ -332,6 +369,12 @@ def test_wrong_orbit_sizes_fail_the_labelled_count_gate(monkeypatch):
         clear_class_caches()
 
 
+def unit_tables(n: int, quantity: str) -> dict[int, list[int]]:
+    subs = sweep._submasks(n - 1)
+    return {index: sweep._unit_scores(g, quantity, subs)
+            for index, (g, _) in enumerate(sweep._classes(n - 1))}
+
+
 def test_audit_checks_sampled_units_against_the_result():
     # forged results for the 32 units on 4 vertices: no unit has an odd
     # hole, so at max 0 every sampled unit's class must be a code, and
@@ -339,18 +382,49 @@ def test_audit_checks_sampled_units_against_the_result():
     lo, hi = shard_range(4, 1, 0)
     only_empty = SweepResult(4, "m_odd_holes", ExactCount(0), frozenset({"C?"}), 64)
     with pytest.raises(InternalError, match="class is missing from the codes"):
-        sweep._audit(only_empty, lo, hi)
+        sweep._audit(only_empty, lo, hi, unit_tables(4, "m_odd_holes"))
     every_class = frozenset(canonical_code(g) for g, _ in sweep._classes(4))
     no_triangle = SweepResult(4, "m", ExactCount(0), every_class, 64)
     with pytest.raises(InternalError, match="above the shard's max 0"):
-        sweep._audit(no_triangle, lo, hi)
+        sweep._audit(no_triangle, lo, hi, unit_tables(4, "m"))
 
 
-def test_audit_reads_paths_as_cycles_through_an_added_vertex():
-    # the audit's path identity on one graph per class on 6 vertices
-    for g, _ in sweep._classes(6):
-        for quantity in ("p2", "p2_odd", "p2_even"):
-            assert sweep._slow_quantity(g, quantity) == quantity_of_graph(g, quantity)
+def test_audit_checks_the_tables_and_the_path_lists(monkeypatch):
+    result = exhaustive_max(5, "p2")
+    lo, hi = shard_range(5, 1, 0)
+    tables = unit_tables(5, "p2")
+    sweep._audit(result, lo, hi, tables)
+    lying = {index: [score + 1 for score in table] for index, table in tables.items()}
+    with pytest.raises(InternalError, match="unit 29: path table 2, subset oracle 1"):
+        sweep._audit(result, lo, hi, lying)
+    paths = sweep._induced_paths
+    monkeypatch.setattr(sweep, "_induced_paths", lambda adj: paths(adj)[1:])
+    with pytest.raises(InternalError, match="path list of class"):
+        sweep._audit(result, lo, hi, tables)
+
+
+def paths_as_cycles_through_an_added_vertex(g: Graph) -> dict[str, int]:
+    """The three path quantities of g from slow_census alone: g plus a
+    vertex z adjacent to exactly x and y has one induced cycle with
+    L + 2 vertices through z per induced x-y path of g with L edges, and
+    no other cycle through z."""
+    cycles = slow_census(g).by_length
+    best = dict.fromkeys(("p2", "p2_odd", "p2_even"), 0)
+    for x, y in itertools.combinations(range(g.n), 2):
+        with_z = slow_census(sweep._extend(g, 1 << x | 1 << y)).by_length
+        paths = PathCensus({size - 2: count - cycles.get(size, 0)
+                            for size, count in with_z.items()})
+        for quantity in best:
+            best[quantity] = max(best[quantity], getattr(paths, quantity))
+    return best
+
+
+def test_subset_path_oracle_matches_cycles_through_an_added_vertex():
+    # the two subset oracles on one graph per class on 7 vertices
+    for g, _ in sweep._classes(7):
+        assert {quantity: sweep._slow_quantity(g, quantity)
+                for quantity in ("p2", "p2_odd", "p2_even")} == \
+            paths_as_cycles_through_an_added_vertex(g), to_graph6(g)
 
 
 # ======================================================================
@@ -361,8 +435,9 @@ def test_audit_reads_paths_as_cycles_through_an_added_vertex():
 # Run under python -O, where assert statements are stripped: the sweep's
 # cross-checks must still catch wrong orbit sizes and a twin rule that
 # keeps every neighbourhood in the class build, a shard result that
-# misses a sampled unit's class and a per-graph engine that lies at
-# n = 4, in the library and through the CLI.
+# misses a sampled unit's class, a per-graph engine that lowers every
+# extremal code at n = 5, a path list that misses a path and a per-graph
+# engine that lies at n = 4, in the library and through the CLI.
 LYING_ENGINE_SCRIPT = """
 import sys
 from braidcensus import sweep
@@ -394,9 +469,12 @@ else:
     sys.exit("_classes accepted a twin rule that keeps every neighbourhood")
 sweep._twin_least = twin_least
 sweep._classes.cache_clear()
+subs = sweep._submasks(3)
+tables = {index: sweep._unit_scores(g, "m_odd_holes", subs)
+          for index, (g, _) in enumerate(sweep._classes(3))}
 try:
     sweep._audit(sweep.SweepResult(4, "m_odd_holes", ExactCount(0), frozenset({"C?"}), 64),
-                 0, 32)
+                 0, 32, tables)
 except InternalError:
     pass
 else:
@@ -411,6 +489,24 @@ except InternalError as exc:
         sys.exit(f"the audit, not the post-sweep check, tripped: {exc}")
 else:
     sys.exit("exhaustive_max accepted extremal codes that miss the max")
+try:
+    sweep.exhaustive_max(5, "m")
+except InternalError as exc:
+    if "post-sweep check failed" not in str(exc):
+        sys.exit(f"the audit, not the post-sweep check, tripped: {exc}")
+else:
+    sys.exit("exhaustive_max accepted an engine that lowers every winner")
+sweep.quantity_of_graph = honest
+induced_paths = sweep._induced_paths
+sweep._induced_paths = lambda adj: induced_paths(adj)[1:]
+try:
+    sweep.exhaustive_max(4, "p2")
+except InternalError as exc:
+    if "path list of class" not in str(exc):
+        sys.exit(f"the path list check, not another check, should trip: {exc}")
+else:
+    sys.exit("exhaustive_max accepted a path list that misses a path")
+sweep._induced_paths = induced_paths
 sweep.quantity_of_graph = lambda g, q: honest(g, q) + (g.n == 4)
 try:
     sweep.exhaustive_max(4, "p2")
@@ -424,8 +520,8 @@ sys.exit(main(["verify", "--n", "4", "--quantity", "p2"]))
 
 def lowered_in_canonical_labelling(g: Graph, quantity: str) -> int:
     """An engine that scores 5-vertex graphs already in canonical
-    labelling one lower: the units the sampled audit draws at (5, m_even)
-    are not such graphs, but every extremal code is one."""
+    labelling one lower: every extremal code is one, and the sweep's
+    scores and audit do not use this engine."""
     lowered = g.n == 5 and canonical_code(g) == to_graph6(g)
     return quantity_of_graph(g, quantity) - lowered
 
@@ -435,6 +531,16 @@ def test_post_sweep_check_rescores_every_extremal_code(monkeypatch):
     with pytest.raises(InternalError,
                        match="post-sweep check failed: DFw scores 2, not 3"):
         exhaustive_max(5, "m_even")
+
+
+def test_post_sweep_check_is_a_second_engine(monkeypatch):
+    # K5 has one labelling, which is canonical: an engine that lowers it
+    # lowers every winner alike, so only an engine other than the one
+    # that chose the winners can see it
+    monkeypatch.setattr(sweep, "quantity_of_graph", lowered_in_canonical_labelling)
+    with pytest.raises(InternalError,
+                       match="post-sweep check failed: D~{ scores 9, not 10"):
+        exhaustive_max(5, "m")
 
 
 def test_cross_checks_survive_python_O():
