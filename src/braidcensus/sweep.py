@@ -19,16 +19,16 @@ The class counts must equal OEIS A000088 and the labs must sum to
 2^C(k,2), or the build raises InternalError.
 
 Units.  A sweep on n vertices ranges over every unit (class P on n - 1
-vertices, neighbourhood N of vertex v = n - 1).  A labelled graph is its
+vertices, neighbourhood N of vertex v = n - 1); unit u is (class
+u >> (n - 1), N = its low n - 1 bits).  A labelled graph is its
 restriction to 0..n-2 plus the neighbourhood of n - 1, and relabelling
 the restriction onto P maps exactly lab(P) labelled graphs, all
 isomorphic to it, onto each unit.  So the best unit is the best graph,
-and graphs_scanned, the sum of lab(P) over the units, is 2^C(n,2) for a
-full sweep.  A unit is not scored when the unit of its least twin image
-N' < N is in the same shard: that unit is isomorphic to it and is
-scored, being its own least image, so no shard's maximum or codes
-change.  Only units at the maximum are canonicalized.  Unit u is (class
-u >> (n - 1), N = its low n - 1 bits).  A sweep runs in one process;
+and graphs_scanned, lab(P) times P's units in the shard summed over the
+classes, is 2^C(n,2) for a full sweep.  A shard is scanned by class: one
+max over the class's table, then its units at the running maximum are
+canonicalized, less each whose least twin image N' < N is in the shard
+and ties too (the two are isomorphic).  A sweep runs in one process;
 shards, contiguous unit ranges merged by merge_sweeps, are the way to
 run one in parallel (one process per shard), and any shard split gives
 the same result.
@@ -49,7 +49,7 @@ from paths of P that N meets only at their ends.
 quantity_of_graph, the per-graph engines, is the second engine: it
 re-scores every extremal code and every checkpoint line.
 
-Audit.  The subset oracle re-scores sampled units, scored or skipped:
+Audit.  The subset oracle re-scores sampled units of the shard:
 slow_census for the cycles, and for the paths one scan of the vertex
 sets, a set being an induced path between its two vertices with one
 neighbour in it when every vertex has one or two and it is connected.
@@ -207,10 +207,18 @@ def _unit_graph(n: int, unit: int) -> Graph:
     return _extend(parent, unit & ((1 << (n - 1)) - 1))
 
 
+def _class_slices(n: int, lo: int, hi: int) -> list[tuple[int, int, int]]:
+    """(class index, first N, end N) for each class's units in [lo, hi)."""
+    size = 1 << (n - 1)
+    return [(index, max(lo - index * size, 0), min(hi - index * size, size))
+            for index in range(lo // size, (hi - 1) // size + 1)]
+
+
 def _labelled_count(n: int, lo: int, hi: int) -> int:
     """How many labelled graphs the units [lo, hi) stand for."""
     classes = _classes(n - 1)
-    return sum(classes[unit >> (n - 1)][1] for unit in range(lo, hi))
+    return sum(classes[index][1] * (end - first)
+               for index, first, end in _class_slices(n, lo, hi))
 
 _CENSUS_FIELD = dict(m="f", m_odd="f_o", m_even="f_e", m_odd_holes="odd_holes",
                      p2="p2", p2_odd="p2_odd", p2_even="p2_even")
@@ -348,20 +356,12 @@ def _slow_quantity(g: Graph, quantity: str) -> int:
                 for counts in by_pair.values()), default=0)
 
 
-def _audit_units(n: int, quantity: str, lo: int, hi: int) -> list[int]:
-    """The units of [lo, hi) that the audit samples."""
-    rng = random.Random(f"sweep:{n}:{quantity}")
-    return [rng.randrange(lo, hi) for _ in range(AUDIT_SAMPLES)]
-
-
-def _audit(result: SweepResult, lo: int, hi: int, tables: dict[int, list[int]]) -> None:
-    """Sampled cross-check of the shard [lo, hi) on random units, scored
-    or skipped: tables[class index] is the scan's _unit_scores of each
-    sampled unit's class.  The subset oracle must agree with the unit's
-    entry, and must not beat the result's max, nor reach it with a class
-    missing from its codes; the class's path list must be right."""
+def _audit(result: SweepResult, units: list[int], tables: dict[int, list[int]]) -> None:
+    """Cross-check of a shard on sampled units: tables[class index] is the
+    scan's _unit_scores of each unit's class.  The subset oracle must agree
+    with the unit's entry, and must not beat the result's max, nor reach it
+    with a class missing from its codes; the class's path list must be right."""
     n, quantity, best = result.n, result.quantity, result.max.value
-    units = _audit_units(n, quantity, lo, hi)
     for index in sorted({unit >> (n - 1) for unit in units}):
         fault = _path_list_fault(_classes(n - 1)[index][0])
         if fault:
@@ -413,15 +413,13 @@ def exhaustive_max(
 ) -> SweepResult:
     """Maximize the quantity over all graphs on n vertices (or one shard
     of them); path quantities maximize over unordered endpoint pairs
-    within each graph first.  A unit whose least twin image is an
-    earlier unit of the shard is not scored (see the module docstring);
-    graphs_scanned still counts every labelled graph the shard covers.
+    within each graph first, and graphs_scanned counts every labelled
+    graph the shard covers (see Units in the module docstring).
 
-    n <= 7 is always allowed; n = 8 needs long_run=True (133,632 units
-    standing for a quarter billion labelled graphs, of which 94,956 are
-    scored).  Shards split the units for checkpointed runs and for
-    parallel ones, one process per shard; combine shard results with
-    merge_sweeps.
+    n <= 7 is always allowed; n = 8 needs long_run=True (133,632 units in
+    1,044 tables, standing for a quarter billion labelled graphs).  Shards
+    split the units for checkpointed runs and for parallel ones, one
+    process per shard; combine shard results with merge_sweeps.
     """
     if quantity not in QUANTITIES:
         raise InputError(f"quantity must be one of {QUANTITIES}")
@@ -431,31 +429,32 @@ def exhaustive_max(
     if n > limit:
         raise InputError(
             f"n={n} exceeds the sweep limit {limit}"
-            + ("" if long_run else
-               " (pass long_run=True, or --long-run on the CLI, up to n=8)")
+            + ("" if long_run else " (pass long_run=True, or --long-run on"
+               f" the CLI, up to n={LONG_RUN_MAX_N})")
         )
     lo, hi = shard_range(n, shards, shard)
     classes, subs = _classes(n - 1), _submasks(n - 1)
-    audited = {unit >> (n - 1) for unit in _audit_units(n, quantity, lo, hi)}
+    rng = random.Random(f"sweep:{n}:{quantity}")
+    units = [rng.randrange(lo, hi) for _ in range(AUDIT_SAMPLES)]
+    audited = {unit >> (n - 1) for unit in units}
     tables: dict[int, list[int]] = {}
-    best, winners, index = -1, [], -1
-    for unit in range(lo, hi):
-        nbhd = unit & ((1 << (n - 1)) - 1)
-        if unit >> (n - 1) != index:
-            index = unit >> (n - 1)
-            twins = _twins(n - 1, index)
-            scores = _unit_scores(classes[index][0], quantity, subs)
-            if index in audited:
-                tables[index] = scores
-        # the least image's unit is isomorphic, and scored if in the shard
-        image = unit - nbhd + _twin_least(nbhd, twins)
-        if lo <= image < unit:
+    best, winners = -1, []
+    for index, first, end in _class_slices(n, lo, hi):
+        scores = _unit_scores(classes[index][0], quantity, subs)
+        if index in audited:
+            tables[index] = scores
+        top = max(scores[first:end])
+        if top > best:
+            best, winners = top, []
+        if top < best:
             continue
-        value = scores[nbhd]
-        if value > best:
-            best, winners = value, [unit]
-        elif value == best:
-            winners.append(unit)
+        for nbhd in itertools.compress(range(first, end),
+                                       map(top.__eq__, scores[first:end])):
+            # an earlier tie of the shard at the least image is isomorphic;
+            # any other tie stays, so a wrong entry meets the post-sweep check
+            least = _twin_least(nbhd, _twins(n - 1, index))
+            if not (first <= least < nbhd and scores[least] == top):
+                winners.append(index << (n - 1) | nbhd)
     codes = {canonical_code(_unit_graph(n, unit)) for unit in winners}
     result = SweepResult(
         n=n,
@@ -464,7 +463,7 @@ def exhaustive_max(
         extremal_codes=frozenset(codes),
         graphs_scanned=_labelled_count(n, lo, hi),
     )
-    _audit(result, lo, hi, tables)
+    _audit(result, units, tables)
     bad = _bad_code(result)
     if bad:
         raise InternalError(f"post-sweep check failed: {bad}")

@@ -18,6 +18,7 @@ import pytest
 
 import braidcensus
 from braidcensus import sweep
+from braidcensus.cli import main
 from braidcensus.census import PathCensus, slow_census
 from braidcensus.families import member_of_F, build_H
 from braidcensus.formulas import ExactCount, f2
@@ -232,8 +233,10 @@ def test_unit_tables_match_the_per_graph_engines():
 def unpruned_sweep(n: int, quantity: str, shards: int, shard: int,
                    scores: list[int]) -> SweepResult:
     """The unit scan before twin skips: it scores every unit of the shard
-    (scores[unit] is quantity_of_graph of the unit's graph)."""
+    (scores[unit] is quantity_of_graph of the unit's graph), and each
+    unit stands for its class's labelled count."""
     lo, hi = shard_range(n, shards, shard)
+    classes = sweep._classes(n - 1)
     best, winners = -1, []
     for unit in range(lo, hi):
         value = scores[unit]
@@ -243,7 +246,7 @@ def unpruned_sweep(n: int, quantity: str, shards: int, shard: int,
             winners.append(unit)
     codes = {canonical_code(sweep._unit_graph(n, unit)) for unit in winners}
     return SweepResult(n, quantity, ExactCount(best), frozenset(codes),
-                       sweep._labelled_count(n, lo, hi))
+                       sum(classes[unit >> (n - 1)][1] for unit in range(lo, hi)))
 
 
 def test_twin_skips_change_no_shard_result():
@@ -265,7 +268,7 @@ def test_kept_neighbourhoods_follow_the_twin_classes():
     # one neighbourhood per orbit of twin swaps: a class T of twins holds
     # 0..|T| members of it, so a class on k vertices keeps the product of
     # |T| + 1 over its twin classes, singletons included, which sums to
-    # the scored units of full sweeps on k + 1 vertices
+    # the units of full sweeps on k + 1 vertices up to twin swaps
     def kept(g: Graph) -> int:
         product, left = 1, set(range(g.n))
         while left:
@@ -288,41 +291,64 @@ def test_kept_neighbourhoods_follow_the_twin_classes():
     assert (units[7], units[8]) == (6412, 94956)
 
 
-def test_skipped_units_have_their_least_image_scored_in_the_shard(monkeypatch):
-    # the units whose table entry a shard's scan reads are the ones it
-    # scores (the audit, which reads sampled ones, is off); every other
-    # unit of the shard has a least image that it scores, of the same class
-    unit_scores, read = sweep._unit_scores, set()
+def test_dropped_ties_have_their_least_image_among_the_winners(monkeypatch):
+    # the units whose graphs a shard's scan builds are its winners (the
+    # audit, which builds sampled ones, is off); every other unit at the
+    # shard's max has a least image that is a winner, of the same class
+    unit_graph, built = sweep._unit_graph, set()
 
-    class Recording(list):
-        unit = 0
+    def recording(n: int, unit: int) -> Graph:
+        built.add(unit)
+        return unit_graph(n, unit)
 
-        def __getitem__(self, nbhd: int) -> int:
-            read.add(self.unit + nbhd)
-            return super().__getitem__(nbhd)
-
-    def recording(parent: Graph, quantity: str, subs) -> list[int]:
-        table = Recording(unit_scores(parent, quantity, subs))
-        index = [g for g, _ in sweep._classes(parent.n)].index(parent)
-        table.unit = index << parent.n
-        return table
-
-    monkeypatch.setattr(sweep, "_unit_scores", recording)
-    monkeypatch.setattr(sweep, "_audit", lambda result, lo, hi, tables: None)
+    monkeypatch.setattr(sweep, "_unit_graph", recording)
+    monkeypatch.setattr(sweep, "_audit", lambda result, units, tables: None)
+    dropped = 0
     for n in range(2, 8):
-        total = A000088[n - 1] << (n - 1)
-        codes = [canon(sweep._unit_graph(n, unit)) for unit in range(total)]
+        subs = sweep._submasks(n - 1)
+        scores = [score for g, _ in sweep._classes(n - 1)
+                  for score in sweep._unit_scores(g, "p2", subs)]
+        total = len(scores)
         for shards in (k for k in (1, 2, 3, 7, 16, 32) if k <= total):
             for shard in range(shards):
-                read.clear()
-                exhaustive_max(n, "m_odd_holes", shards=shards, shard=shard)
+                built.clear()
+                best = exhaustive_max(n, "p2", shards=shards, shard=shard).max.value
                 lo, hi = shard_range(n, shards, shard)
-                for unit in set(range(lo, hi)) - read:
+                for unit in {u for u in range(lo, hi) if scores[u] == best} - built:
                     nbhd = unit & ((1 << (n - 1)) - 1)
                     twins = sweep._twins(n - 1, unit >> (n - 1))
                     image = unit - nbhd + sweep._twin_least(nbhd, twins)
-                    assert image in read and codes[image] == codes[unit], \
+                    assert image in built, (n, shards, shard, unit)
+                    assert canon(unit_graph(n, image)) == canon(unit_graph(n, unit)), \
                         (n, shards, shard, unit)
+                    dropped += 1
+    assert dropped > 0
+
+
+def raised_off_the_least_image(unit_scores):
+    """unit_scores with one entry of each table raised above the table's
+    max: the first neighbourhood that is not its own least twin image."""
+    def lying(parent: Graph, quantity: str, subs) -> list[int]:
+        scores = unit_scores(parent, quantity, subs)
+        index = [g for g, _ in sweep._classes(parent.n)].index(parent)
+        twins = sweep._twins(parent.n, index)
+        for nbhd in range(1 << parent.n):
+            if sweep._twin_least(nbhd, twins) != nbhd:
+                scores[nbhd] = max(scores) + 1
+                break
+        return scores
+    return lying
+
+
+def test_a_wrong_entry_off_the_least_image_fails_the_post_sweep_check(monkeypatch, capsys):
+    # the max reads the entries of every unit, and a lying entry's least
+    # image does not tie it: the unit must stay a winner, so that the
+    # second engine sees the lie, not drop out and leave no extremal code
+    monkeypatch.setattr(sweep, "_unit_scores", raised_off_the_least_image(sweep._unit_scores))
+    with pytest.raises(InternalError, match="post-sweep check failed"):
+        exhaustive_max(6, "p2")
+    assert main(["verify", "--n", "6", "--quantity", "p2"]) == 4
+    assert capsys.readouterr().err.startswith("error: internal check failed: ")
 
 
 def test_classes_follow_a000088_and_count_every_labelled_graph():
@@ -376,31 +402,32 @@ def unit_tables(n: int, quantity: str) -> dict[int, list[int]]:
 
 
 def test_audit_checks_sampled_units_against_the_result():
-    # forged results for the 32 units on 4 vertices: no unit has an odd
-    # hole, so at max 0 every sampled unit's class must be a code, and
-    # some sampled unit holds a triangle
-    lo, hi = shard_range(4, 1, 0)
+    # forged results, checked on all 32 units on 4 vertices: no unit has
+    # an odd hole, so at max 0 every unit's class must be a code, and
+    # some unit holds a triangle
+    units = range(*shard_range(4, 1, 0))
     only_empty = SweepResult(4, "m_odd_holes", ExactCount(0), frozenset({"C?"}), 64)
     with pytest.raises(InternalError, match="class is missing from the codes"):
-        sweep._audit(only_empty, lo, hi, unit_tables(4, "m_odd_holes"))
+        sweep._audit(only_empty, units, unit_tables(4, "m_odd_holes"))
     every_class = frozenset(canonical_code(g) for g, _ in sweep._classes(4))
     no_triangle = SweepResult(4, "m", ExactCount(0), every_class, 64)
     with pytest.raises(InternalError, match="above the shard's max 0"):
-        sweep._audit(no_triangle, lo, hi, unit_tables(4, "m"))
+        sweep._audit(no_triangle, units, unit_tables(4, "m"))
 
 
 def test_audit_checks_the_tables_and_the_path_lists(monkeypatch):
+    # on every unit on 5 vertices
     result = exhaustive_max(5, "p2")
-    lo, hi = shard_range(5, 1, 0)
+    units = range(*shard_range(5, 1, 0))
     tables = unit_tables(5, "p2")
-    sweep._audit(result, lo, hi, tables)
+    sweep._audit(result, units, tables)
     lying = {index: [score + 1 for score in table] for index, table in tables.items()}
-    with pytest.raises(InternalError, match="unit 29: path table 2, subset oracle 1"):
-        sweep._audit(result, lo, hi, lying)
+    with pytest.raises(InternalError, match="unit 0: path table 1, subset oracle 0"):
+        sweep._audit(result, units, lying)
     paths = sweep._induced_paths
     monkeypatch.setattr(sweep, "_induced_paths", lambda adj: paths(adj)[1:])
     with pytest.raises(InternalError, match="path list of class"):
-        sweep._audit(result, lo, hi, tables)
+        sweep._audit(result, units, tables)
 
 
 def paths_as_cycles_through_an_added_vertex(g: Graph) -> dict[str, int]:
@@ -436,14 +463,17 @@ def test_subset_path_oracle_matches_cycles_through_an_added_vertex():
 # cross-checks must still catch wrong orbit sizes and a twin rule that
 # keeps every neighbourhood in the class build, a shard result that
 # misses a sampled unit's class, a per-graph engine that lowers every
-# extremal code at n = 5, a path list that misses a path and a per-graph
-# engine that lies at n = 4, in the library and through the CLI.
+# extremal code at n = 5, a path list that misses a path, a per-graph
+# engine that lies at n = 4 and a table entry raised off the least twin
+# image at n = 6, the last two in the library and through the CLI.
 LYING_ENGINE_SCRIPT = """
+import contextlib
+import io
 import sys
 from braidcensus import sweep
 from braidcensus.cli import main
 from braidcensus.formulas import ExactCount
-from braidcensus.graphs import InternalError, canonical_code, to_graph6
+from braidcensus.graphs import InputError, InternalError, canonical_code, to_graph6
 
 if __debug__:
     sys.exit("assertions are on: run with python -O")
@@ -474,7 +504,7 @@ tables = {index: sweep._unit_scores(g, "m_odd_holes", subs)
           for index, (g, _) in enumerate(sweep._classes(3))}
 try:
     sweep._audit(sweep.SweepResult(4, "m_odd_holes", ExactCount(0), frozenset({"C?"}), 64),
-                 0, 32, tables)
+                 range(32), tables)
 except InternalError:
     pass
 else:
@@ -514,7 +544,33 @@ except InternalError:
     pass
 else:
     sys.exit("exhaustive_max accepted a lying engine")
-sys.exit(main(["verify", "--n", "4", "--quantity", "p2"]))
+with contextlib.redirect_stderr(io.StringIO()):
+    if main(["verify", "--n", "4", "--quantity", "p2"]) != 4:
+        sys.exit("verify accepted a lying engine")
+sweep.quantity_of_graph = honest
+unit_scores = sweep._unit_scores
+
+def raised_off_the_least_image(parent, quantity, subs):
+    scores = unit_scores(parent, quantity, subs)
+    index = [g for g, _ in sweep._classes(parent.n)].index(parent)
+    twins = sweep._twins(parent.n, index)
+    for nbhd in range(1 << parent.n):
+        if sweep._twin_least(nbhd, twins) != nbhd:
+            scores[nbhd] = max(scores) + 1
+            break
+    return scores
+
+sweep._unit_scores = raised_off_the_least_image
+try:
+    sweep.exhaustive_max(6, "p2")
+except InternalError as exc:
+    if "post-sweep check failed" not in str(exc):
+        sys.exit(f"the audit, not the post-sweep check, tripped: {exc}")
+except InputError as exc:
+    sys.exit(f"a wrong entry dropped every winner: {exc}")
+else:
+    sys.exit("exhaustive_max accepted a table entry raised off the least image")
+sys.exit(main(["verify", "--n", "6", "--quantity", "p2"]))
 """
 
 
