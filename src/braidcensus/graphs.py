@@ -15,7 +15,8 @@ Also provided:
   and connectivity,
 * a canonical labeling for small graphs: an exhaustive branch and bound
   over vertex orderings, on plain ints, for the least upper-triangle bit
-  string of a relabeling.
+  string of a relabeling, skipping a candidate when the candidate's twin
+  class meets the explored siblings.
 
 That least string, written top bit first, is the graph6 body of the
 canonical code: a canonical code is a graph6 string, directly printable
@@ -373,6 +374,13 @@ def parse_graph6(text: str) -> Graph:
 CANON_MAX_N = 10
 
 
+def _twin_classes(adj: tuple[int, ...]) -> list[int]:
+    """Entry v is the mask of v's twin class, v included: twins have the
+    same neighbours besides each other, so swapping two is an automorphism."""
+    return [sum(1 << u for u, row in enumerate(adj) if (row ^ adj[v]) & ~(1 << u | 1 << v) == 0)
+            for v in range(len(adj))]
+
+
 def canonical_code(g: Graph) -> str:
     """Canonical form by exhaustive branch and bound over labelings.
 
@@ -385,10 +393,10 @@ def canonical_code(g: Graph) -> str:
     on top, so a prefix grows as prefix << depth | col.  Candidates go in
     (column, vertex) order.  A prefix above the incumbent's prefix of the
     same length cuts off its candidate and every later one, and a
-    candidate whose swap with an explored sibling is an automorphism is
-    skipped (that collapses the factorial blowup on graphs with many
-    twins, e.g. empty or complete graphs).  Exact but exponential in the
-    worst case, hence the hard cap at n = CANON_MAX_N.
+    candidate is skipped when the candidate's twin class meets the
+    explored siblings, which collapses the factorial blowup on graphs
+    with many twins (e.g. empty or complete graphs).  Exact but
+    exponential in the worst case, hence the hard cap at n = CANON_MAX_N.
     """
     n = g.n
     if n > CANON_MAX_N:
@@ -396,6 +404,7 @@ def canonical_code(g: Graph) -> str:
             f"canonical_code supports n <= {CANON_MAX_N}, got {n}"
         )
     adj = g.adj
+    twins = _twin_classes(adj)
     total = n * (n - 1) // 2
     best = 1 << total  # above every code, so the first leaf replaces it
 
@@ -405,14 +414,14 @@ def canonical_code(g: Graph) -> str:
             best = prefix  # not cut off, so at most best
             return
         shift = total - depth * (depth + 1) // 2
-        tried: list[int] = []
+        tried = 0
         for col, v in sorted(cols):
-            if any((adj[u] ^ adj[v]) & ~(1 << u | 1 << v) == 0 for u in tried):
-                continue  # (u v) swap is an automorphism
+            if twins[v] & tried:
+                continue  # swapping v with an explored twin is an automorphism
             grown = prefix << depth | col
             if grown > best >> shift:
                 break  # the candidates after v have columns at least col
-            tried.append(v)  # only subtrees actually explored justify twin skips
+            tried |= 1 << v  # only subtrees actually explored justify twin skips
             extend(depth + 1, grown,
                    [(c << 1 | adj[u] >> v & 1, u) for c, u in cols if u != v])
 

@@ -10,9 +10,9 @@ Classes.  _classes(k) holds one graph per isomorphism class on k
 vertices with its labelled count lab, the number of graphs on 0..k-1
 isomorphic to it.  It extends every class on k - 1 vertices by vertex
 k - 1 once per orbit of neighbourhoods under swaps of the parent's
-twins (vertices with the same neighbours besides each other: swapping
-two is an automorphism), keeping the neighbourhood N only if it is its
-least twin image (each twin class's members of N moved to its lowest
+twins (swapping two is an automorphism; graphs._twin_classes is the
+rule's one home), keeping the neighbourhood N only if it is its least
+twin image (each twin class's members of N moved to its lowest
 vertices), and deduplicates on canonical_code.  lab of a class sums lab
 of the parents times the orbit sizes over the extensions landing on it.
 The class counts must equal OEIS A000088 and the labs must sum to
@@ -84,6 +84,7 @@ from .graphs import (
     InputError,
     InternalError,
     _layers,
+    _twin_classes,
     canonical_code,
     parse_graph6,
     vertices_of,
@@ -170,19 +171,9 @@ def _classes(k: int) -> tuple[tuple[Graph, int], ...]:
 
 @lru_cache(maxsize=None)
 def _twins(k: int, index: int) -> tuple[int, ...]:
-    """The twin classes of two or more vertices of _classes(k)[index],
-    as bit masks: twins have the same neighbours besides each other, so
-    swapping two is an automorphism."""
-    adj = _classes(k)[index][0].adj
-    classes, left = [], (1 << k) - 1
-    while left:
-        u = (left & -left).bit_length() - 1
-        twin = sum(1 << w for w in vertices_of(left)
-                   if (adj[u] ^ adj[w]) & ~(1 << u | 1 << w) == 0)
-        left &= ~twin
-        if twin != 1 << u:
-            classes.append(twin)
-    return tuple(classes)
+    """The twin classes of two or more of _classes(k)[index], by lowest vertex."""
+    classes = _twin_classes(_classes(k)[index][0].adj)
+    return tuple(twin for v, twin in enumerate(classes) if twin & -twin == 1 << v != twin)
 
 
 def _twin_least(nbhd: int, twins: tuple[int, ...]) -> int:

@@ -32,6 +32,7 @@ from braidcensus.graphs import (
     InputError,
     UnsupportedError,
     _layers,
+    _twin_classes,
     ball,
     canonical_code,
     distance,
@@ -424,6 +425,26 @@ def test_canonical_handles_twin_heavy_graphs_quickly():
     full = graph_from_pair_bits(10, (1 << 45) - 1)
     assert canonical_code(empty) == to_graph6(empty)
     assert canonical_code(full) == to_graph6(full)
+
+
+def twins_by_definition(g: Graph) -> list[set[int]]:
+    """Entry v: the vertices u whose neighbours besides v are v's
+    neighbours besides u, v itself included."""
+    nbrs = [set(vertices_of(row)) for row in g.adj]
+    return [{u for u in range(g.n) if nbrs[u] - {v} == nbrs[v] - {u}} for v in range(g.n)]
+
+
+def test_twin_classes_follow_the_pairwise_definition():
+    rng = random.Random(27)
+    cases = [graph_from_pair_bits(n, bits)
+             for n in range(1, 7) for bits in range(1 << (n * (n - 1) // 2))]
+    cases += [g for g, _ in _classes(7)]
+    cases += [random_graph(rng, rng.randint(8, 10)) for _ in range(300)]
+    for g in cases:
+        classes = _twin_classes(g.adj)
+        assert list(map(set, map(vertices_of, classes))) == twins_by_definition(g), to_graph6(g)
+        # a partition: any two entries are equal or disjoint
+        assert all(a == b or not a & b for a in classes for b in classes), to_graph6(g)
 
 
 def test_canonical_code_round_trips_through_graph6():

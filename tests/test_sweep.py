@@ -291,6 +291,14 @@ def test_kept_neighbourhoods_follow_the_twin_classes():
     assert (units[7], units[8]) == (6412, 94956)
 
 
+def test_twins_are_the_twin_classes_of_two_or_more_vertices():
+    for k in range(1, 8):
+        for index, (g, _) in enumerate(sweep._classes(k)):
+            larger = {twin for twin in sweep._twin_classes(g.adj) if twin.bit_count() > 1}
+            assert sweep._twins(k, index) == tuple(sorted(larger, key=lambda t: t & -t)), \
+                (k, index)
+
+
 def test_dropped_ties_have_their_least_image_among_the_winners(monkeypatch):
     # the units whose graphs a shard's scan builds are its winners (the
     # audit, which builds sampled ones, is off); every other unit at the
@@ -460,8 +468,9 @@ def test_subset_path_oracle_matches_cycles_through_an_added_vertex():
 
 
 # Run under python -O, where assert statements are stripped: the sweep's
-# cross-checks must still catch wrong orbit sizes and a twin rule that
-# keeps every neighbourhood in the class build, a shard result that
+# cross-checks must still catch wrong orbit sizes, a twin rule that
+# keeps every neighbourhood and twin classes that make vertices 0 and 1
+# twins in the class build, a shard result that
 # misses a sampled unit's class, a per-graph engine that lowers every
 # extremal code at n = 5, a path list that misses a path, a per-graph
 # engine that lies at n = 4 and a table entry raised off the least twin
@@ -499,6 +508,26 @@ else:
     sys.exit("_classes accepted a twin rule that keeps every neighbourhood")
 sweep._twin_least = twin_least
 sweep._classes.cache_clear()
+twin_classes = sweep._twin_classes
+
+def zero_and_one_twins(adj):
+    classes = twin_classes(adj)
+    if len(adj) > 1:
+        classes[0] = classes[1] = classes[0] | classes[1]
+    return classes
+
+sweep._twin_classes = zero_and_one_twins
+sweep._twins.cache_clear()
+try:
+    sweep._classes(4)
+except InternalError as exc:
+    if "isomorphism classes" not in str(exc) and "labelled graphs" not in str(exc):
+        sys.exit(f"the class or labelled count, not another check, should trip: {exc}")
+else:
+    sys.exit("_classes accepted twin classes that make vertices 0 and 1 twins")
+sweep._twin_classes = twin_classes
+sweep._classes.cache_clear()
+sweep._twins.cache_clear()
 subs = sweep._submasks(3)
 tables = {index: sweep._unit_scores(g, "m_odd_holes", subs)
           for index, (g, _) in enumerate(sweep._classes(3))}
