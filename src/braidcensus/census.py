@@ -37,29 +37,40 @@ whose only contribution is their closure count, are folded into their
 parent and never stored.  The search is iterative, so depth is no limit.
 
 Per-vertex counts.  One root's memo is a DAG of states, each holding the
-histogram B of the completions below it.  The fold stores a state only
-after all of its children, so the memo popped last-stored-first hands out
-every state after all of its parents.  A forward pass pops the states in
-that order, recomputing each state's children from its key, and sums into
-every state the histogram F of the depths at which the root's paths reach
-it; a state never reached has no completions and is skipped.  The edge
-from state P through vertex z into state C then carries (F[P] << width) *
-B[C] cycles through z, by length: packed histograms multiply as
-polynomials in 2^width (a Kronecker substitution), and every field of the
-product counts distinct cycles, so stays below 2^(n+1) and never carries
-into the next.  A closing vertex takes F one step on, summed per closing
-set before it is handed out; the anchor takes the root's total.  Twins
-share states here as in the fold, so a braid still costs polynomially
-many.  Each vertex's credits are kept as (base, packed) like the memo's
-values, so a long cycle does not cost O(n^2) bits per vertex.
+histogram B of the completions below it.  Let F[P] be the histogram of
+the depths at which the root's paths reach state P.  The edge from state
+P through vertex z into state C then carries (F[P] << width) * B[C]
+cycles through z, by length: packed histograms multiply as polynomials
+in 2^width (a Kronecker substitution), and every field of the product
+counts distinct cycles, so stays below 2^(n+1) and never carries into
+the next.  F splits in two.  tree(P) is the one path of the fold's own
+search tree that first reaches P, at the depth of its stack, and
+extra(P) = F[P] - tree(P) counts the other paths into P, each of which
+takes a memo hit on its way.  So the fold credits its tree as it goes:
+a popped frame's vertex takes the frame's histogram, a memo hit's
+vertex the hit's, a closing leaf's vertex its closures, each at its
+depth on the stack; each hit also seeds the state it hits with its one
+path.  A forward pass then carries only the extra paths.  It pops the
+memo last-stored-first, which hands out every state after all of its
+parents, recomputes the children of each state the seeds reach from
+its key, sums the prefixes of the extra paths into them, and stops once
+no reached state is left.  On a twin-free graph few children hit the memo,
+so the pass expands few states; in a braid nearly every state lies below
+a hit, as twins share states here as in the fold, and the pass still
+costs polynomially many.  A closing vertex takes the depths of the paths
+next to it one step on, summed per closing set, tree and extra paths
+alike, before they are handed out; the anchor takes the root's total.
+Each vertex's credits are kept as (base, packed) like the memo's values,
+so a long cycle does not cost O(n^2) bits per vertex.
 
 count_cycles_through(g, v) is a second route: one fold per neighbour u1
 of v, with no anchor order (every vertex but v may be used) and closure
-only at neighbours of v above u1.  It shares the fold but not the forward
-pass.  visit_induced_cycles walks every cycle with the plain search; that
-walk and slow_census share nothing with the memo.  With the second route
-and the identity sum_v f_v(L) = L c_L, checked on every call of
-cycles_per_vertex, they are the checks on the memo and the forward pass.
+only at neighbours of v above u1.  It shares the fold but none of the
+crediting.  visit_induced_cycles walks every cycle with the plain
+search; that walk and slow_census share nothing with the memo.  With
+the second route and the identity sum_v f_v(L) = L c_L, checked on
+every call of cycles_per_vertex, they are the checks on the memo and
+the credits.
 
 Path-tree statistics.  The x-y path tree is the rooted tree whose nodes
 are the growing induced paths, except that a node whose endpoint is
@@ -205,7 +216,7 @@ class TreeStats:
 
 
 def _fold(adj, above: int, stop: int, close: int, start: int, width: int,
-          memo: dict) -> tuple[int, int]:
+          memo: dict, credit: tuple | None = None) -> tuple[int, int]:
     """Packed length histogram of the induced paths that grow from start
     inside `above` and end at a vertex of `close`, with only start
     blocked at the first step.  A vertex of `stop` is never passed
@@ -217,45 +228,77 @@ def _fold(adj, above: int, stop: int, close: int, start: int, width: int,
     (cands, blocked), with its histogram as (base, packed), and stored
     only after all of its children: _forward and path_tree_stats read
     the memo in that order.
+
+    If credit is (bases, packs, reach, shut_at), the fold also gives the
+    per-vertex credits of its own search tree, the one path along which
+    it first reaches each state (see "Per-vertex counts" above): a vertex
+    z on that path gains the completions below it in (bases[z],
+    packs[z]), a closing set gains the path's depth in shut_at, and a
+    memo hit adds the depth of its vertex to reach, for _forward.
     """
+    if credit:
+        bases, packs, reach, shut_at = credit
     stack = []
-    # the current frame: memo key, blocked below it, children left, and
-    # its histogram as (base, packed); the first frame stands for the
-    # vertex before start
+    # the current frame: memo key, blocked below it, the vertices of
+    # `above` not blocked and the closing vertices among them, children
+    # left, and its histogram as (base, packed); the first frame stands
+    # for the vertex before start.  A frame lies len(stack) steps beyond
+    # that vertex, and one on the stack also keeps the child z it was
+    # left for.
+    keep = ~stop
     key, nb, todo, base, acc = None, 1 << start, 1 << start, 0, 0
+    free = above & ~nb
+    opened = close & free
     while True:
         if todo:
             bit = todo & -todo
             todo ^= bit
-            cands = adj[bit.bit_length() - 1] & above & ~nb
-            below = nb | cands
-            closed = (cands & close).bit_count()
+            z = bit.bit_length() - 1
+            cands = adj[z] & free
+            shut = cands & close
             # once every closing vertex is blocked, no extension can close
-            ext = cands & ~stop if close & ~below else 0
+            left = opened ^ shut  # shut lies in opened, as cands in free
+            ext = cands & keep if left else 0
             if not ext:
-                if not closed:
+                if not shut:
                     continue
-                off, val = 2, closed
+                off, val = 2, shut.bit_count()
+                if credit:
+                    shut_at[shut] = _add(shut_at.get(shut, (0, 0)), len(stack) + 1, 1, width)
             else:
                 child = (cands, nb)
                 hit = memo.get(child)
                 if hit is None:
-                    stack.append((key, nb, todo, base, acc))
-                    key, nb, todo = child, below, ext
-                    base, acc = (1, closed) if closed else (0, 0)
+                    stack.append((key, nb, free, opened, todo, base, acc, z))
+                    key, nb, free, opened, todo = child, nb | cands, free & ~cands, left, ext
+                    base, acc = (1, shut.bit_count()) if shut else (0, 0)
+                    if shut and credit:
+                        shut_at[shut] = _add(shut_at.get(shut, (0, 0)), len(stack), 1, width)
                     continue
                 off, val = hit
                 if not val:
                     continue
+                if credit:
+                    reach[child] = _add(reach.get(child, (0, 0)), len(stack) + 1, 1, width)
                 off += 1
         else:
             if not stack:
                 return base, acc
             memo[key] = (base, acc)
             off, val = base + 1, acc
-            key, nb, todo, base, acc = stack.pop()
+            key, nb, free, opened, todo, base, acc, z = stack.pop()
             if not val:
                 continue
+        if credit:
+            # the tree path through z, the child just done, closes these
+            # len(stack) + off steps out (inlined _add: the hot path)
+            at = off + len(stack)
+            shift = at - bases[z]
+            if shift >= 0:
+                packs[z] += val << (width * shift)
+            else:
+                packs[z] = (packs[z] << (width * -shift)) + val
+                bases[z] = at
         # add val at offset off, keeping the lowest field of acc non-zero
         # so that no value grows with the depth of the path
         if not acc:
@@ -315,48 +358,65 @@ def _cycles_through(adj, v: int, above: int, width: int,
         close = adj_v & (-1 << (u1 + 1))
         if close:
             memo: dict[tuple[int, int], tuple[int, int]] = {}
-            base, packed = _fold(adj, above, adj_v, close, u1, width, memo)
-            if packed and credit is not None:
+            # this root's reach and shut_at (see _forward) go with the lists
+            root = None if credit is None else (*credit, {}, {})
+            base, packed = _fold(adj, above, adj_v, close, u1, width, memo, root)
+            if root and packed:
                 bases, packs = credit
                 bases[v], packs[v] = _add((bases[v], packs[v]), base, packed, width)
-                _forward(adj, above, adj_v, close, u1, width, memo, bases, packs)
+                _forward(adj, above, adj_v, close, width, memo, root)
             total += packed << (width * base)
     return total
 
 
-def _forward(adj, above: int, stop: int, close: int, start: int, width: int,
-             memo: dict, bases: list[int], packs: list[int]) -> None:
-    """Credit every vertex but the anchor on the paths of one fold from
-    start with the cycles through it (see "Per-vertex counts" above).
+def _forward(adj, above: int, stop: int, close: int, width: int,
+             memo: dict, credit: tuple) -> None:
+    """Give the credits of one fold that its search tree did not (see
+    "Per-vertex counts" above): those of the extra paths, which enter a
+    state through a memo hit.  credit is the fold's (bases, packs, reach,
+    shut_at), with reach seeded by its hits.
 
     Consumes the fold's memo, last stored first, so that every state
-    comes after all of its parents.  reach holds each state reached and
-    not yet expanded as (pbase, prefix), where field j of prefix counts
-    the paths that reach the state with their endpoint j + pbase steps
-    beyond the anchor."""
-    reach: dict[tuple[int, int], tuple[int, int]] = {}
-    # closing set -> histogram of the depths of the endpoints next to it
-    shut_at: dict[int, tuple[int, int]] = {}
-    # the first state is the anchor at depth 0, with start its one child
-    below = ext = 1 << start
-    base, acc = 0, 1
-    while True:
+    comes after all of its parents, and stops once reach is empty.
+    reach holds each state reached and not yet expanded as (pbase,
+    prefix), where field j of prefix counts the extra paths that reach
+    the state with their endpoint j + pbase steps beyond the anchor.
+    Last, each closing set's sum, tree paths included, goes to its
+    vertices."""
+    bases, packs, reach, shut_at = credit
+    while reach:
+        # the next reached state; one never reached has no extra paths
+        key = memo.popitem()[0]
+        hist = reach.pop(key, None)
+        if hist is None:
+            continue
+        base, acc = hist
+        cands, blocked = key
+        below = blocked | cands
+        free = above & ~below
+        shut = cands & close
+        if shut:
+            shut_at[shut] = _add(shut_at.get(shut, (0, 0)), base, acc, width)
         step = base + 1
+        ext = cands & ~stop
         while ext:
             bit = ext & -ext
             ext ^= bit
             z = bit.bit_length() - 1
-            cands = adj[z] & above & ~below
-            shut = cands & close
-            if cands & ~stop and close & ~(below | cands):
-                child = (cands, below)
-                off, val = memo[child]
+            cands = adj[z] & free
+            child = (cands, below)
+            # a child that is a state is still in the memo, stored
+            # before its parent
+            hist = memo.get(child)
+            if hist is not None:
+                off, val = hist
                 if not val:
                     continue
                 # sum the prefixes of all edges into the state, twins too
                 reach[child] = _add(reach.get(child, (0, 0)), step, acc, width)
-            elif shut:
+            elif cands & close:
                 # a leaf: its closures are all it has
+                shut = cands & close
                 off, val = 1, shut.bit_count()
                 shut_at[shut] = _add(shut_at.get(shut, (0, 0)), step, acc, width)
             else:
@@ -371,23 +431,9 @@ def _forward(adj, above: int, stop: int, close: int, start: int, width: int,
             else:
                 packs[z] = (packs[z] << (width * -shift)) + acc * val
                 bases[z] = off
-        # the next reached state; one never reached has no completions
-        while memo:
-            key = memo.popitem()[0]
-            if key in reach:
-                break
-        else:  # every state is done: hand each closing set's sum to its vertices
-            for shut, (base, acc) in shut_at.items():
-                for c in bits_of(shut):
-                    bases[c], packs[c] = _add((bases[c], packs[c]), base + 1, acc, width)
-            return
-        base, acc = reach.pop(key)
-        cands, blocked = key
-        below = blocked | cands
-        ext = cands & ~stop
-        shut = cands & close
-        if shut:
-            shut_at[shut] = _add(shut_at.get(shut, (0, 0)), base, acc, width)
+    for shut, (base, acc) in shut_at.items():
+        for c in bits_of(shut):
+            bases[c], packs[c] = _add((bases[c], packs[c]), base + 1, acc, width)
 
 
 def count_induced_cycles(g: Graph) -> CycleCensus:
@@ -524,22 +570,28 @@ def path_tree_stats(g: Graph, x: int, y: int) -> TreeStats:
     for cands, blocked in [*memo, (1 << x, 0)]:
         below = blocked | cands
         step = 1 << (width * cands.bit_count()) if blocked else 0
-        leaves, y_leaves, ys, balanced, suffixes = 0, 0, set(), True, set()
-        for z in bits_of(cands):
-            c = adj[z] & ~below
-            if adj[z] & ybit or not c:
+        leaves, y_leaves, balanced, subs = 0, 0, True, []
+        todo = cands
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            adj_z = adj[bit.bit_length() - 1]
+            c = adj_z & ~below
+            if adj_z & ybit or not c:
                 # a y-leaf (z's unique child is y; that forced step is not
                 # recorded in the multiset) or a dead end
-                sub = 1, adj[z] >> y & 1, (0,), True
+                sub = 1, adj_z >> y & 1, (0,), True
             else:
                 sub = memo[c, below]
             sub_leaves, sub_y, sub_suffixes, sub_balanced = sub
+            if not subs:
+                first_y = sub_y
             leaves += sub_leaves
             y_leaves += sub_y
-            ys.add(sub_y)
-            balanced = balanced and sub_balanced
-            suffixes.update(m + step for m in sub_suffixes)
-        balanced = balanced and len(ys) < 2  # children's y-leaf counts all equal
+            # every child balanced, with the y-leaf count of the first
+            balanced = balanced and sub_balanced and sub_y == first_y
+            subs.append(sub_suffixes)
+        suffixes = {m + step for sub in subs for m in sub}
         memo[cands, blocked] = (leaves, y_leaves, suffixes, balanced)
     multisets = frozenset(
         tuple(d for d, count in _unpack(packed, width, 0).items() for _ in range(count))

@@ -457,16 +457,39 @@ def test_per_vertex_bound_random():
 TWIN_RING = Graph.from_edge_list(12, [
     (u, v) for u, v in itertools.combinations(range(12), 2) if (u // 2 - v // 2) % 6 in (1, 5)])
 
+# From anchor 0, the fold hits one stored state along a prefix of three
+# steps and again along one of four, so the forward pass starts from a
+# state seeded at two depths at once; TWIN_RING's hits all come at one
+# depth (found by a search over random graphs)
+SEEDS_AT_TWO_DEPTHS = Graph.from_edge_list(9, [
+    (0, 7), (0, 8), (1, 3), (1, 4), (1, 6), (2, 3), (2, 4), (2, 5), (3, 5), (3, 7),
+    (4, 7), (5, 6), (6, 8)])
+
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(graphs(max_n=10), blow_ups()))
 @example(TWIN_RING)
+@example(SEEDS_AT_TWO_DEPTHS)
 def test_per_vertex_censuses_match_enumeration(g):
     # both fast routes against the cycles the plain search walks, twin-rich
     # blow-ups included, where twins share the forward pass's states
     want = per_vertex_tally(g)
     assert [c.by_length for c in cycles_per_vertex(g)] == want
     assert [count_cycles_through(g, v).by_length for v in range(g.n)] == want
+
+
+def test_per_vertex_census_where_memo_hits_are_rare():
+    # G(n, p) graphs have almost no twins: few children hit the memo, so
+    # nearly every credit comes from the fold's own search tree.  The
+    # graphs above stop at n = 10 and the braids below are hit-rich; the
+    # second route shares the fold but none of the crediting.
+    for seed, (n, p) in enumerate([(24, 0.35), (26, 0.3), (28, 0.25), (30, 0.15)]):
+        rng = random.Random(seed)
+        g = Graph.from_edge_list(
+            n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+        per_vertex = cycles_per_vertex(g)
+        for v in range(n):
+            assert per_vertex[v] == count_cycles_through(g, v), (n, p, v)
 
 
 def test_per_vertex_census_braids_at_scale():
@@ -524,11 +547,13 @@ def test_per_vertex_identity_check_catches_a_false_credit(monkeypatch):
     honest = braidcensus.census._forward
     calls = []
 
-    def one_more(adj, above, stop, close, start, width, memo, bases, packs):
-        honest(adj, above, stop, close, start, width, memo, bases, packs)
-        calls.append(start)
+    def one_more(adj, above, stop, close, width, memo, credit):
+        honest(adj, above, stop, close, width, memo, credit)
+        calls.append(close)
         if len(calls) == 1:
-            packs[start] += 1  # one cycle more at start's lowest depth
+            packs = credit[1]
+            u = next(u for u, packed in enumerate(packs) if packed)
+            packs[u] += 1  # one cycle more at u's lowest depth
 
     monkeypatch.setattr(braidcensus.census, "_forward", one_more)
     with pytest.raises(InternalError, match="do not sum to length times"):
