@@ -22,7 +22,6 @@ later restores them) is what the package hands out during the patch,
 and the original is what it hands out after it.
 """
 
-import sys as _sys
 from importlib import import_module as _import_module
 
 # home module -> the public names it defines
@@ -78,9 +77,7 @@ def __getattr__(name: str):
     home = _HOME.get(name)
     if home is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    # sys.modules first: import_module costs several times as much, and
-    # the engines' callers read these names in their loops
-    module = _sys.modules.get(home) or _import_module(home)
+    module = _import_module(home)
     return module if name in _EXPORTS else getattr(module, name)
 
 

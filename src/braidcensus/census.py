@@ -291,14 +291,13 @@ def _fold(adj, above: int, stop: int, close: int, start: int, width: int,
                 continue
         if credit:
             # the tree path through z, the child just done, closes these
-            # len(stack) + off steps out (inlined _add: the hot path)
+            # len(stack) + off steps out (inlined add; _add lowers the base)
             at = off + len(stack)
             shift = at - bases[z]
             if shift >= 0:
                 packs[z] += val << (width * shift)
             else:
-                packs[z] = (packs[z] << (width * -shift)) + val
-                bases[z] = at
+                bases[z], packs[z] = _add((bases[z], packs[z]), at, val, width)
         # add val at offset off, keeping the lowest field of acc non-zero
         # so that no value grows with the depth of the path
         if not acc:
@@ -423,14 +422,13 @@ def _forward(adj, above: int, stop: int, close: int, width: int,
                 continue
             # the paths into z times the completions below it; every field
             # of the product counts distinct cycles, so none overflows
-            # (inlined _add: this is the hot path)
+            # (the add in place is inlined, as in _fold)
             off += step
             shift = off - bases[z]
             if shift >= 0:
                 packs[z] += (acc * val) << (width * shift)
             else:
-                packs[z] = (packs[z] << (width * -shift)) + acc * val
-                bases[z] = off
+                bases[z], packs[z] = _add((bases[z], packs[z]), off, acc * val, width)
     for shut, (base, acc) in shut_at.items():
         for c in bits_of(shut):
             bases[c], packs[c] = _add((bases[c], packs[c]), base + 1, acc, width)

@@ -323,7 +323,6 @@ def parse_graph6(text: str) -> Graph:
     data = text.strip()
     if not data:
         raise Graph6Error("empty graph6 string")
-    pos = 0
     first = ord(data[0])
     if data[0] == "~":
         if len(data) >= 2 and data[1] == "~":

@@ -246,7 +246,7 @@ def _flank_walk(g: Graph, flanks: int) -> list[int] | None:
     b1, last = sorted(groups.values(), key=lambda m: m & -m)
     clusters = [b0, b1]
     used = b0 | flanks
-    for _ in range(g.n):
+    while True:  # each step adds a vertex to used, so the walk ends
         prev, cur = clusters[-2], clusters[-1]
         nexts = {g.adj[x] & ~(prev | cur) for x in bits_of(cur)}
         if len(nexts) != 1:
@@ -261,7 +261,6 @@ def _flank_walk(g: Graph, flanks: int) -> list[int] | None:
             return None
         clusters.append(nxt)
         used |= nxt
-    return None
 
 
 def candidate_cyclic_partitions(g: Graph):

@@ -465,11 +465,19 @@ SEEDS_AT_TWO_DEPTHS = Graph.from_edge_list(9, [
     (0, 7), (0, 8), (1, 3), (1, 4), (1, 6), (2, 3), (2, 4), (2, 5), (3, 5), (3, 7),
     (4, 7), (5, 6), (6, 8)])
 
+# graph6 GqHOWk.  From anchor 0 the fold's tree credits vertex 4 with a
+# 7-cycle, and then the forward pass credits it with a 6-cycle, so the
+# pass must lower that vertex's base; no other example here makes the
+# pass do so (found by a search over random graphs)
+FORWARD_LOWERS_A_BASE = Graph.from_edge_list(8, [
+    (0, 1), (0, 2), (1, 3), (1, 5), (2, 4), (3, 5), (3, 7), (4, 6), (5, 6), (5, 7), (6, 7)])
+
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(graphs(max_n=10), blow_ups()))
 @example(TWIN_RING)
 @example(SEEDS_AT_TWO_DEPTHS)
+@example(FORWARD_LOWERS_A_BASE)
 def test_per_vertex_censuses_match_enumeration(g):
     # both fast routes against the cycles the plain search walks, twin-rich
     # blow-ups included, where twins share the forward pass's states

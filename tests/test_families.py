@@ -403,9 +403,13 @@ def test_build_family_matches_the_family_builders():
             for v in (count, -1):
                 with pytest.raises(InputError):
                     build_family(tag, n, v)
+    with pytest.raises(InputError, match="unknown family"):
+        build_family("Q", 20, 0)
 
 
 def test_cluster_partition_validation():
+    with pytest.raises(InputError):
+        ClusterPartition((), cyclic=False)  # no cluster
     with pytest.raises(InputError):
         ClusterPartition(((0, 1), (1, 2)), cyclic=False)  # overlap
     with pytest.raises(InputError):

@@ -174,6 +174,7 @@ def test_domain_errors():
         lambda: vertex_cycle_bound(5, 5),
         lambda: vertex_cycle_bound(5, -1),
         lambda: short_cycle_mass(0),
+        lambda: RealBound(-1.0),
     ):
         with pytest.raises(InputError):
             bad_call()

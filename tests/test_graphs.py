@@ -92,6 +92,11 @@ def test_construction_rejects_bad_input():
         Graph(2, [0, 0, 0])  # row count mismatch
     with pytest.raises(InputError):
         Graph(0, [])
+    g = Graph.from_edge_list(3, [(0, 1)])
+    with pytest.raises(InputError):
+        g.with_edge(2, 2)  # a loop
+    with pytest.raises(InputError):
+        g.relabeled((0, 0, 1))  # not a permutation
 
 
 def test_edge_edit_helpers():

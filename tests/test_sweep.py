@@ -683,6 +683,8 @@ def test_input_errors():
         exhaustive_max(5, "triangles")
     with pytest.raises(InputError):
         exhaustive_max(1, "m")
+    with pytest.raises(InputError):
+        quantity_of_graph(complete_graph(3), "q")
 
 
 def test_long_run_shard_at_n8():
@@ -710,6 +712,8 @@ def test_result_validation_and_json():
         SweepResult(4, "p2", result.max, frozenset(), 64)
     with pytest.raises(InputError):
         SweepResult(4, "nope", result.max, result.extremal_codes, 64)
+    with pytest.raises(InputError):
+        SweepResult(4, "p2", result.max, result.extremal_codes, 0)
 
 
 def test_quantity_of_graph_matches_known_counts():
