@@ -43,25 +43,28 @@ P through vertex z into state C then carries (F[P] << width) * B[C]
 cycles through z, by length: packed histograms multiply as polynomials
 in 2^width (a Kronecker substitution), and every field of the product
 counts distinct cycles, so stays below 2^(n+1) and never carries into
-the next.  F splits in two.  tree(P) is the one path of the fold's own
-search tree that first reaches P, at the depth of its stack, and
-extra(P) = F[P] - tree(P) counts the other paths into P, each of which
-takes a memo hit on its way.  So the fold credits its tree as it goes:
-a popped frame's vertex takes the frame's histogram, a memo hit's
-vertex the hit's, a closing leaf's vertex its closures, each at its
-depth on the stack; each hit also seeds the state it hits with its one
-path.  A forward pass then carries only the extra paths.  It pops the
-memo last-stored-first, which hands out every state after all of its
-parents, recomputes the children of each state the seeds reach from
-its key, sums the prefixes of the extra paths into them, and stops once
-no reached state is left.  On a twin-free graph few children hit the memo,
-so the pass expands few states; in a braid nearly every state lies below
-a hit, as twins share states here as in the fold, and the pass still
-costs polynomially many.  A closing vertex takes the depths of the paths
-next to it one step on, summed per closing set, tree and extra paths
-alike, before they are handed out; the anchor takes the root's total.
-Each vertex's credits are kept as (base, packed) like the memo's values,
-so a long cycle does not cost O(n^2) bits per vertex.
+the next.  Siblings share their blocked mask, so children of one frame
+with equal cands lead into one state; when it credits, the fold takes
+such siblings, twins or not, as one group that expands once.  Its own
+search tree then reaches each state it expands along mult paths at the
+depth of its stack, mult being the product of the group sizes on the
+stack.  F splits in two: tree(P) is those paths, and extra(P) = F[P] -
+tree(P) counts the other paths into P, each of which takes a memo hit
+on its way.  The fold credits its tree as it goes: a popped group's
+members take the frame's histogram, a memo hit's vertex the hit's, a
+closing leaf's vertex its closures, each times the parent frame's mult
+at its depth on the stack; each hit also seeds the state it hits.  A
+forward pass then carries only the extra paths.  A child's blocked mask
+strictly contains its parent's, so the pass takes the reached states by
+the size of that mask, each after all of its parents, recomputes their
+children from their keys and sums the extra paths' prefixes into them.
+Extra paths come only where branches that part above a state meet in
+it again, which is rare in a braid once cluster-mates are grouped.  A
+closing vertex takes the depths of the paths next to it one step on,
+summed per closing set, tree and extra paths alike, before they are
+handed out; the anchor takes the root's total.  Each vertex's credits
+are kept as (base, packed) like the memo's values, so a long cycle does
+not cost O(n^2) bits per vertex.
 
 count_cycles_through(g, v) is a second route: one fold per neighbour u1
 of v, with no anchor order (every vertex but v may be used) and closure
@@ -226,25 +229,27 @@ def _fold(adj, above: int, stop: int, close: int, start: int, width: int,
     completions whose closing vertex lies k steps beyond the vertex
     before start.  Every state expanded is left in memo, keyed
     (cands, blocked), with its histogram as (base, packed), and stored
-    only after all of its children: _forward and path_tree_stats read
-    the memo in that order.
+    only after all of its children: path_tree_stats reads the memo in
+    that order.
 
-    If credit is (bases, packs, reach, shut_at), the fold also gives the
-    per-vertex credits of its own search tree, the one path along which
-    it first reaches each state (see "Per-vertex counts" above): a vertex
-    z on that path gains the completions below it in (bases[z],
-    packs[z]), a closing set gains the path's depth in shut_at, and a
-    memo hit adds the depth of its vertex to reach, for _forward.
+    If credit is (bases, packs, reach, shut_at), the fold groups the
+    siblings that share a state and gives the per-vertex credits of its
+    own search tree, the mult paths along which it first reaches each
+    state (see "Per-vertex counts" above): a vertex z on such a path
+    gains the completions below it in (bases[z], packs[z]), a closing set
+    gains the paths' depth in shut_at, and a memo hit adds the depth of
+    its vertex to reach, for _forward.
     """
     if credit:
         bases, packs, reach, shut_at = credit
+        mult = 1  # the tree paths into the current frame
     stack = []
     # the current frame: memo key, blocked below it, the vertices of
     # `above` not blocked and the closing vertices among them, children
     # left, and its histogram as (base, packed); the first frame stands
     # for the vertex before start.  A frame lies len(stack) steps beyond
     # that vertex, and one on the stack also keeps the child z it was
-    # left for.
+    # left for and z's peers, the rest of z's group.
     keep = ~stop
     key, nb, todo, base, acc = None, 1 << start, 1 << start, 0, 0
     free = above & ~nb
@@ -264,40 +269,62 @@ def _fold(adj, above: int, stop: int, close: int, start: int, width: int,
                     continue
                 off, val = 2, shut.bit_count()
                 if credit:
-                    shut_at[shut] = _add(shut_at.get(shut, (0, 0)), len(stack) + 1, 1, width)
+                    peers = 0
+                    shut_at[shut] = shut_at.get(shut, 0) + (mult << (width * (len(stack) + 1)))
             else:
                 child = (cands, nb)
                 hit = memo.get(child)
                 if hit is None:
-                    stack.append((key, nb, free, opened, todo, base, acc, z))
+                    peers = 0
+                    if credit and todo:
+                        # the siblings left with z's cands lead into z's
+                        # state; each is a neighbour of every vertex in cands
+                        rest = todo & adj[(ext & -ext).bit_length() - 1]
+                        while rest:
+                            bit = rest & -rest
+                            rest ^= bit
+                            if adj[bit.bit_length() - 1] & free == cands:
+                                peers |= bit
+                        if peers:
+                            todo ^= peers
+                            mult *= peers.bit_count() + 1
+                    stack.append((key, nb, free, opened, todo, base, acc, z, peers))
                     key, nb, free, opened, todo = child, nb | cands, free & ~cands, left, ext
                     base, acc = (1, shut.bit_count()) if shut else (0, 0)
                     if shut and credit:
-                        shut_at[shut] = _add(shut_at.get(shut, (0, 0)), len(stack), 1, width)
+                        shut_at[shut] = shut_at.get(shut, 0) + (mult << (width * len(stack)))
                     continue
                 off, val = hit
                 if not val:
                     continue
                 if credit:
-                    reach[child] = _add(reach.get(child, (0, 0)), len(stack) + 1, 1, width)
+                    peers = 0
+                    reach[child] = _add(reach.get(child, (0, 0)), len(stack) + 1, mult, width)
                 off += 1
         else:
             if not stack:
                 return base, acc
             memo[key] = (base, acc)
             off, val = base + 1, acc
-            key, nb, free, opened, todo, base, acc, z = stack.pop()
+            key, nb, free, opened, todo, base, acc, z, peers = stack.pop()
+            if peers:
+                mult //= peers.bit_count() + 1
             if not val:
                 continue
         if credit:
-            # the tree path through z, the child just done, closes these
-            # len(stack) + off steps out (inlined add; _add lowers the base)
-            at = off + len(stack)
+            # mult paths run through z, the child just done, and through
+            # each of its peers, and each closes val ways len(stack) + off
+            # steps out (inlined add; _add lowers the base)
+            at, paths = off + len(stack), val * mult
             shift = at - bases[z]
             if shift >= 0:
-                packs[z] += val << (width * shift)
+                packs[z] += paths << (width * shift)
             else:
-                bases[z], packs[z] = _add((bases[z], packs[z]), at, val, width)
+                bases[z], packs[z] = _add((bases[z], packs[z]), at, paths, width)
+            if peers:
+                for u in bits_of(peers):
+                    bases[u], packs[u] = _add((bases[u], packs[u]), at, paths, width)
+                val *= peers.bit_count() + 1
         # add val at offset off, keeping the lowest field of acc non-zero
         # so that no value grows with the depth of the path
         if not acc:
@@ -375,61 +402,62 @@ def _forward(adj, above: int, stop: int, close: int, width: int,
     state through a memo hit.  credit is the fold's (bases, packs, reach,
     shut_at), with reach seeded by its hits.
 
-    Consumes the fold's memo, last stored first, so that every state
-    comes after all of its parents, and stops once reach is empty.
     reach holds each state reached and not yet expanded as (pbase,
     prefix), where field j of prefix counts the extra paths that reach
-    the state with their endpoint j + pbase steps beyond the anchor.
-    Last, each closing set's sum, tree paths included, goes to its
-    vertices."""
+    the state with their endpoint j + pbase steps beyond the anchor.  A
+    child's blocked mask strictly contains its parent's, so the states
+    are expanded in rounds by the size of that mask, each after all of
+    its parents.  shut_at holds, per closing set, the paths next to it as
+    one packed int with field j for the paths j steps beyond the anchor
+    (transient, so kept without a base); last, each closing set's sum,
+    tree paths included, goes to its vertices."""
     bases, packs, reach, shut_at = credit
     while reach:
-        # the next reached state; one never reached has no extra paths
-        key = memo.popitem()[0]
-        hist = reach.pop(key, None)
-        if hist is None:
-            continue
-        base, acc = hist
-        cands, blocked = key
-        below = blocked | cands
-        free = above & ~below
-        shut = cands & close
-        if shut:
-            shut_at[shut] = _add(shut_at.get(shut, (0, 0)), base, acc, width)
-        step = base + 1
-        ext = cands & ~stop
-        while ext:
-            bit = ext & -ext
-            ext ^= bit
-            z = bit.bit_length() - 1
-            cands = adj[z] & free
-            child = (cands, below)
-            # a child that is a state is still in the memo, stored
-            # before its parent
-            hist = memo.get(child)
-            if hist is not None:
-                off, val = hist
-                if not val:
+        # the reached states with the fewest blocked vertices have all
+        # their paths: their parents have fewer
+        least = min(blocked.bit_count() for _, blocked in reach)
+        for key in [key for key in reach if key[1].bit_count() == least]:
+            base, acc = reach.pop(key)
+            cands, blocked = key
+            below = blocked | cands
+            free = above & ~below
+            shut = cands & close
+            if shut:
+                shut_at[shut] = shut_at.get(shut, 0) + (acc << (width * base))
+            step = base + 1
+            ext = cands & ~stop
+            while ext:
+                bit = ext & -ext
+                ext ^= bit
+                z = bit.bit_length() - 1
+                cands = adj[z] & free
+                child = (cands, below)
+                hist = memo.get(child)
+                if hist is not None:
+                    off, val = hist
+                    if not val:
+                        continue
+                    # sum the prefixes of all edges into the state, twins too
+                    reach[child] = _add(reach.get(child, (0, 0)), step, acc, width)
+                elif cands & close:
+                    # a leaf: its closures are all it has
+                    shut = cands & close
+                    off, val = 1, shut.bit_count()
+                    shut_at[shut] = shut_at.get(shut, 0) + (acc << (width * step))
+                else:
                     continue
-                # sum the prefixes of all edges into the state, twins too
-                reach[child] = _add(reach.get(child, (0, 0)), step, acc, width)
-            elif cands & close:
-                # a leaf: its closures are all it has
-                shut = cands & close
-                off, val = 1, shut.bit_count()
-                shut_at[shut] = _add(shut_at.get(shut, (0, 0)), step, acc, width)
-            else:
-                continue
-            # the paths into z times the completions below it; every field
-            # of the product counts distinct cycles, so none overflows
-            # (the add in place is inlined, as in _fold)
-            off += step
-            shift = off - bases[z]
-            if shift >= 0:
-                packs[z] += (acc * val) << (width * shift)
-            else:
-                bases[z], packs[z] = _add((bases[z], packs[z]), off, acc * val, width)
-    for shut, (base, acc) in shut_at.items():
+                # the paths into z times the completions below it; every
+                # field of the product counts distinct cycles, so none
+                # overflows (the add in place is inlined, as in _fold)
+                off += step
+                shift = off - bases[z]
+                if shift >= 0:
+                    packs[z] += (acc * val) << (width * shift)
+                else:
+                    bases[z], packs[z] = _add((bases[z], packs[z]), off, acc * val, width)
+    for shut, acc in shut_at.items():
+        base = ((acc & -acc).bit_length() - 1) // width
+        acc >>= width * base
         for c in bits_of(shut):
             bases[c], packs[c] = _add((bases[c], packs[c]), base + 1, acc, width)
 

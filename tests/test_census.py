@@ -48,6 +48,7 @@ from braidcensus.families import (
     build_H,
     f_central_multisets,
     f_central_sequences,
+    h_sizes,
     member_of_F,
     random_intra,
 )
@@ -452,18 +453,26 @@ def test_per_vertex_bound_random():
             assert per_vertex[v].f <= bound + 1e-9, f"n={n} v={v} d={d}"
 
 
-# C6 with each vertex doubled into a pair of false twins: each pair leads
-# into one shared state, whose prefix histogram must count both edges
+# C6 with each vertex doubled into a pair of false twins: each pair is a
+# group of the crediting fold, expanded once for both, so every credit
+# below it must count two paths
 TWIN_RING = Graph.from_edge_list(12, [
     (u, v) for u, v in itertools.combinations(range(12), 2) if (u // 2 - v // 2) % 6 in (1, 5)])
 
-# From anchor 0, the fold hits one stored state along a prefix of three
-# steps and again along one of four, so the forward pass starts from a
-# state seeded at two depths at once; TWIN_RING's hits all come at one
-# depth (found by a search over random graphs)
-SEEDS_AT_TWO_DEPTHS = Graph.from_edge_list(9, [
+# From anchor 0, vertices 1 and 5, no twins, are siblings with the same
+# cands, so the crediting fold groups them (found by a search over random
+# graphs)
+NON_TWIN_GROUP = Graph.from_edge_list(9, [
     (0, 7), (0, 8), (1, 3), (1, 4), (1, 6), (2, 3), (2, 4), (2, 5), (3, 5), (3, 7),
     (4, 7), (5, 6), (6, 8)])
+
+# From anchor 0, the fold hits one stored state along a prefix of four
+# steps and again along one of five, so the forward pass starts from a
+# state seeded at two depths at once; the other examples' hits come at
+# one depth each (found by a search over random graphs)
+SEEDS_AT_TWO_DEPTHS = Graph.from_edge_list(11, [
+    (0, 2), (0, 3), (0, 5), (1, 2), (1, 7), (2, 9), (2, 10), (3, 6), (3, 7), (3, 9),
+    (3, 10), (4, 7), (4, 8), (5, 8), (6, 7), (6, 10), (7, 9)])
 
 # graph6 GqHOWk.  From anchor 0 the fold's tree credits vertex 4 with a
 # 7-cycle, and then the forward pass credits it with a 6-cycle, so the
@@ -472,25 +481,47 @@ SEEDS_AT_TWO_DEPTHS = Graph.from_edge_list(9, [
 FORWARD_LOWERS_A_BASE = Graph.from_edge_list(8, [
     (0, 1), (0, 2), (1, 3), (1, 5), (2, 4), (3, 5), (3, 7), (4, 6), (5, 6), (5, 7), (6, 7)])
 
+# A cyclic braid whose clusters have some intra edges: cluster members that
+# differ only there are no twins, yet once the cluster's neighbours are
+# blocked they have the same cands, so the crediting fold expands them
+# once as a group (found by a search over seeds of random_intra)
+MIXED_INTRA_BRAID = build_braid(BraidSpec((2, 3, 3, 3, 3), cyclic=True, intra=(
+    (), ((0, 2), (1, 2)), ((0, 2),), ((0, 1), (0, 2)), ((1, 2),))))[0]
+
+
+def gadget_ring(k: int) -> Graph:
+    """A ring of k gadgets {s, a, b, c} with edges sa, sb, ab, ac, bc, at
+    and ct, where t is the next gadget's s.  The routes s-a-t and s-b-c-t
+    block the same vertices, so they meet in one state at t, one step
+    apart; a and b have different cands, so no group joins them."""
+    n = 4 * k
+    return Graph.from_edge_list(n, [
+        (4 * i + u, (4 * i + v) % n) for i in range(k)
+        for u, v in ((0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (1, 4), (3, 4))])
+
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(graphs(max_n=10), blow_ups()))
 @example(TWIN_RING)
+@example(NON_TWIN_GROUP)
 @example(SEEDS_AT_TWO_DEPTHS)
 @example(FORWARD_LOWERS_A_BASE)
+@example(MIXED_INTRA_BRAID)
+@example(gadget_ring(3))
 def test_per_vertex_censuses_match_enumeration(g):
     # both fast routes against the cycles the plain search walks, twin-rich
-    # blow-ups included, where twins share the forward pass's states
+    # blow-ups included, where twins form the crediting fold's groups
     want = per_vertex_tally(g)
     assert [c.by_length for c in cycles_per_vertex(g)] == want
     assert [count_cycles_through(g, v).by_length for v in range(g.n)] == want
 
 
 def test_per_vertex_census_where_memo_hits_are_rare():
-    # G(n, p) graphs have almost no twins: few children hit the memo, so
-    # nearly every credit comes from the fold's own search tree.  The
-    # graphs above stop at n = 10 and the braids below are hit-rich; the
-    # second route shares the fold but none of the crediting.
+    # G(n, p) graphs have almost no twins: few siblings share a state and
+    # few children hit the memo, so nearly every credit comes from the
+    # fold's own search tree.  The graphs above stop at n = 10 and the
+    # braids below are group-rich; the second route shares the fold but
+    # none of the crediting.
     for seed, (n, p) in enumerate([(24, 0.35), (26, 0.3), (28, 0.25), (30, 0.15)]):
         rng = random.Random(seed)
         g = Graph.from_edge_list(
@@ -502,17 +533,30 @@ def test_per_vertex_census_where_memo_hits_are_rare():
 
 def test_per_vertex_census_braids_at_scale():
     # about 3^40 cycles at n = 120: enumeration could never finish, so
-    # this also guards against a fallback to it
+    # this also guards against a fallback to it.  In the relabelled braid
+    # with random intra edges, cluster members are no twins, yet they
+    # share their cands below the cluster's neighbours, so the crediting
+    # fold still groups them; grouping global twins only would take
+    # exponential time there.  In the gadget ring, routes of two lengths
+    # meet in one state at every gadget and no group joins them: a
+    # crediting search without the memo would expand the rest of the ring
+    # once per route, 2^30 times at n = 120
+    rng = random.Random(30)
     for n in (60, 120):
-        for build in (build_H, build_G, build_E):
-            g, _ = build(n)
+        sizes = h_sizes(n)
+        mixed = build_braid(BraidSpec(sizes, cyclic=True, intra=random_intra(sizes, rng)))[0]
+        perm = list(range(n))
+        rng.shuffle(perm)
+        cases = [(build.__name__, build(n)[0]) for build in (build_H, build_G, build_E)]
+        cases += [("mixed intra", mixed.relabeled(tuple(perm))), ("gadget ring", gadget_ring(n // 4))]
+        for name, g in cases:
             per_vertex = cycles_per_vertex(g)
             census = count_induced_cycles(g).by_length
             for length, count in census.items():
                 assert sum(c.by_length.get(length, 0) for c in per_vertex) == \
-                    length * count, (build.__name__, n, length)
+                    length * count, (name, n, length)
             for v in (0, n // 2, n - 1):
-                assert count_cycles_through(g, v) == per_vertex[v], (build.__name__, n, v)
+                assert count_cycles_through(g, v) == per_vertex[v], (name, n, v)
         # 3 divides n, so H(n) is a ring of equal clusters: vertex-transitive
         h = build_H(n)[0]
         share = {length: length * count // n
@@ -750,8 +794,8 @@ def test_f_members_hit_closed_forms_at_scale():
 def fold_states_after_children(g: Graph, above: int, stop: int, close: int,
                                 start: int) -> int:
     """Run one fold and assert that every internal child of each state in
-    its memo was stored before that state, the order the forward pass and
-    the path-tree pass read; returns how many states were checked."""
+    its memo was stored before that state, the order the path-tree pass
+    reads; returns how many states were checked."""
     memo: dict = {}
     braidcensus.census._fold(g.adj, above, stop, close, start, g.n + 1, memo)
     order = {key: i for i, key in enumerate(memo)}
