@@ -87,7 +87,7 @@ assert split == (6, 87, 27), split
 probes = sorted(report.atypical + report.typical)
 zones = tuple(dict.fromkeys(ball(g120, w, 4) for w in probes))
 memo = {}
-wins = game._builder_wins(g120.adj, zones, memo, 0, 0)
+wins = game._builder_wins(g120.adj, zones, memo, 0, 0, game._holding(zones))
 print(f"  one search over {len(zones)} zones expands {len(memo)} states")
 assert (len(zones), len(memo)) == (31, 223), (len(zones), len(memo))
 assert report.typical == tuple(

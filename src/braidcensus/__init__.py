@@ -53,9 +53,8 @@ _EXPORTS = {
         "parse_graph6", "to_graph6",
     ),
     "recognition": (
-        "RecognitionReport", "candidate_cyclic_partitions",
-        "classify_family_all", "discover_cyclic_braid", "maximal_3braids",
-        "verify_braid",
+        "RecognitionReport", "classify_family_all", "discover_cyclic_braid",
+        "maximal_3braids", "verify_braid",
     ),
     "sweep": (
         "SweepResult", "UniquenessReport", "exhaustive_max", "merge_sweeps",

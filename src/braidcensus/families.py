@@ -376,21 +376,3 @@ def build_family(tag: str, n: int, variant: int) -> tuple[Graph, ClusterPartitio
         raise InputError(f"unknown family {tag!r}")
     return member_of_F(n, parity=parity, variant=variant)
 
-
-# ======================================================================
-# partition-aware helpers shared by tests and recognition
-# ======================================================================
-
-
-def random_intra(sizes: Sequence[int], rng) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Random explicit intra-edge lists, one per cluster, each pair kept
-    with probability 1/2 (test helper)."""
-    out = []
-    for s in sizes:
-        pairs = [
-            (a, b)
-            for a, b in itertools.combinations(range(s), 2)
-            if rng.random() < 0.5
-        ]
-        out.append(tuple(pairs))
-    return tuple(out)

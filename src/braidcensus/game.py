@@ -150,7 +150,7 @@ def _holding(zones: tuple[int, ...]) -> dict[int, int]:
 
 
 def _builder_wins(adj: tuple[int, ...], zones: tuple[int, ...], memo: dict,
-                  seen: int, cur: int, holding: dict[int, int] | None = None) -> int:
+                  seen: int, cur: int, holding: dict[int, int]) -> int:
     """Mask of the zones the walker beats from (seen, cur): bit j is set
     when the walker wins the game against the probe zone zones[j].
 
@@ -167,10 +167,8 @@ def _builder_wins(adj: tuple[int, ...], zones: tuple[int, ...], memo: dict,
     an open bit is an AND bit still set or an OR bit still clear, so
     the node stops when none is left.  memo maps (seen, cur) to masks
     and is valid for one zones tuple; holding is _holding(zones), which a
-    caller that searches many times passes in to build it once."""
+    caller that searches many times builds once."""
     every = (1 << len(zones)) - 1
-    if holding is None:
-        holding = _holding(zones)
     stack = []
     key = grown = todo = ors = rest = None
     while True:
@@ -294,7 +292,7 @@ def atypical_set(g: Graph, v: int) -> AtypicalReport:
     exempt_mask = b4[v]
     probes = vertices_of(g.full_mask() & ~exempt_mask)
     zones = tuple(dict.fromkeys(b4[w] for w in probes))
-    wins = _builder_wins(g.adj, zones, {}, 0, v)
+    wins = _builder_wins(g.adj, zones, {}, 0, v, _holding(zones))
     won = {zone for j, zone in enumerate(zones) if wins >> j & 1}
     return AtypicalReport(
         v=v,

@@ -264,15 +264,12 @@ def is_connected(g: Graph) -> bool:
 
 # Pair order used everywhere a packed upper triangle appears: column-major,
 # i.e. (0,1), (0,2), (1,2), (0,3), (1,3), (2,3), ...  Bit t of a packed
-# code corresponds to pair_order(n)[t].
-
-
-def pair_order(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for j in range(1, n) for i in range(j)]
+# code corresponds to the t-th pair in this order.
 
 
 def graph_from_pair_bits(n: int, bits: int) -> Graph:
-    """Inverse of packing: bit t of `bits` toggles edge pair_order(n)[t]."""
+    """Inverse of packing: bit t of `bits` toggles the t-th pair in
+    column order."""
     rows = [0] * n
     t = 0
     for j in range(1, n):
@@ -294,7 +291,7 @@ def pair_bits_of(g: Graph) -> int:
 
 def _graph6(n: int, stream: int) -> str:
     """graph6 of the n-vertex graph, n <= 258047, whose C(n, 2) pair bits,
-    in pair_order, are written top bit first in stream."""
+    in column order, are written top bit first in stream."""
     if n <= 62:
         head = chr(n + 63)
     else:
@@ -384,7 +381,7 @@ def canonical_code(g: Graph) -> str:
     """Canonical form by exhaustive branch and bound over labelings.
 
     The code, an isomorphism invariant, is the graph6 string of the
-    relabeling whose pair bits, read in pair_order as one number with the
+    relabeling whose pair bits, read in column order as one number with the
     first pair on top, are least over all n! labelings: that number, top
     bit first, is the graph6 body.
     Vertices are placed one position at a time.  Each unplaced vertex

@@ -263,16 +263,6 @@ def _flank_walk(g: Graph, flanks: int) -> list[int] | None:
         used |= nxt
 
 
-def candidate_cyclic_partitions(g: Graph):
-    """Yield verified cyclic-braid partitions of g, canonical orientation
-    (vertex 0 in the first cluster, smaller-minimum neighbor second).
-
-    A graph with two co-components yields one four-cluster partition
-    per prefix split of each side's components; any other graph yields
-    at most one partition."""
-    yield from _partitions(g, *_co_components(g))
-
-
 def _co_components(g: Graph) -> tuple[tuple[int, ...], list[int]]:
     """The rows of the complement of g and its components, the
     co-components of g, ordered by lowest vertex."""
@@ -282,7 +272,13 @@ def _co_components(g: Graph) -> tuple[tuple[int, ...], list[int]]:
 
 
 def _partitions(g: Graph, complement: tuple[int, ...], comps: list[int]):
-    """`candidate_cyclic_partitions` from the output of `_co_components`."""
+    """Yield the verified cyclic-braid partitions of g, given
+    `_co_components(g)`, in canonical orientation (vertex 0 in the first
+    cluster, smaller-minimum neighbor second).
+
+    A graph with two co-components yields one four-cluster partition
+    per prefix split of each side's components; any other graph yields
+    at most one partition."""
     full = g.full_mask()
     if len(comps) >= 3:
         candidates = [[comps[0], comps[1], full & ~(comps[0] | comps[1])]]
@@ -314,7 +310,7 @@ def discover_cyclic_braid(g: Graph) -> ClusterPartition | None:
     """First verified cyclic-braid partition in canonical order, if any;
     where a family profile at n has four clusters (n = 11-14), the first
     one that a family certifies, if any."""
-    candidates = candidate_cyclic_partitions(g)
+    candidates = _partitions(g, *_co_components(g))
     first = next(candidates, None)
     profiles = _family_profiles(g.n) if first is not None and first.k == 4 else {}
     if any(len(m) == 4 for sizes in profiles.values() for m in sizes):

@@ -29,7 +29,6 @@ from braidcensus.families import (
     f_central_multisets,
     f_central_sequences,
     member_of_F,
-    random_intra,
 )
 from braidcensus.formulas import f2, f2_odd, m_lower, vertex_cycle_bound
 from braidcensus.game import atypical_set, local_structure, solve_typical_game
@@ -37,13 +36,7 @@ from braidcensus.graphs import Graph, bits_of
 from braidcensus.recognition import classify_family_all, verify_braid
 from braidcensus.sweep import exhaustive_max, verify_extremal_uniqueness
 
-
-def graph_from_edges(n: int, edges) -> Graph:
-    adj = [0] * n
-    for u, v in edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return Graph(n, tuple(adj))
+from graph_helpers import random_intra
 
 
 def random_graph(rng: random.Random, n: int, density: float) -> Graph:
@@ -52,21 +45,7 @@ def random_graph(rng: random.Random, n: int, density: float) -> Graph:
         for u, v in itertools.combinations(range(n), 2)
         if rng.random() < density
     ]
-    return graph_from_edges(n, edges)
-
-
-def add_edge(g: Graph, u: int, v: int) -> Graph:
-    adj = list(g.adj)
-    adj[u] |= 1 << v
-    adj[v] |= 1 << u
-    return Graph(g.n, tuple(adj))
-
-
-def drop_edge(g: Graph, u: int, v: int) -> Graph:
-    adj = list(g.adj)
-    adj[u] &= ~(1 << v)
-    adj[v] &= ~(1 << u)
-    return Graph(g.n, tuple(adj))
+    return Graph.from_edge_list(n, edges)
 
 
 @pytest.fixture(scope="module")
@@ -235,7 +214,7 @@ def test_criterion_07_path_tree_identity_and_balance():
 
 
 def test_criterion_08_typical_game_suite():
-    path = graph_from_edges(10, [(i, i + 1) for i in range(9)])
+    path = Graph.from_edge_list(10, [(i, i + 1) for i in range(9)])
     for v, w in ((0, 9), (9, 0)):
         verdict = solve_typical_game(path, v, w)
         assert verdict.winner == "Adversary", f"P10 from {v}"
@@ -278,7 +257,7 @@ def test_criterion_09_recognition_roundtrip_and_sensitivity():
         g, part = build_H(n)
         # vertices 0 and 3 sit in adjacent clusters, 0 and 6 in
         # non-adjacent ones, for every one of these three graphs
-        for broken in (drop_edge(g, 0, 3), add_edge(g, 0, 6)):
+        for broken in (g.without_edge(0, 3), g.with_edge(0, 6)):
             assert not verify_braid(broken, part).verified, f"H_{n}"
             assert classify_family_all(broken) == [], f"H_{n} perturbed"
 

@@ -11,7 +11,8 @@ every ordered pair of every graph class up to seven vertices.  The
 per-vertex counts are checked against a tally of the enumerated cycles,
 against the single rooted fold of count_cycles_through, and by the
 identity sum_v f_v(L) = L c_L, whose built-in check must also fire
-under -O.
+under -O.  On cyclic braids whose clusters hold any graph, both counts
+also meet a closed form over the clusters, which are modules.
 """
 
 import itertools
@@ -50,7 +51,6 @@ from braidcensus.families import (
     f_central_sequences,
     h_sizes,
     member_of_F,
-    random_intra,
 )
 from braidcensus.formulas import f2, f2_even, f2_odd, m_lower, vertex_cycle_bound
 from braidcensus.graphs import (
@@ -64,14 +64,17 @@ from braidcensus.graphs import (
 )
 from braidcensus.sweep import _classes
 
+from graph_helpers import complete_graph, cycle_graph, path_graph, random_intra
+
+
 # ======================================================================
 # reference implementations (independent of the package internals)
 # ======================================================================
 
 
-def naive_cycle_census(g: Graph) -> dict[int, int]:
-    """Filter every vertex subset for 'induces a connected 2-regular graph'."""
-    out: dict[int, int] = {}
+def naive_cycles(g: Graph):
+    """Filter every vertex subset for 'induces a connected 2-regular
+    graph', and yield each such subset as a tuple."""
     for size in range(3, g.n + 1):
         for combo in itertools.combinations(range(g.n), size):
             mask = 0
@@ -87,7 +90,14 @@ def naive_cycle_census(g: Graph) -> dict[int, int]:
                             seen.add(w)
                             frontier.append(w)
                 if len(seen) == size:
-                    out[size] = out.get(size, 0) + 1
+                    yield combo
+
+
+def naive_cycle_census(g: Graph) -> dict[int, int]:
+    """naive_cycles counted by length."""
+    out: dict[int, int] = {}
+    for cycle in naive_cycles(g):
+        out[len(cycle)] = out.get(len(cycle), 0) + 1
     return out
 
 
@@ -191,23 +201,45 @@ def recursive_tree_stats(g: Graph, x: int, y: int) -> TreeStats:
     return TreeStats(leaf_count, y_leaf_count, frozenset(multisets), balanced)
 
 
-def cyclic_braid_census(sizes: tuple[int, ...], clique: bool) -> dict[int, int]:
-    """Induced cycles of a cyclic braid with k >= 5 clusters, all of them
-    independent sets or all cliques.  Two vertices of one cluster are
-    twins, so a cycle through both is a triangle (cliques) or a C4
-    (independent sets: two adjacent clusters, or a wedge over one); every
-    other induced cycle takes one vertex per cluster around the ring."""
-    k = len(sizes)
-    pairs = [math.comb(s, 2) for s in sizes]
-    short = sum(
-        math.comb(sizes[i], 3) + pairs[i] * sizes[i - 1] + sizes[i] * pairs[i - 1]
-        if clique
-        else pairs[i] * pairs[i - 1] + pairs[i] * sizes[i - 1] * sizes[(i + 1) % k]
-        for i in range(k)
-    )
-    out = {3 if clique else 4: short}
-    out[k] = out.get(k, 0) + math.prod(sizes)
-    return {length: c for length, c in out.items() if c}
+def cyclic_braid_census(clusters: list[Graph]) -> tuple[dict[int, int], list[dict[int, int]]]:
+    """Induced cycles by length of the cyclic braid with k >= 5 clusters
+    whose cluster B_i induces clusters[i]: in all, and through each
+    vertex, numbered cluster by cluster as build_braid numbers them.
+
+    Each B_i is a module, and the quotient is C_k.  A cycle through two
+    vertices of a module and one outside it is a triangle on an edge of
+    the module or a C4 on a non-edge; every other cycle lies inside a
+    cluster or takes one vertex of each cluster around the ring.  With
+    s_i, e_i and ne_i the vertices, edges and non-edges of B_i:
+      c_3 = sum_i t_i + e_i (s_{i-1} + s_{i+1}),
+      c_4 = sum_i q_i + ne_i s_{i-1} s_{i+1} + ne_i ne_{i+1},
+      c_L = sum_i c_L(B_i) + [L = k] prod_i s_i for L >= 5,
+    where t_i and q_i are the triangles and C4s inside B_i.  The cycles
+    inside a cluster come from the subset filter."""
+    k = len(clusters)
+    s = [b.n for b in clusters]
+    e = [len(b.edges()) for b in clusters]
+    ne = [math.comb(b.n, 2) - edges for b, edges in zip(clusters, e)]
+    total: dict[int, int] = {k: math.prod(s)}
+    per_vertex = []
+    for i, b in enumerate(clusters):
+        before, after = (i - 1) % k, (i + 1) % k
+        inside = [{} for _ in range(b.n)]
+        for cycle in naive_cycles(b):
+            total[len(cycle)] = total.get(len(cycle), 0) + 1
+            for u in cycle:
+                inside[u][len(cycle)] = inside[u].get(len(cycle), 0) + 1
+        total[3] = total.get(3, 0) + e[i] * (s[before] + s[after])
+        total[4] = total.get(4, 0) + ne[i] * s[before] * s[after] + ne[i] * ne[after]
+        for u, tally in enumerate(inside):
+            deg = b.adj[u].bit_count()
+            tally[3] = tally.get(3, 0) + deg * (s[before] + s[after]) + e[before] + e[after]
+            tally[4] = (tally.get(4, 0)
+                        + (b.n - 1 - deg) * (s[before] * s[after] + ne[before] + ne[after])
+                        + ne[before] * s[(i - 2) % k] + ne[after] * s[(i + 2) % k])
+            tally[k] = tally.get(k, 0) + math.prod(s) // s[i]
+            per_vertex.append({length: c for length, c in tally.items() if c})
+    return {length: c for length, c in total.items() if c}, per_vertex
 
 
 @st.composite
@@ -235,18 +267,6 @@ def blow_ups(draw, max_n=14):
         if (cliques[home[u]] if home[u] == home[v] else base.has_edge(home[u], home[v]))
     ]
     return Graph.from_edge_list(len(home), edges)
-
-
-def cycle_graph(n: int) -> Graph:
-    return Graph.from_edge_list(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def path_graph(n: int) -> Graph:
-    return Graph.from_edge_list(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def complete_graph(n: int) -> Graph:
-    return Graph.from_edge_list(n, itertools.combinations(range(n), 2))
 
 
 # An 8-vertex graph with lopsided branching: 0=x, 1..3 = a middle layer
@@ -314,13 +334,14 @@ def test_cycle_census_braids_at_scale():
         g, part = build_H(n)
         census = count_induced_cycles(g)
         assert census.f == m_lower(n).value, f"H({n})"
-        assert census.by_length == cyclic_braid_census(part.sizes(), clique=False)
+        assert census.by_length == cyclic_braid_census(
+            [Graph.from_edge_list(s, ()) for s in part.sizes()])[0]
         g, part = build_G(n)
         assert count_induced_cycles(g).by_length == cyclic_braid_census(
-            part.sizes(), clique=True), f"G({n})"
+            [complete_graph(s) for s in part.sizes()])[0], f"G({n})"
         g, part = build_E(n)
         assert count_induced_cycles(g).by_length == cyclic_braid_census(
-            part.sizes(), clique=False), f"E({n})"
+            [Graph.from_edge_list(s, ()) for s in part.sizes()])[0], f"E({n})"
 
 
 def test_cycle_pins_small():
@@ -533,22 +554,32 @@ def test_per_vertex_census_where_memo_hits_are_rare():
 
 def test_per_vertex_census_braids_at_scale():
     # about 3^40 cycles at n = 120: enumeration could never finish, so
-    # this also guards against a fallback to it.  In the relabelled braid
-    # with random intra edges, cluster members are no twins, yet they
-    # share their cands below the cluster's neighbours, so the crediting
-    # fold still groups them; grouping global twins only would take
-    # exponential time there.  In the gadget ring, routes of two lengths
-    # meet in one state at every gadget and no group joins them: a
-    # crediting search without the memo would expand the rest of the ring
-    # once per route, 2^30 times at n = 120
+    # this also guards against a fallback to it.  The relabelled braid
+    # with random intra edges guards the crediting fold's sibling groups
+    # where they are no twins: cluster members share their cands below
+    # the cluster's neighbours only.  Its counts come from the module
+    # closed form, which shares no code with the fold.  The gadget ring
+    # guards the memo: routes of two lengths meet in one state at every
+    # gadget and no group joins them, so a crediting search without the
+    # memo would expand the rest of the ring once per route, 2^30 times
+    # at n = 120
     rng = random.Random(30)
     for n in (60, 120):
         sizes = h_sizes(n)
-        mixed = build_braid(BraidSpec(sizes, cyclic=True, intra=random_intra(sizes, rng)))[0]
+        intra = random_intra(sizes, rng)
+        mixed = build_braid(BraidSpec(sizes, cyclic=True, intra=intra))[0]
         perm = list(range(n))
         rng.shuffle(perm)
+        mixed = mixed.relabeled(tuple(perm))
+        total, by_vertex = cyclic_braid_census(
+            [Graph.from_edge_list(size, pairs) for size, pairs in zip(sizes, intra)])
+        assert count_induced_cycles(mixed).by_length == total, n
+        want = [None] * n
+        for v, tally in enumerate(by_vertex):
+            want[perm[v]] = tally
+        assert [c.by_length for c in cycles_per_vertex(mixed)] == want, n
         cases = [(build.__name__, build(n)[0]) for build in (build_H, build_G, build_E)]
-        cases += [("mixed intra", mixed.relabeled(tuple(perm))), ("gadget ring", gadget_ring(n // 4))]
+        cases += [("mixed intra", mixed), ("gadget ring", gadget_ring(n // 4))]
         for name, g in cases:
             per_vertex = cycles_per_vertex(g)
             census = count_induced_cycles(g).by_length
@@ -562,6 +593,20 @@ def test_per_vertex_census_braids_at_scale():
         share = {length: length * count // n
                  for length, count in count_induced_cycles(h).by_length.items()}
         assert cycles_per_vertex(h) == [CycleCensus(share)] * n
+
+
+def test_censuses_of_mixed_intra_braids_match_the_module_closed_form():
+    # clusters of 1-4 vertices holding any graph, inner triangles and C4s
+    # among them, which the triples of the braids at scale never hold
+    rng = random.Random(31)
+    for _ in range(300):
+        sizes = tuple(rng.randint(1, 4) for _ in range(rng.randint(5, 8)))
+        intra = random_intra(sizes, rng)
+        g = build_braid(BraidSpec(sizes, cyclic=True, intra=intra))[0]
+        total, by_vertex = cyclic_braid_census(
+            [Graph.from_edge_list(size, pairs) for size, pairs in zip(sizes, intra)])
+        assert count_induced_cycles(g).by_length == total, (sizes, intra)
+        assert [c.by_length for c in cycles_per_vertex(g)] == by_vertex, (sizes, intra)
 
 
 # Run under python -O, where assert statements are stripped: the identity

@@ -25,6 +25,8 @@ from braidcensus.formulas import f2
 from braidcensus.graphs import InputError, to_graph6
 from braidcensus.sweep import exhaustive_max
 
+from public_names import PUBLIC_NAMES
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -642,29 +644,6 @@ def test_unknown_flags_and_commands_exit_2(capsys):
 # start-up
 # ======================================================================
 
-# what "from braidcensus import *" binds
-PUBLIC_NAMES = [
-    "AtypicalReport", "BraidSpec", "ClusterPartition", "CycleCensus",
-    "ExactCount", "FAMILY_TAGS", "FamilyId", "GameState", "GameVerdict",
-    "Graph", "Graph6Error", "InputError", "InternalError", "PathCensus",
-    "QUANTITIES", "RealBound", "RecognitionReport", "SweepResult",
-    "TreeStats", "UniquenessReport", "UnsupportedError", "apply_move",
-    "atypical_set", "ball", "build_E", "build_G", "build_H", "build_braid",
-    "candidate_cyclic_partitions", "canonical_code", "census",
-    "classify_family_all", "count_cycles_through", "count_induced_cycles",
-    "count_induced_st_paths", "cycles_per_vertex", "discover_cyclic_braid",
-    "distance", "e_sizes", "exhaustive_max", "f2", "f2_even", "f2_odd",
-    "f_central_multisets", "f_central_sequences", "families", "formulas",
-    "g_sizes", "game", "graph_from_pair_bits", "graphs", "h_sizes", "is_bad",
-    "is_connected", "legal_moves", "local_structure", "m_lower",
-    "maximal_3braids", "member_of_F", "members_of_script_G", "merge_sweeps",
-    "p2_max", "pair_bits_of", "parse_graph6", "path_tree_stats",
-    "quantity_of_graph", "recognition", "script_g_multisets",
-    "short_cycle_mass", "slow_census", "solve_typical_game", "sweep",
-    "to_graph6", "verify_braid", "verify_extremal_uniqueness",
-    "vertex_cycle_bound", "visit_induced_cycles",
-]
-
 IMPORT_SCRIPT = """
 import json, sys
 import braidcensus, braidcensus.cli, braidcensus.sweep
@@ -690,7 +669,8 @@ def test_import_leaves_numpy_and_the_pool_unloaded():
     assert proc.returncode == 0, proc.stderr
     heavy, names, counts = proc.stdout.splitlines()
     assert json.loads(heavy) == []
-    assert json.loads(names) == PUBLIC_NAMES == sorted(braidcensus.__all__)
+    # what "from braidcensus import *" binds
+    assert json.loads(names) == sorted(PUBLIC_NAMES) == sorted(braidcensus.__all__)
     assert counts == f"{exhaustive_max(4, 'm').max.value} 225"
 
 

@@ -27,11 +27,12 @@ from braidcensus.families import (
     h_sizes,
     member_of_F,
     members_of_script_G,
-    random_intra,
     script_g_multisets,
 )
 from braidcensus.formulas import f2, f2_even, f2_odd
 from braidcensus.graphs import Graph, InputError, InternalError, ball
+
+from graph_helpers import random_intra
 
 
 def check_braid_structure(g: Graph, p: ClusterPartition, intra=None):

@@ -42,25 +42,7 @@ from braidcensus.graphs import (
     to_graph6,
 )
 
-
-def graph_from_edges(n: int, edges) -> Graph:
-    adj = [0] * n
-    for u, v in edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return Graph(n, tuple(adj))
-
-
-def path_graph(n: int) -> Graph:
-    return graph_from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def cycle_graph(n: int) -> Graph:
-    return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def complete_graph(n: int) -> Graph:
-    return graph_from_edges(n, itertools.combinations(range(n), 2))
+from graph_helpers import complete_graph, cycle_graph, path_graph
 
 
 def build_custom34():
@@ -70,15 +52,6 @@ def build_custom34():
     return build_braid(
         BraidSpec((1, 1, 1) + (3,) * 10 + (1,), cyclic=True, intra="empty")
     )
-
-
-def relabel(g: Graph, perm: list[int]) -> Graph:
-    adj = [0] * g.n
-    for u in range(g.n):
-        for v in range(g.n):
-            if g.has_edge(u, v):
-                adj[perm[u]] |= 1 << perm[v]
-    return Graph(g.n, tuple(adj))
 
 
 def replay(g: Graph, v: int, w: int, verdict: GameVerdict) -> None:
@@ -233,7 +206,7 @@ def test_precondition_names_the_distance():
     g, _ = build_H(18)  # diameter 3: everything is within the v-ball
     with pytest.raises(InputError, match="distance is 3"):
         solve_typical_game(g, 0, 9)
-    two = graph_from_edges(8, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (6, 7)])
+    two = Graph.from_edge_list(8, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (6, 7)])
     with pytest.raises(InputError, match="connected"):
         solve_typical_game(two, 0, 7)
 
@@ -246,7 +219,7 @@ def test_every_small_braid_is_exempt():
     report = atypical_set(g, 0)
     assert report.atypical == () and report.typical == ()
     assert report.exempt == tuple(range(18))
-    pendant = graph_from_edges(
+    pendant = Graph.from_edge_list(
         19, [(u, v) for u in range(18) for v in range(u) if g.has_edge(u, v)]
         + [(17, 18)]
     )
@@ -315,7 +288,7 @@ def test_verdict_label_invariance():
     rng = random.Random(41)
     perm = list(range(30))
     rng.shuffle(perm)
-    g2 = relabel(g, perm)
+    g2 = g.relabeled(perm)
     for w in (15, 16, 17):
         original = solve_typical_game(g, 0, w)
         mapped = solve_typical_game(g2, perm[0], perm[w])
@@ -369,7 +342,7 @@ def probed_graphs(draw):
     home = [i for i, size in enumerate(sizes) for _ in range(size)]
     order = draw(st.permutations(range(len(home))))
     home = [home[x] for x in order]
-    g = graph_from_edges(len(home), [
+    g = Graph.from_edge_list(len(home), [
         (x, y) for x, y in itertools.combinations(range(len(home)), 2)
         if (home[x] in cliques if home[x] == home[y]
             else (min(home[x], home[y]), max(home[x], home[y])) in base)
@@ -395,7 +368,7 @@ def zone_sets(draw):
 @given(zone_sets())
 def test_mask_search_matches_per_zone_solves(case):
     g, v, zones = case
-    wins = game._builder_wins(g.adj, zones, {}, 0, v)
+    wins = game._builder_wins(g.adj, zones, {}, 0, v, game._holding(zones))
     assert wins >> len(zones) == 0
     for j, zone in enumerate(zones):
         assert (wins >> j) & 1 == recursive_solve(g, v, zone)[0], j
@@ -424,7 +397,7 @@ def test_h_ring_cluster_distance_rule(k):
     rng = random.Random(k)
     perm = list(range(3 * k))
     rng.shuffle(perm)
-    g = relabel(g, perm)
+    g = g.relabeled(perm)
     start = rng.randrange(k)
     want = {"exempt": [], "atypical": [], "typical": []}
     for i, cluster in enumerate(part.clusters):
@@ -459,8 +432,8 @@ def test_atypical_set_is_one_search(monkeypatch):
     assert len(memo) <= 250
     # a node stops once every bit is decided: one zone alone expands the
     # 56 states of a per-zone solve
-    memo = {}
-    search(g.adj, (ball(g, 60, 4),), memo, 0, 0)
+    memo, zones = {}, (ball(g, 60, 4),)
+    search(g.adj, zones, memo, 0, 0, game._holding(zones))
     assert len(memo) == 56
 
 

@@ -40,13 +40,18 @@ from braidcensus.graphs import (
     is_connected,
     mask_of,
     pair_bits_of,
-    pair_order,
     parse_graph6,
     to_graph6,
     vertices_of,
 )
 from braidcensus.recognition import _components
 from braidcensus.sweep import _classes
+
+
+def pair_order(n: int) -> list[tuple[int, int]]:
+    """The pairs of a packed upper triangle, column-major: (0,1), (0,2),
+    (1,2), (0,3), ..."""
+    return [(i, j) for j in range(1, n) for i in range(j)]
 
 
 @st.composite

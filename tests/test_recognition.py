@@ -26,8 +26,6 @@ from braidcensus.families import (
     build_E,
     build_G,
     build_H,
-    e_sizes,
-    g_sizes,
     h_sizes,
     members_of_script_G,
 )
@@ -36,70 +34,23 @@ from braidcensus.graphs import (
     InputError,
     graph_from_pair_bits,
     is_connected,
-    mask_of,
     vertices_of,
 )
 from braidcensus.recognition import (
     RecognitionReport,
+    _co_components,
     _components,
     _family_profiles,
     _find_violation,
     _match_families,
-    candidate_cyclic_partitions,
+    _partitions,
     classify_family_all,
     discover_cyclic_braid,
     maximal_3braids,
     verify_braid,
 )
 
-
-def graph_from_edges(n: int, edges) -> Graph:
-    adj = [0] * n
-    for u, v in edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return Graph(n, tuple(adj))
-
-
-def cycle_graph(n: int) -> Graph:
-    return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def path_graph(n: int) -> Graph:
-    return graph_from_edges(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def complete_graph(n: int) -> Graph:
-    return graph_from_edges(n, itertools.combinations(range(n), 2))
-
-
-def complete_bipartite(a: int, b: int) -> Graph:
-    return graph_from_edges(
-        a + b, [(i, a + j) for i in range(a) for j in range(b)]
-    )
-
-
-def add_edge(g: Graph, u: int, v: int) -> Graph:
-    adj = list(g.adj)
-    adj[u] |= 1 << v
-    adj[v] |= 1 << u
-    return Graph(g.n, tuple(adj))
-
-
-def drop_edge(g: Graph, u: int, v: int) -> Graph:
-    adj = list(g.adj)
-    adj[u] &= ~(1 << v)
-    adj[v] &= ~(1 << u)
-    return Graph(g.n, tuple(adj))
-
-
-def relabel(g: Graph, perm: list[int]) -> Graph:
-    adj = [0] * g.n
-    for u in range(g.n):
-        for v in range(g.n):
-            if g.has_edge(u, v):
-                adj[perm[u]] |= 1 << perm[v]
-    return Graph(g.n, tuple(adj))
+from graph_helpers import complete_bipartite, complete_graph, cycle_graph, path_graph
 
 
 # ======================================================================
@@ -165,7 +116,7 @@ def test_k4_three_cluster_window_is_everything():
 
 def test_intra_edges_do_not_break_verification():
     g, p = build_H(12)
-    g2 = add_edge(g, 0, 1)
+    g2 = g.with_edge(0, 1)
     report = verify_braid(g2, p)
     assert report.verified
     assert report.intra_pattern == ("mixed", "empty", "empty", "empty")
@@ -175,7 +126,7 @@ def test_intra_edges_do_not_break_verification():
 
 def test_cross_edge_breaks_verification():
     g, p = build_H(15)
-    g2 = add_edge(g, 0, 7)  # cluster 0 to cluster 2: outside the window
+    g2 = g.with_edge(0, 7)  # cluster 0 to cluster 2: outside the window
     report = verify_braid(g2, p)
     assert not report.verified
     assert report.failure_witness == (0, "stray-neighbor")
@@ -184,7 +135,7 @@ def test_cross_edge_breaks_verification():
 
 def test_missing_edge_breaks_verification():
     g, p = build_H(12)
-    g2 = drop_edge(g, 0, 3)
+    g2 = g.without_edge(0, 3)
     report = verify_braid(g2, p)
     assert not report.verified
     assert report.failure_witness == (0, "missing-join")
@@ -263,7 +214,7 @@ def test_discover_absent_on_non_braids():
     # vertices have none, and no family is defined below 8 vertices
     for g in (Graph(1, (0,)), Graph(2, (0, 0)), path_graph(2), path_graph(5)):
         assert discover_cyclic_braid(g) is None
-        assert list(candidate_cyclic_partitions(g)) == []
+        assert list(_partitions(g, *_co_components(g))) == []
         assert classify_family_all(g) == []
     g, _ = build_H(12)
     padded = Graph(13, g.adj + (0,))  # isolated vertex: disconnected
@@ -317,12 +268,12 @@ def test_discover_prefers_a_family_certified_four_cluster_split(builder, n):
     rng = random.Random(n)
     g, p = builder(n)
     for perm in (list(range(n)), rng.sample(range(n), n)):
-        h = relabel(g, perm)
+        h = g.relabeled(perm)
         found = discover_cyclic_braid(h)
         assert found is not None and found.size_multiset() == p.size_multiset()
         assert [verify_braid(h, found).family] == classify_family_all(h)[:1]
     if n == 12:
-        first = next(candidate_cyclic_partitions(g))
+        first = next(_partitions(g, *_co_components(g)))
         assert first.size_multiset() == (1, 1, 5, 5)
 
 
@@ -339,7 +290,7 @@ def test_discover_returns_the_first_split_when_no_family_certifies(
         return _find_violation(g, p)
 
     g = complete_bipartite(a, b)
-    first = next(candidate_cyclic_partitions(g))
+    first = next(_partitions(g, *_co_components(g)))
     assert verify_braid(g, first).family is None
     monkeypatch.setattr(recognition, "_find_violation", counting)
     assert discover_cyclic_braid(g) == first
@@ -368,7 +319,7 @@ def test_discover_label_invariance():
         g, p = builder(n)
         perm = list(range(n))
         rng.shuffle(perm)
-        g2 = relabel(g, perm)
+        g2 = g.relabeled(perm)
         found = discover_cyclic_braid(g2)
         assert found is not None
         assert verify_braid(g2, found).verified
@@ -405,7 +356,7 @@ def test_discover_recovers_planted_braids_with_large_clusters():
         g, p = build_braid(BraidSpec(sizes, cyclic=True, intra=intra))
         perm = list(range(g.n))
         rng.shuffle(perm)
-        found = discover_cyclic_braid(relabel(g, perm))
+        found = discover_cyclic_braid(g.relabeled(perm))
         want = planted_orientation([[perm[v] for v in c] for c in p.clusters])
         assert found is not None and found.clusters == want, (sizes, trial)
 
@@ -526,16 +477,16 @@ def planted_blowup(draw):
         for s in sizes
     )
     g, _ = build_braid(BraidSpec(tuple(sizes), cyclic=True, intra=intra))
-    g = relabel(g, draw(st.permutations(range(g.n))))
+    g = g.relabeled(draw(st.permutations(range(g.n))))
     if draw(st.booleans()):
         u, v = draw(st.lists(st.integers(0, g.n - 1), min_size=2, max_size=2,
                              unique=True))
-        g = drop_edge(g, u, v) if g.has_edge(u, v) else add_edge(g, u, v)
+        g = g.without_edge(u, v) if g.has_edge(u, v) else g.with_edge(u, v)
     return g
 
 
 def assert_matches_reference(g: Graph) -> None:
-    assert next(candidate_cyclic_partitions(g), None) == next(reference_partitions(g), None)
+    assert next(_partitions(g, *_co_components(g)), None) == next(reference_partitions(g), None)
     assert classify_family_all(g) == reference_families(g)
 
 
@@ -614,7 +565,7 @@ def test_classify_label_invariance():
     g, _ = build_E(15)
     perm = list(range(15))
     rng.shuffle(perm)
-    assert classify_family_all(relabel(g, perm))[:1] == [FamilyId("E", 15)]
+    assert classify_family_all(g.relabeled(perm))[:1] == [FamilyId("E", 15)]
 
 
 @pytest.mark.parametrize("a, tags", [(7, ["E"]), (12, []), (30, []), (60, [])])
@@ -685,7 +636,7 @@ def test_maximal_3braids_small_graphs():
     assert len(maximal_3braids(complete_bipartite(3, 3))) == 1
     assert maximal_3braids(cycle_graph(9)) == []
     assert maximal_3braids(path_graph(12)) == []
-    tree = graph_from_edges(
+    tree = Graph.from_edge_list(
         13, [(i, (i - 1) // 3) for i in range(1, 13)]
     )  # complete ternary tree
     assert maximal_3braids(tree) == []
@@ -702,7 +653,7 @@ def test_maximal_3braids_two_components_through_cut_vertex():
         for left, right in zip(chain, chain[1:]):
             edges.extend((u, v) for u in left for v in right)
     w = 24
-    g = graph_from_edges(25, edges + [(w, a[-1][0]), (w, c[0][0])])
+    g = Graph.from_edge_list(25, edges + [(w, a[-1][0]), (w, c[0][0])])
     braids = maximal_3braids(g)
     assert len(braids) == 2
     cluster_sets = {frozenset(b.clusters) for b in braids}
@@ -715,7 +666,7 @@ def test_maximal_3braids_two_components_through_cut_vertex():
     # true cluster, and those cover the bridge so nothing contains them:
     # 2 sides * C(3,2) borrow choices + the 2 chains = 8.
     full_bridge = [(w, v) for v in a[-1]] + [(w, v) for v in c[0]]
-    g2 = graph_from_edges(25, edges + full_bridge)
+    g2 = Graph.from_edge_list(25, edges + full_bridge)
     braids2 = maximal_3braids(g2)
     assert len(braids2) == 8
     assert {frozenset(b.clusters) for b in braids} <= {
@@ -730,7 +681,7 @@ def test_maximal_3braids_dense_graph_within_budget():
     # Tested pairwise for containment they would cost some 10^8
     # comparisons; chains of one length need none.
     rng = random.Random(1)
-    g = graph_from_edges(
+    g = Graph.from_edge_list(
         20, [e for e in itertools.combinations(range(20), 2) if rng.random() < 0.7]
     )
     start = time.perf_counter()

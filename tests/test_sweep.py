@@ -44,27 +44,7 @@ from braidcensus.sweep import (
     verify_extremal_uniqueness,
 )
 
-
-def graph_from_edges(n: int, edges) -> Graph:
-    adj = [0] * n
-    for u, v in edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return Graph(n, tuple(adj))
-
-
-def cycle_graph(n: int) -> Graph:
-    return graph_from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def complete_graph(n: int) -> Graph:
-    return graph_from_edges(n, itertools.combinations(range(n), 2))
-
-
-def complete_bipartite(a: int, b: int) -> Graph:
-    return graph_from_edges(
-        a + b, [(i, a + j) for i in range(a) for j in range(b)]
-    )
+from graph_helpers import complete_bipartite, complete_graph, cycle_graph
 
 
 def canon(g: Graph) -> str:
@@ -86,7 +66,7 @@ def test_p2_sweep_matches_closed_form():
 def test_p2_extremal_classes_at_n4():
     result = exhaustive_max(4, "p2")
     square = cycle_graph(4)
-    diamond = graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 3)])
+    diamond = Graph.from_edge_list(4, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 3)])
     assert result.extremal_codes == {canon(square), canon(diamond)}
 
 
@@ -759,7 +739,7 @@ def test_uniqueness_rejects_layerings_that_are_not_admissible_braids():
     # but the two middle layers are not completely joined.  P5 is a path
     # braid between its ends, with central sizes (1, 1, 1), which no F
     # member has.
-    p5 = graph_from_edges(5, [(i, i + 1) for i in range(4)])
+    p5 = Graph.from_edge_list(5, [(i, i + 1) for i in range(4)])
     for g, best, pairs in ((cycle_graph(6), 2, 9), (p5, 1, 10)):
         code = canon(g)
         forged = SweepResult(g.n, "p2", ExactCount(best), frozenset({code}),
