@@ -13,7 +13,9 @@ The namespace is lazy (PEP 562): importing the package imports no
 submodule.  Every read of a public name looks it up in its home module
 (_EXPORTS), which the first read imports, so a process pays only for the
 modules it uses.  Compiling a module from source costs several
-milliseconds, about as much as a small CLI call's own work.
+milliseconds, about as much as a small CLI call's own work.  For the
+same reason no module imports dataclasses, which loads inspect, ast, dis
+and tokenize: the result types are frozen records on graphs._Record.
 
 Nothing is cached in this namespace: every read of braidcensus.<name>
 returns the home module's current attribute.  So a function patched in

@@ -94,10 +94,9 @@ is connected.  It shares no traversal logic with the fast engine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .graphs import Graph, InputError, InternalError, UnsupportedError, bits_of
-from .graphs import _check_vertex, _layers
+from .graphs import _Record, _check_vertex, _layers
 
 SLOW_CENSUS_MAX_N = 24
 
@@ -115,8 +114,7 @@ def _check_counts(by_length: dict[int, int], min_key: int, kind: str) -> None:
             raise InputError(f"negative count at length {length}")
 
 
-@dataclass(frozen=True)
-class CycleCensus:
+class CycleCensus(_Record):
     """Induced cycle counts keyed by cycle length (vertex count >= 3)."""
 
     by_length: dict[int, int]
@@ -156,8 +154,7 @@ class CycleCensus:
         }
 
 
-@dataclass(frozen=True)
-class PathCensus:
+class PathCensus(_Record):
     """Induced x-y path counts keyed by edge count (length >= 1).
 
     Parity is by vertex count: a path with L edges has L + 1 vertices, so
@@ -192,8 +189,7 @@ class PathCensus:
         }
 
 
-@dataclass(frozen=True)
-class TreeStats:
+class TreeStats(_Record):
     """Shape summary of the x-y path tree.
 
     child_count_multisets: for every leaf, the sorted tuple of child

@@ -34,8 +34,9 @@ import json
 import os
 import sys
 
-# Each handler imports the engine it runs, so a call compiles and loads
-# only the modules on its own path; graphs holds what the parser needs.
+# Each handler imports the engine it runs once its graph input has parsed,
+# so a call compiles and loads only the modules on its own path, and a bad
+# input none; graphs holds what the parser needs.
 from .graphs import (
     FAMILY_TAGS,
     QUANTITIES,
@@ -123,27 +124,27 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
+    g = _graph_argument(args)
     from .census import count_induced_cycles
 
-    g = _graph_argument(args)
     census = count_induced_cycles(g)
     _emit(census.to_json_dict(n=g.n))
     return EXIT_OK
 
 
 def _cmd_paths(args: argparse.Namespace) -> int:
+    g = _graph_argument(args)
     from .census import count_induced_st_paths
 
-    g = _graph_argument(args)
     census = count_induced_st_paths(g, args.x, args.y)
     _emit(census.to_json_dict(x=args.x, y=args.y))
     return EXIT_OK
 
 
 def _cmd_recognize(args: argparse.Namespace) -> int:
+    g = _load_graph(args.input)
     from .recognition import classify_family_all, discover_cyclic_braid, verify_braid
 
-    g = _load_graph(args.input)
     part = discover_cyclic_braid(g)
     if part is None:
         doc = {
@@ -167,18 +168,18 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
 
 
 def _cmd_game(args: argparse.Namespace) -> int:
+    g = _load_graph(args.input)
     from .game import solve_typical_game
 
-    g = _load_graph(args.input)
     verdict = solve_typical_game(g, args.v, args.w)
     _emit(verdict.to_json_dict())
     return EXIT_OK
 
 
 def _cmd_atypical(args: argparse.Namespace) -> int:
+    g = _load_graph(args.input)
     from .game import atypical_set
 
-    g = _load_graph(args.input)
     report = atypical_set(g, args.v)
     _emit(report.to_json_dict())
     return EXIT_OK

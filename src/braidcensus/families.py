@@ -33,10 +33,9 @@ clusters at the lowest indices, so output is reproducible):
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
-from .graphs import FAMILY_TAGS, Graph, InputError, InternalError, mask_of
+from .graphs import FAMILY_TAGS, Graph, InputError, InternalError, _Record, mask_of
 
 # intra-cluster edge patterns: the two symbolic forms, or an explicit list
 # of local index pairs per cluster
@@ -48,8 +47,7 @@ IntraSpec = str | Sequence[tuple[int, int]]
 # ======================================================================
 
 
-@dataclass(frozen=True)
-class ClusterPartition:
+class ClusterPartition(_Record):
     """Ordered clusters, possibly covering only part of a graph."""
 
     clusters: tuple[tuple[int, ...], ...]
@@ -87,8 +85,7 @@ class ClusterPartition:
         return {"clusters": [list(c) for c in self.clusters], "cyclic": self.cyclic}
 
 
-@dataclass(frozen=True)
-class FamilyId:
+class FamilyId(_Record):
     tag: str
     n: int
 
@@ -97,8 +94,7 @@ class FamilyId:
             raise InputError(f"unknown family tag {self.tag!r}")
 
 
-@dataclass(frozen=True)
-class BraidSpec:
+class BraidSpec(_Record):
     cluster_sizes: tuple[int, ...]
     cyclic: bool = False
     intra: tuple[IntraSpec, ...] | IntraSpec = "empty"

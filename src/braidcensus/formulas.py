@@ -15,17 +15,15 @@ induced-cycle count adds short-cycle terms to the product of cluster sizes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .graphs import InputError, InternalError, UnsupportedError
+from .graphs import InputError, InternalError, UnsupportedError, _Record
 
 # The one upper limit of the exact counts, checked by _check_n: on a 2-core
 # Xeon, short_cycle_mass and its decimal form take 0.1 s at 10^5, 13 s at 10^6.
 EXACT_MAX_N = 100_000
 
 
-@dataclass(frozen=True)
-class ExactCount:
+class ExactCount(_Record):
     value: int
 
     def __post_init__(self):
@@ -33,8 +31,7 @@ class ExactCount:
             raise InputError(f"count cannot be negative: {self.value}")
 
 
-@dataclass(frozen=True)
-class RealBound:
+class RealBound(_Record):
     value: float
 
     def __post_init__(self):

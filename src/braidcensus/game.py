@@ -35,10 +35,9 @@ structural fingerprint typicality forces.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .graphs import Graph, InputError, ball, bits_of, distance, is_connected, mask_of, vertices_of
-from .graphs import _check_vertex
+from .graphs import _Record, _check_vertex
 
 WINNER_BUILDER = "Builder"
 WINNER_ADVERSARY = "Adversary"
@@ -51,8 +50,7 @@ REASON_UNSEEN_VERTEX = "unseen-vertex-at-termination"
 # ======================================================================
 
 
-@dataclass(frozen=True)
-class GameState:
+class GameState(_Record):
     """A position: the walk so far and the set it dominates.
 
     seen holds the closed neighborhood of all chosen vertices except the
@@ -108,8 +106,7 @@ def apply_move(g: Graph, state: GameState, u: int) -> GameState:
 # ======================================================================
 
 
-@dataclass(frozen=True)
-class GameVerdict:
+class GameVerdict(_Record):
     """Outcome with one optimal play line; reason set exactly for
     blocker wins."""
 
@@ -259,8 +256,7 @@ def solve_typical_game(g: Graph, v: int, w: int) -> GameVerdict:
 # ======================================================================
 
 
-@dataclass(frozen=True)
-class AtypicalReport:
+class AtypicalReport(_Record):
     """Partition of the vertices by game outcome from a fixed start:
     exempt vertices are those within distance 4 of the start, which the
     game never probes."""

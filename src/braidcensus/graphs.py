@@ -25,7 +25,7 @@ and decodable with parse_graph6.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from collections.abc import Iterable, Iterator
 
 # ======================================================================
 # errors
@@ -53,6 +53,60 @@ class UnsupportedError(InputError):
 class InternalError(RuntimeError):
     """Raised when an internal cross-check fails: a bug, never bad input.
     Unlike assert, it also fires under python -O."""
+
+
+# ======================================================================
+# frozen records
+# ======================================================================
+
+
+class _Record:
+    """Base of the package's result types, in place of a frozen dataclass:
+    importing dataclasses loads inspect, ast, dis and tokenize, which cost
+    a CLI call more time than a small input's own work.
+
+    A subclass's fields are its annotated names, in order; a class
+    attribute of a field's name is its default.  Each subclass gets an
+    __init__ generated once, as dataclasses and namedtuple do: it sets the
+    fields, then calls __post_init__ if the class has one, which may
+    normalise a field with object.__setattr__.  Records are immutable,
+    compare and hash by their field tuple, and print as Name(field=value, ...).
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._fields = fields = tuple(cls.__dict__.get("__annotations__", ()))
+        params = ", ".join(f"{f}=_cls.{f}" if f in cls.__dict__ else f for f in fields)
+        body = "".join(f"\n    _set(self, {f!r}, {f})" for f in fields)
+        if hasattr(cls, "__post_init__"):
+            body += "\n    self.__post_init__()"
+        namespace = {"_cls": cls, "_set": object.__setattr__}
+        exec(f"def __init__(self, {params}):{body}", namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    def _values(self) -> tuple:
+        return tuple([self.__dict__[f] for f in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{f}={self.__dict__[f]!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 # ======================================================================

@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 
 from .families import (
     ClusterPartition,
@@ -61,7 +60,8 @@ from .families import (
     h_sizes,
     script_g_multisets,
 )
-from .graphs import Graph, InputError, _check_vertex, _layers, bits_of, mask_of, vertices_of
+from .graphs import Graph, InputError, bits_of, mask_of, vertices_of
+from .graphs import _Record, _check_vertex, _layers
 
 COND_MISSING_JOIN = "missing-join"
 COND_STRAY_NEIGHBOR = "stray-neighbor"
@@ -72,8 +72,7 @@ COND_STRAY_NEIGHBOR = "stray-neighbor"
 # ======================================================================
 
 
-@dataclass(frozen=True)
-class RecognitionReport:
+class RecognitionReport(_Record):
     """Outcome of a braid check: verdict, family match, and per-cluster
     intra-edge texture; on failure, the first offending vertex."""
 

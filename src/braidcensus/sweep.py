@@ -64,7 +64,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .census import (
@@ -83,6 +82,7 @@ from .graphs import (
     Graph,
     InputError,
     InternalError,
+    _Record,
     _layers,
     _twin_classes,
     canonical_code,
@@ -102,8 +102,7 @@ A000088 = (1, 1, 2, 4, 11, 34, 156, 1044)
 # ======================================================================
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(_Record):
     """Outcome of one exhaustive scan (possibly one shard of it)."""
 
     n: int
@@ -540,8 +539,7 @@ def parse_checkpoint_line(
 # ======================================================================
 
 
-@dataclass(frozen=True)
-class UniquenessReport:
+class UniquenessReport(_Record):
     """Check of every (graph, pair) achieving the p2 sweep maximum: the
     graph must be a path braid with singleton end clusters at the pair,
     its central sizes drawn from the admissible table for n."""

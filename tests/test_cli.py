@@ -22,7 +22,9 @@ from braidcensus.census import count_induced_cycles
 from braidcensus import families
 from braidcensus.families import build_braid, build_H, members_of_script_G
 from braidcensus.formulas import f2
+from braidcensus.game import atypical_set
 from braidcensus.graphs import InputError, to_graph6
+from braidcensus.recognition import classify_family_all, discover_cyclic_braid, verify_braid
 from braidcensus.sweep import exhaustive_max
 
 from public_names import PUBLIC_NAMES
@@ -651,7 +653,8 @@ names = {}
 exec("from braidcensus import *", names)
 m4 = braidcensus.exhaustive_max(4, "m").max.value
 h12 = braidcensus.slow_census(braidcensus.build_H(12)[0]).f
-heavy = ("numpy", "multiprocessing", "concurrent.futures.process")
+heavy = ("numpy", "multiprocessing", "concurrent.futures.process", "dataclasses",
+         "inspect")
 print(json.dumps([m for m in heavy if m in sys.modules]))
 print(json.dumps(sorted(k for k in names if k != "__builtins__")))
 print(m4, h12)
@@ -659,8 +662,9 @@ print(m4, h12)
 
 
 def test_import_leaves_numpy_and_the_pool_unloaded():
-    # nothing loads numpy or a process pool: not start-up, not a sweep
-    # with its audit, not the subset oracle
+    # nothing loads numpy, a process pool or dataclasses (with inspect,
+    # its costliest import): not start-up, not a sweep with its audit,
+    # not the subset oracle
     src = os.path.dirname(os.path.dirname(braidcensus.__file__))
     proc = subprocess.run(
         [sys.executable, "-c", IMPORT_SCRIPT], capture_output=True, text=True,
@@ -734,6 +738,7 @@ import contextlib, io, json, sys
 from braidcensus.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
+assert "dataclasses" not in sys.modules and "inspect" not in sys.modules
 print(code, json.dumps(sorted(m for m in sys.modules if m.startswith("braidcensus."))))
 """
 
@@ -769,16 +774,43 @@ def test_each_subcommand_loads_only_its_engines(tmp_path, argv, engines):
         for i in range(2):
             (tmp_path / f"sweep_p2_n4_s2_{i}.txt").write_text(sweep.checkpoint_line(
                 i, exhaustive_max(4, "p2", shards=2, shard=i)) + "\n")
+    assert _loaded(tmp_path, argv) == (0, sorted(
+        f"braidcensus.{name}" for name in engines | {"cli", "graphs"}))
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "--input", "A"),
+    ("count", "--input", "Bx"),
+    ("paths", "--input", "", "--x", "0", "--y", "1"),
+    ("recognize", "--input", "~~"),
+    ("atypical", "--input", "C!", "--v", "0"),
+])
+def test_input_errors_load_no_engine(tmp_path, argv):
+    # a handler parses its graph before it imports its engine, so a bad
+    # graph exits 2 having compiled no engine module
+    assert _loaded(tmp_path, argv) == (2, ["braidcensus.cli", "braidcensus.graphs"])
+
+
+def _loaded(tmp_path, argv):
+    """main(argv) in a fresh process: its exit code, and the braidcensus
+    modules it loaded, sorted."""
     code, out, err = _python("-c", LOADED_SCRIPT, *argv,
                              BRAIDCENSUS_CHECKPOINT_DIR=str(tmp_path))
     assert code == 0, err
     code, loaded = out.split(" ", 1)
-    assert code == "0"
-    assert json.loads(loaded) == sorted(
-        f"braidcensus.{name}" for name in engines | {"cli", "graphs"})
+    return int(code), json.loads(loaded)
 
 
 G20_LAST = len(list(members_of_script_G(20))) - 1
+
+
+def _recognize_doc(g):
+    """The recognize document of a braid, from the library calls."""
+    part = discover_cyclic_braid(g)
+    doc = verify_braid(g, part).to_json_dict()
+    doc["clusters"] = part.to_json_dict()["clusters"]
+    doc["families"] = [family.tag for family in classify_family_all(g)]
+    return doc
 
 
 @pytest.mark.parametrize("argv, answer", [
@@ -791,6 +823,9 @@ G20_LAST = len(list(members_of_script_G(20))) - 1
     (("construct", "--family", "G_script", "--n", "20", "--variant", str(G20_LAST),
       "--out", "json"),
      lambda: _construct_doc(*list(members_of_script_G(20))[G20_LAST])),
+    (("recognize", "--input", H15_G6), lambda: _recognize_doc(build_H(15)[0])),
+    (("atypical", "--input", H30_G6, "--v", "0"),
+     lambda: atypical_set(build_H(30)[0], 0).to_json_dict()),
 ])
 def test_cli_under_python_O_gives_the_library_answer(argv, answer):
     # -O strips assert: the lazy imports and the internal cross-checks

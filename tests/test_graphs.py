@@ -1,4 +1,5 @@
-"""Core graph type, graph6 codec, BFS layers and balls, canonical labeling.
+"""Core graph type, graph6 codec, BFS layers and balls, canonical labeling,
+and the frozen record base of the result types.
 
 networkx is used as an independent oracle for graph6 encoding, BFS
 layers and distances, components, and isomorphism; the package itself
@@ -8,15 +9,26 @@ branch and bound kept here as a second oracle.
 """
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 import types
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from braidcensus.census import count_cycles_through, count_induced_st_paths, path_tree_stats
-from braidcensus.families import build_H
+import braidcensus
+from braidcensus.census import (
+    CycleCensus,
+    PathCensus,
+    count_cycles_through,
+    count_induced_st_paths,
+    path_tree_stats,
+)
+from braidcensus.families import BraidSpec, FamilyId, build_H
+from braidcensus.formulas import ExactCount
 from braidcensus.game import (
     GameState,
     apply_move,
@@ -467,3 +479,120 @@ def test_canonical_rejects_large_n():
     g = graph_from_pair_bits(CANON_MAX_N + 1, 0)
     with pytest.raises(UnsupportedError):
         canonical_code(g)
+
+
+# ======================================================================
+# frozen records
+# ======================================================================
+
+
+def test_records_compare_by_class_and_fields():
+    assert CycleCensus({3: 1}) == CycleCensus({3: 1})
+    assert CycleCensus({3: 1}) != CycleCensus({3: 2})
+    # the same fields in another record type, or a bare value, differ
+    assert CycleCensus({3: 1}) != PathCensus({3: 1})
+    assert CycleCensus({3: 1}).__eq__(PathCensus({3: 1})) is NotImplemented
+    assert ExactCount(3) != 3
+
+
+def test_records_hash_their_field_tuple():
+    assert hash(FamilyId("H", 12)) == hash(("H", 12))
+    assert hash(ExactCount(7)) == hash((7,))
+    assert len({FamilyId("H", 12), FamilyId("H", 12), FamilyId("G", 12)}) == 2
+    assert {ExactCount(1), ExactCount(1)} == {ExactCount(1)}
+    with pytest.raises(TypeError):
+        hash(CycleCensus({3: 1}))  # a dict field is unhashable
+
+
+def test_record_repr_names_every_field():
+    assert repr(FamilyId("H", 12)) == "FamilyId(tag='H', n=12)"
+    assert repr(BraidSpec((2, 3))) == (
+        "BraidSpec(cluster_sizes=(2, 3), cyclic=False, intra='empty')")
+
+
+def test_records_are_frozen():
+    family = FamilyId("H", 12)
+    for change in (lambda: setattr(family, "n", 13), lambda: delattr(family, "n"),
+                   lambda: setattr(family, "extra", 1)):
+        with pytest.raises(AttributeError):
+            change()
+    assert family == FamilyId("H", 12) and not hasattr(family, "extra")
+
+
+def test_braid_spec_defaults_keywords_and_normalised_sizes():
+    spec = BraidSpec([2, 3])
+    # __post_init__ turns the list into a tuple through object.__setattr__
+    assert spec.cluster_sizes == (2, 3) and type(spec.cluster_sizes) is tuple
+    assert (spec.cyclic, spec.intra) == (False, "empty")
+    assert BraidSpec(intra="full", cluster_sizes=(1, 1, 1), cyclic=True) == (
+        BraidSpec((1, 1, 1), True, "full"))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: FamilyId("H"),
+    lambda: FamilyId("H", 12, 0),
+    lambda: FamilyId(tag="H", n=12, size=3),
+    lambda: BraidSpec(cyclic=True),
+    lambda: ExactCount(),
+])
+def test_a_missing_or_unknown_field_is_a_type_error(make):
+    with pytest.raises(TypeError):
+        make()
+
+
+# one record per __post_init__ check, each violating it
+BAD_RECORDS = [
+    "CycleCensus({2: 1})",
+    "CycleCensus({3: -1})",
+    "PathCensus({0: 1})",
+    "PathCensus({1: -1})",
+    "TreeStats(1, 2, frozenset(), True)",
+    "ClusterPartition((), False)",
+    "ClusterPartition(((0,), (1,)), True)",
+    "ClusterPartition(((0,), ()), False)",
+    "ClusterPartition(((0, 1), (1,)), False)",
+    "FamilyId('X', 5)",
+    "BraidSpec((1, 0))",
+    "BraidSpec((1, 1), cyclic=True)",
+    "BraidSpec((1,))",
+    "ExactCount(-1)",
+    "RealBound(float('inf'))",
+    "RealBound(-0.5)",
+    "GameState(1, (0,), 0)",
+    "GameVerdict('Adversary', (0,), None)",
+    "GameVerdict('Builder', (0,), 'bad-vertex-in-N4')",
+    "RecognitionReport(False, None, (1, 1), ('empty', 'empty'), None)",
+    "SweepResult(4, 'q', ExactCount(1), frozenset({'C~'}), 1)",
+    "SweepResult(4, 'm', ExactCount(1), frozenset(), 1)",
+    "SweepResult(4, 'm', ExactCount(1), frozenset({'C~'}), 0)",
+]
+
+BAD_RECORDS_SCRIPT = """
+import sys, braidcensus
+if __debug__:
+    sys.exit("assertions are on: run with python -O")
+names = {name: getattr(braidcensus, name) for name in braidcensus.__all__}
+for expression in sys.argv[1:]:
+    try:
+        eval(expression, names)
+        print("accepted", expression)
+    except braidcensus.InputError:
+        print("InputError")
+"""
+
+
+@pytest.mark.parametrize("expression", BAD_RECORDS)
+def test_record_checks_raise_input_errors(expression):
+    names = {name: getattr(braidcensus, name) for name in braidcensus.__all__}
+    with pytest.raises(InputError):
+        eval(expression, names)
+
+
+def test_record_checks_hold_under_python_O():
+    src = os.path.dirname(os.path.dirname(braidcensus.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", BAD_RECORDS_SCRIPT, *BAD_RECORDS],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["InputError"] * len(BAD_RECORDS)
