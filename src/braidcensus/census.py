@@ -1,18 +1,21 @@
 """Exact counts of induced cycles and induced x-y paths.
 
 Cycle search.  Every chordless cycle has a unique *anchor* (its lowest
-vertex id) and a unique orientation (the anchor's smaller cycle-neighbor
-comes first), so enumerating, per anchor a, the induced paths that start
+vertex id) and a unique orientation: of the anchor's two cycle-neighbors,
+the one with fewer neighbors above the anchor comes first (ties: the
+smaller id).  So enumerating, per anchor a, the induced paths that start
 at a neighbor u1 of a, stay above a, avoid N[a], and finally close at a
-neighbor z of a with z > u1, visits each induced cycle exactly once.  The
-"avoid N[a]" rule makes a-chords impossible; ordinary chords are excluded
-by keeping a running closed-neighborhood mask `blocked` of the path.  A
-branch dies once every closing vertex is blocked.
+neighbor of a after u1 in that order visits each induced cycle exactly
+once.  The "avoid N[a]" rule makes a-chords impossible; ordinary chords
+are excluded by keeping a running closed-neighborhood mask `blocked` of
+the path.  A branch dies once every closing vertex is blocked, sooner
+for one with more neighbors, so the search starts at the thin end.
 
-Path search.  Induced x-y paths grow from x the same way, with y the only
-closing vertex: a branch dies as soon as y falls inside the path's closed
-neighborhood.  If xy is an edge, the single-edge path is the only induced
-x-y path (anything longer has the chord xy).
+Path search.  Induced x-y paths grow from the endpoint of lower degree
+(x on a tie; paths are undirected) the same way, with the other endpoint
+the only closing vertex: a branch dies as soon as it falls inside the
+path's closed neighborhood.  If xy is an edge, the single-edge path is
+the only induced x-y path (anything longer has the chord xy).
 
 Memo.  Within one search (one (a, u1) root, one x-y pair), let blocked be
 the closed neighborhood of the path before its endpoint cur (cur lies in
@@ -68,12 +71,14 @@ not cost O(n^2) bits per vertex.
 
 count_cycles_through(g, v) is a second route: one fold per neighbour u1
 of v, with no anchor order (every vertex but v may be used) and closure
-only at neighbours of v above u1.  It shares the fold but none of the
-crediting.  visit_induced_cycles walks every cycle with the plain
-search; that walk and slow_census share nothing with the memo.  With
-the second route and the identity sum_v f_v(L) = L c_L, checked on
-every call of cycles_per_vertex, they are the checks on the memo and
-the credits.
+only at the neighbours of v that follow u1 in the order above.  It
+shares the fold but none of the crediting.  visit_induced_cycles walks
+every cycle with the plain search, which keeps the id orientation (the
+anchor's smaller cycle-neighbor first), so its roots do not follow the
+fold's; that walk and slow_census share nothing with the memo.  With the
+second route and the identity sum_v f_v(L) = L c_L, checked on every
+call of cycles_per_vertex, they are the checks on the memo and the
+credits.
 
 Path-tree statistics.  The x-y path tree is the rooted tree whose nodes
 are the growing induced paths, except that a node whose endpoint is
@@ -368,16 +373,18 @@ def _add(hist: tuple[int, int], off: int, val: int, width: int) -> tuple[int, in
 def _cycles_through(adj, v: int, above: int, width: int,
                     credit: tuple[list[int], list[int]] | None = None) -> int:
     """Packed histogram of the induced cycles through v inside above + v,
-    each once: field k counts those whose closing vertex lies k steps
-    beyond v, so they have k + 1 vertices.  If credit is a pair of lists
-    (bases, packs), the (bases[u], packs[u]) histogram of every vertex u
-    also gains these cycles that pass through u."""
+    each once, leaving v through the neighbour with fewer neighbours in
+    above (ties: the lower id): field k counts those whose closing vertex
+    lies k steps beyond v, so they have k + 1 vertices.  If credit is a
+    pair of lists (bases, packs), the (bases[u], packs[u]) histogram of
+    every vertex u also gains these cycles that pass through u."""
     adj_v = adj[v]
     total = 0
-    for u1 in bits_of(adj_v & above):
-        # a cycle leaves v through u1 and returns through a higher
-        # neighbour, which fixes its orientation
-        close = adj_v & (-1 << (u1 + 1))
+    close = 0
+    # a cycle leaves v through u1 and returns through a neighbour passed
+    # before it, with more neighbours in above (ties: a higher id)
+    for u1 in sorted(bits_of(adj_v & above), reverse=True,
+                     key=lambda u: ((adj[u] & above).bit_count(), u)):
         if close:
             memo: dict[tuple[int, int], tuple[int, int]] = {}
             # this root's reach and shut_at (see _forward) go with the lists
@@ -388,6 +395,7 @@ def _cycles_through(adj, v: int, above: int, width: int,
                 bases[v], packs[v] = _add((bases[v], packs[v]), base, packed, width)
                 _forward(adj, above, adj_v, close, width, memo, root)
             total += packed << (width * base)
+        close |= 1 << u1
     return total
 
 
@@ -470,7 +478,9 @@ def count_induced_cycles(g: Graph) -> CycleCensus:
 
 def _scan_root(g: Graph, a: int, u1: int, visit) -> None:
     """Plain DFS from one (anchor, first-neighbor) root, calling
-    visit(vertex_mask, length) at every closure."""
+    visit(vertex_mask, length) at every closure.  It closes only at
+    neighbours of the anchor above u1: the plain walk keeps the id
+    orientation, so its roots stay independent of the fold's."""
     adj = g.adj
     above = (-1 << (a + 1)) & g.full_mask()
     adj_a = adj[a]
@@ -498,7 +508,8 @@ def visit_induced_cycles(g: Graph, visit) -> None:
 
 def count_cycles_through(g: Graph, v: int) -> CycleCensus:
     """Census restricted to induced cycles containing v: one fold per
-    neighbour of v, with every other vertex allowed on the cycle."""
+    neighbour of v but the last in the degree order, with every other
+    vertex allowed on the cycle."""
     _check_vertex(g, v)
     width = g.n + 1
     return CycleCensus(_unpack(
@@ -550,6 +561,9 @@ def count_induced_st_paths(g: Graph, x: int, y: int) -> PathCensus:
         # the edge is the unique induced x-y path: anything longer
         # carries xy as a chord
         return PathCensus({1: 1})
+    if g.adj[y].bit_count() < g.adj[x].bit_count():
+        # paths are undirected: grow them from the end with fewer neighbours
+        x, ybit = y, 1 << x
     width = g.n + 1
     base, packed = _fold(g.adj, g.full_mask(), ybit, ybit, x, width, {})
     # k steps from the vertex before x to y make a path of k - 1 edges

@@ -15,6 +15,7 @@ under -O.  On cyclic braids whose clusters hold any graph, both counts
 also meet a closed form over the clusters, which are modules.
 """
 
+import inspect
 import itertools
 import math
 import os
@@ -58,6 +59,7 @@ from braidcensus.graphs import (
     InputError,
     InternalError,
     UnsupportedError,
+    _twin_classes,
     bits_of,
     graph_from_pair_bits,
     to_graph6,
@@ -480,27 +482,29 @@ def test_per_vertex_bound_random():
 TWIN_RING = Graph.from_edge_list(12, [
     (u, v) for u, v in itertools.combinations(range(12), 2) if (u // 2 - v // 2) % 6 in (1, 5)])
 
-# From anchor 0, vertices 1 and 5, no twins, are siblings with the same
-# cands, so the crediting fold groups them (found by a search over random
-# graphs)
-NON_TWIN_GROUP = Graph.from_edge_list(9, [
-    (0, 7), (0, 8), (1, 3), (1, 4), (1, 6), (2, 3), (2, 4), (2, 5), (3, 5), (3, 7),
-    (4, 7), (5, 6), (6, 8)])
+# From anchor 1 the fold starts at 3; vertices 6 and 7, which differ only
+# at vertex 0 below the anchor, so are no twins (the graph has none), are
+# siblings with the same cands, and the crediting fold groups them (found
+# by a search over random graphs)
+NON_TWIN_GROUP = Graph.from_edge_list(8, [
+    (0, 1), (0, 4), (0, 6), (1, 3), (1, 5), (2, 5), (3, 6), (3, 7), (4, 5), (4, 6),
+    (4, 7)])
 
-# From anchor 0, the fold hits one stored state along a prefix of four
-# steps and again along one of five, so the forward pass starts from a
-# state seeded at two depths at once; the other examples' hits come at
-# one depth each (found by a search over random graphs)
-SEEDS_AT_TWO_DEPTHS = Graph.from_edge_list(11, [
-    (0, 2), (0, 3), (0, 5), (1, 2), (1, 7), (2, 9), (2, 10), (3, 6), (3, 7), (3, 9),
-    (3, 10), (4, 7), (4, 8), (5, 8), (6, 7), (6, 10), (7, 9)])
+# From anchor 0, the fold hits one stored state along two prefixes of five
+# steps and two of six, so the forward pass starts from a state seeded at
+# two depths at once; the other examples' hits come at one depth each
+# (found by a search over random graphs)
+SEEDS_AT_TWO_DEPTHS = Graph.from_edge_list(12, [
+    (0, 3), (0, 5), (1, 2), (1, 5), (2, 6), (2, 9), (3, 10), (4, 8), (4, 9), (4, 10),
+    (4, 11), (6, 7), (6, 8), (6, 9), (7, 9), (7, 11), (8, 9), (8, 10), (8, 11), (10, 11)])
 
-# graph6 GqHOWk.  From anchor 0 the fold's tree credits vertex 4 with a
-# 7-cycle, and then the forward pass credits it with a 6-cycle, so the
-# pass must lower that vertex's base; no other example here makes the
-# pass do so (found by a search over random graphs)
-FORWARD_LOWERS_A_BASE = Graph.from_edge_list(8, [
-    (0, 1), (0, 2), (1, 3), (1, 5), (2, 4), (3, 5), (3, 7), (4, 6), (5, 6), (5, 7), (6, 7)])
+# From anchor 0 the fold's tree credits vertex 3 with a 7-cycle, and then
+# the forward pass credits it with a 6-cycle, so the pass must lower that
+# vertex's base; no other example here makes the pass do so (found by a
+# search over random graphs)
+FORWARD_LOWERS_A_BASE = Graph.from_edge_list(12, [
+    (0, 2), (0, 7), (1, 5), (1, 8), (1, 9), (2, 8), (2, 9), (3, 5), (3, 7), (5, 9),
+    (7, 11), (8, 11), (9, 11), (10, 11)])
 
 # A cyclic braid whose clusters have some intra edges: cluster members that
 # differ only there are no twins, yet once the cluster's neighbours are
@@ -535,6 +539,102 @@ def test_per_vertex_censuses_match_enumeration(g):
     want = per_vertex_tally(g)
     assert [c.by_length for c in cycles_per_vertex(g)] == want
     assert [count_cycles_through(g, v).by_length for v in range(g.n)] == want
+
+
+def line_of(fn, text: str) -> int:
+    """The line number of the one source line of fn that holds text."""
+    lines, start = inspect.getsourcelines(fn)
+    (i,) = [i for i, line in enumerate(lines) if text in line]
+    return start + i
+
+
+def test_hand_picked_examples_reach_their_branches(monkeypatch):
+    # each example above was found for one branch of the crediting fold or
+    # the forward pass, and the census stays right when a change to the
+    # search moves it off that branch; so spy on the branches themselves.
+    # A group's members other than the child take their credits through
+    # _add on one line of _fold, and a lowered base through _add on one
+    # line of _forward with a credit below a non-empty histogram
+    census = braidcensus.census
+    fold, forward, add = census._fold.__code__, census._forward, census._add
+    group_line = line_of(census._fold, "bases[u], packs[u] = _add(")
+    lower_line = line_of(forward, "bases[z], packs[z] = _add(")
+    seen = {}
+
+    def spy_add(hist, off, val, width):
+        caller = sys._getframe(1)
+        if caller.f_code is fold and caller.f_lineno == group_line:
+            seen["group"] += 1
+        elif (caller.f_code is forward.__code__ and caller.f_lineno == lower_line
+              and hist[1] and off < hist[0]):
+            seen["lowered base"] += 1
+        return add(hist, off, val, width)
+
+    def spy_forward(adj, above, stop, close, width, memo, credit):
+        # reach holds the seeded states; a prefix with a second field
+        # counts paths at two depths
+        seen["seeded at two depths"] += sum(
+            prefix >> width != 0 for _, prefix in credit[2].values())
+        forward(adj, above, stop, close, width, memo, credit)
+
+    monkeypatch.setattr(census, "_add", spy_add)
+    monkeypatch.setattr(census, "_forward", spy_forward)
+    cases = [(NON_TWIN_GROUP, "group"), (SEEDS_AT_TWO_DEPTHS, "seeded at two depths"),
+             (FORWARD_LOWERS_A_BASE, "lowered base"), (MIXED_INTRA_BRAID, "group")]
+    for g, branch in cases:
+        seen.update(dict.fromkeys(("group", "seeded at two depths", "lowered base"), 0))
+        cycles_per_vertex(g)
+        assert seen[branch], (to_graph6(g), branch, seen)
+    assert all(not members & (members - 1) for members in _twin_classes(NON_TWIN_GROUP.adj))
+
+
+def test_each_search_starts_at_its_thin_end(monkeypatch):
+    # a branch dies once its closing vertices are blocked, which comes
+    # sooner for a vertex with more neighbours, so each search starts at
+    # the end with fewer: a cycle root at the anchor's neighbour with the
+    # fewest neighbours in above (ties by id) among those of the cycle's
+    # two, an x-y fold at the endpoint of lower degree (x on a tie)
+    fold = braidcensus.census._fold
+    roots = []
+
+    def spy(adj, above, stop, close, start, *rest):
+        roots.append((start, close, above))
+        return fold(adj, above, stop, close, start, *rest)
+
+    monkeypatch.setattr(braidcensus.census, "_fold", spy)
+    rng = random.Random(33)
+    cases = [Graph.from_edge_list(n, [
+        e for e in itertools.combinations(range(n), 2) if rng.random() < p])
+        for n in range(12, 21) for p in (0.25, 0.4)]
+    perm = list(range(30))
+    rng.shuffle(perm)
+    cases.append(build_H(30)[0].relabeled(tuple(perm)))
+    flipped = 0
+    for g in cases:
+        adj = g.adj
+        runs = [lambda: count_induced_cycles(g), lambda: cycles_per_vertex(g)]
+        runs += [lambda v=v: count_cycles_through(g, v) for v in range(g.n)]
+        for run in runs:
+            roots.clear()
+            run()
+            for start, close, above in roots:
+                def key(u, above=above):
+                    return (adj[u] & above).bit_count(), u
+                assert all(key(start) < key(c) for c in bits_of(close)), to_graph6(g)
+                flipped += start > (close & -close).bit_length() - 1
+        for x, y in itertools.combinations(range(g.n), 2):
+            if g.has_edge(x, y):
+                continue
+            for s, t in ((x, y), (y, x)):
+                roots.clear()
+                count_induced_st_paths(g, s, t)
+                thin = t if g.degree(t) < g.degree(s) else s
+                assert [root[:2] for root in roots] == [(thin, 1 << (s + t - thin))]
+            roots.clear()
+            path_tree_stats(g, x, y)
+            assert [root[:2] for root in roots] == [(x, 1 << y)]
+    # the rule differs from the id order on some roots
+    assert flipped
 
 
 def test_per_vertex_census_where_memo_hits_are_rare():
