@@ -13,8 +13,8 @@ for one with more neighbors, so the search starts at the thin end.
 
 Path search.  Induced x-y paths grow from the endpoint of lower degree
 (x on a tie; paths are undirected) the same way, with the other endpoint
-the only closing vertex: a branch dies as soon as it falls inside the
-path's closed neighborhood.  If xy is an edge, the single-edge path is
+the only closing vertex: a branch dies as soon as that endpoint falls
+inside the path's closed neighborhood.  If xy is an edge, the single-edge path is
 the only induced x-y path (anything longer has the chord xy).
 
 Memo.  Within one search (one (a, u1) root, one x-y pair), let blocked be
@@ -508,8 +508,8 @@ def visit_induced_cycles(g: Graph, visit) -> None:
 
 def count_cycles_through(g: Graph, v: int) -> CycleCensus:
     """Census restricted to induced cycles containing v: one fold per
-    neighbour of v but the last in the degree order, with every other
-    vertex allowed on the cycle."""
+    neighbour of v but the one with the most neighbours (ties: the
+    highest id), with every other vertex allowed on the cycle."""
     _check_vertex(g, v)
     width = g.n + 1
     return CycleCensus(_unpack(

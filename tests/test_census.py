@@ -12,7 +12,9 @@ per-vertex counts are checked against a tally of the enumerated cycles,
 against the single rooted fold of count_cycles_through, and by the
 identity sum_v f_v(L) = L c_L, whose built-in check must also fire
 under -O.  On cyclic braids whose clusters hold any graph, both counts
-also meet a closed form over the clusters, which are modules.
+also meet a closed form over the clusters, which are modules.  Spies
+check where each search starts, and that each hand-picked example still
+reaches the branch of the fold it was found for.
 """
 
 import inspect
@@ -556,17 +558,17 @@ def test_hand_picked_examples_reach_their_branches(monkeypatch):
     # _add on one line of _fold, and a lowered base through _add on one
     # line of _forward with a credit below a non-empty histogram
     census = braidcensus.census
-    fold, forward, add = census._fold.__code__, census._forward, census._add
-    group_line = line_of(census._fold, "bases[u], packs[u] = _add(")
-    lower_line = line_of(forward, "bases[z], packs[z] = _add(")
+    forward, add = census._forward, census._add
+    group_at = census._fold.__code__, line_of(census._fold, "bases[u], packs[u] = _add(")
+    lower_at = forward.__code__, line_of(forward, "bases[z], packs[z] = _add(")
     seen = {}
 
     def spy_add(hist, off, val, width):
         caller = sys._getframe(1)
-        if caller.f_code is fold and caller.f_lineno == group_line:
+        at = caller.f_code, caller.f_lineno
+        if at == group_at:
             seen["group"] += 1
-        elif (caller.f_code is forward.__code__ and caller.f_lineno == lower_line
-              and hist[1] and off < hist[0]):
+        elif at == lower_at and hist[1] and off < hist[0]:
             seen["lowered base"] += 1
         return add(hist, off, val, width)
 
@@ -591,9 +593,9 @@ def test_hand_picked_examples_reach_their_branches(monkeypatch):
 def test_each_search_starts_at_its_thin_end(monkeypatch):
     # a branch dies once its closing vertices are blocked, which comes
     # sooner for a vertex with more neighbours, so each search starts at
-    # the end with fewer: a cycle root at the anchor's neighbour with the
-    # fewest neighbours in above (ties by id) among those of the cycle's
-    # two, an x-y fold at the endpoint of lower degree (x on a tie)
+    # the end with fewer: a cycle at that one of its two neighbours of the
+    # anchor with fewer neighbours in above (ties: the lower id), an x-y
+    # fold at the endpoint of lower degree (x on a tie)
     fold = braidcensus.census._fold
     roots = []
 
