@@ -214,8 +214,7 @@ def _sweep_shard(args: argparse.Namespace, path: str | None):
     from . import sweep
 
     def run():
-        return sweep.exhaustive_max(args.n, args.quantity, long_run=args.long_run,
-                                    shards=args.shards, shard=args.shard)
+        return sweep.exhaustive_max(args.n, args.quantity, args.shards, args.shard)
 
     if path is None:
         return run()
@@ -235,15 +234,13 @@ def _sweep_shard(args: argparse.Namespace, path: str | None):
 def _cmd_verify(args: argparse.Namespace) -> int:
     from . import sweep
 
-    if args.shards < 1:
-        raise InputError("--shards must be at least 1")
+    # n and the shard are checked before any file is read or written
+    sweep.shard_range(args.n, args.shards, 0 if args.merge else args.shard)
     if args.merge:
         if _checkpoint_path(args, 0) is None:
             raise InputError(
                 f"--merge needs --shards > 1 and {CHECKPOINT_DIR_VAR} set"
             )
-        # n and the shard count are checked before any file is read
-        sweep.shard_range(args.n, args.shards, 0)
         parts = [_read_checkpoint(_checkpoint_path(args, i), args, i)
                  for i in range(args.shards)]
         missing = [i for i, part in enumerate(parts) if part is None]
@@ -341,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("verify", help="exhaustive sweep of all graphs")
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--quantity", required=True, choices=QUANTITIES)
-    sub.add_argument("--long-run", action="store_true", dest="long_run")
     sub.add_argument("--shards", type=int, default=1)
     sub.add_argument("--shard", type=int, default=0)
     sub.add_argument("--merge", action="store_true")

@@ -90,8 +90,7 @@ from .graphs import (
     vertices_of,
 )
 
-SWEEP_MAX_N = 7
-LONG_RUN_MAX_N = 8
+SWEEP_MAX_N = 8
 AUDIT_SAMPLES = 10
 # OEIS A000088: the number of isomorphism classes of graphs on k vertices
 A000088 = (1, 1, 2, 4, 11, 34, 156, 1044)
@@ -384,8 +383,8 @@ def shard_range(n: int, shards: int, shard: int) -> tuple[int, int]:
     slices of the A000088(n - 1) * 2^(n - 1) units)."""
     if shards < 1 or not 0 <= shard < shards:
         raise InputError(f"bad shard {shard} of {shards}")
-    if not 2 <= n <= LONG_RUN_MAX_N:
-        raise InputError(f"sweeps need 2 <= n <= {LONG_RUN_MAX_N}, got {n}")
+    if not 2 <= n <= SWEEP_MAX_N:
+        raise InputError(f"sweeps need 2 <= n <= {SWEEP_MAX_N}, got {n}")
     total = A000088[n - 1] << (n - 1)
     lo = shard * total // shards
     hi = (shard + 1) * total // shards
@@ -394,34 +393,19 @@ def shard_range(n: int, shards: int, shard: int) -> tuple[int, int]:
     return lo, hi
 
 
-def exhaustive_max(
-    n: int,
-    quantity: str,
-    long_run: bool = False,
-    shards: int = 1,
-    shard: int = 0,
-) -> SweepResult:
+def exhaustive_max(n: int, quantity: str, shards: int = 1, shard: int = 0) -> SweepResult:
     """Maximize the quantity over all graphs on n vertices (or one shard
     of them); path quantities maximize over unordered endpoint pairs
     within each graph first, and graphs_scanned counts every labelled
     graph the shard covers (see Units in the module docstring).
 
-    n <= 7 is always allowed; n = 8 needs long_run=True (133,632 units in
-    1,044 tables, standing for a quarter billion labelled graphs).  Shards
+    shard_range bounds n by SWEEP_MAX_N: n = 8 scans 133,632 units in
+    1,044 tables, standing for a quarter billion labelled graphs.  Shards
     split the units for checkpointed runs and for parallel ones, one
     process per shard; combine shard results with merge_sweeps.
     """
     if quantity not in QUANTITIES:
         raise InputError(f"quantity must be one of {QUANTITIES}")
-    if n < 2:
-        raise InputError(f"sweep needs n >= 2, got {n}")
-    limit = LONG_RUN_MAX_N if long_run else SWEEP_MAX_N
-    if n > limit:
-        raise InputError(
-            f"n={n} exceeds the sweep limit {limit}"
-            + ("" if long_run else " (pass long_run=True, or --long-run on"
-               f" the CLI, up to n={LONG_RUN_MAX_N})")
-        )
     lo, hi = shard_range(n, shards, shard)
     classes, subs = _classes(n - 1), _submasks(n - 1)
     rng = random.Random(f"sweep:{n}:{quantity}")
@@ -464,7 +448,10 @@ def _bad_code(result: SweepResult) -> str | None:
     """Why the first extremal code that is not a canonical code on n
     vertices scoring the result's max fails, or None if every code is."""
     for code in sorted(result.extremal_codes):
-        g = parse_graph6(code)
+        try:
+            g = parse_graph6(code)
+        except InputError as exc:
+            return f"{code!r} is not a graph6 code: {exc}"
         if g.n != result.n:
             return f"{code} has {g.n} vertices, not {result.n}"
         achieved = quantity_of_graph(g, result.quantity)
@@ -578,11 +565,11 @@ def _path_braid_central(g: Graph, x: int, y: int) -> tuple[int, ...] | None:
 
 def verify_extremal_uniqueness(n: int, sweep: SweepResult) -> UniquenessReport:
     """Confirm the path-maximum extremal graphs are path braids with the
-    achieving pair as end clusters, for 4 <= n <= 7.  sweep is the p2
-    sweep at n, such as exhaustive_max(n, "p2") or the merge of its
+    achieving pair as end clusters, for 4 <= n <= SWEEP_MAX_N.  sweep is
+    the p2 sweep at n, such as exhaustive_max(n, "p2") or the merge of its
     shards, and must cover all 2^C(n,2) graphs."""
-    if not 4 <= n <= 7:
-        raise InputError(f"uniqueness check supports 4 <= n <= 7, got {n}")
+    if not 4 <= n <= SWEEP_MAX_N:
+        raise InputError(f"uniqueness check supports 4 <= n <= {SWEEP_MAX_N}, got {n}")
     if (sweep.n, sweep.quantity) != (n, "p2"):
         raise InputError("uniqueness check needs a p2 sweep for the same n")
     if sweep.graphs_scanned != 1 << (n * (n - 1) // 2):

@@ -23,7 +23,7 @@ from braidcensus import families
 from braidcensus.families import build_braid, build_H, members_of_script_G
 from braidcensus.formulas import f2
 from braidcensus.game import atypical_set
-from braidcensus.graphs import InputError, to_graph6
+from braidcensus.graphs import InputError, InternalError, to_graph6
 from braidcensus.recognition import classify_family_all, discover_cyclic_braid, verify_braid
 from braidcensus.sweep import exhaustive_max
 
@@ -508,6 +508,19 @@ def test_verify_merge_rejects_codes_on_the_wrong_vertex_count(
         sweep.parse_checkpoint_line(4, "p2", 2, "1,2,C],C^,D~{")
 
 
+@pytest.mark.parametrize("line, reason", [
+    ("1,2,C!\n", "'C!' is not a graph6 code: bad graph6 body byte 33 (byte offset 1)"),
+    ("1,2,\n", "'' is not a graph6 code: empty graph6 string"),
+])
+def test_verify_merge_rejects_codes_that_are_not_graph6(
+        tmp_path, capsys, monkeypatch, line, reason):
+    args, files = _checkpointed_n4(tmp_path, capsys, monkeypatch)
+    files[1].write_text(line)
+    code, out, err = run(capsys, *args, "--merge")
+    assert (code, out) == (2, "")
+    assert err == f"error: checkpoint line of shard 1: {reason}\n"
+
+
 def test_verify_merge_beyond_the_sweep_limit(tmp_path, capsys, monkeypatch):
     # n is checked before any file is read, whether the files are there
     # or not
@@ -553,15 +566,29 @@ def test_verify_checks_the_checkpoint_directory_before_the_sweep(
     assert calls == []
 
 
+def test_verify_checks_the_shard_before_the_checkpoint_directory(
+    tmp_path, capsys, monkeypatch
+):
+    # the bad shard is reported, not the temporary file it cannot create
+    monkeypatch.setenv("BRAIDCENSUS_CHECKPOINT_DIR", str(tmp_path / "missing"))
+    code, out, err = run(capsys, "verify", "--n", "4", "--quantity", "p2",
+                         "--shards", "2", "--shard", "5")
+    assert code == 2 and out == "" and err == "error: bad shard 5 of 2\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_removes_its_temporary_file_when_the_sweep_fails(
     tmp_path, capsys, monkeypatch
 ):
-    # n = 8 without --long-run: the temporary file is made, then the
-    # sweep refuses to run
+    # the temporary file is made, then the sweep fails
+    def fail(*args, **kwargs):
+        raise InternalError("sweep failed")
+
+    monkeypatch.setattr(sweep, "exhaustive_max", fail)
     monkeypatch.setenv("BRAIDCENSUS_CHECKPOINT_DIR", str(tmp_path))
-    code, out, err = run(capsys, "verify", "--n", "8", "--quantity", "m",
+    code, out, err = run(capsys, "verify", "--n", "4", "--quantity", "m",
                          "--shards", "2", "--shard", "0")
-    assert code == 2 and out == "" and "long_run" in err
+    assert code == 4 and out == "" and "sweep failed" in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -576,10 +603,15 @@ def test_verify_unreadable_checkpoints_are_input_errors(tmp_path, capsys, monkey
     assert code == 2 and out == "" and err.startswith("error: ")
 
 
-def test_verify_long_run_guard(capsys):
-    code, out, err = run(capsys, "verify", "--n", "8", "--quantity", "m")
-    assert code == 2 and "long_run" in err
-    assert "--long-run" in err  # the flag a CLI user passes
+@pytest.mark.parametrize("n", [1, 9])
+def test_verify_sweep_limit(tmp_path, capsys, monkeypatch, n):
+    monkeypatch.setenv("BRAIDCENSUS_CHECKPOINT_DIR", str(tmp_path))
+    message = f"error: sweeps need 2 <= n <= 8, got {n}\n"
+    for extra in ([], ["--shards", "2", "--merge"]):
+        code, out, err = run(capsys, "verify", "--n", str(n), "--quantity", "m",
+                             *extra)
+        assert (code, out, err) == (2, "", message)
+    assert list(tmp_path.iterdir()) == []
 
 
 # ======================================================================
@@ -640,6 +672,12 @@ def test_unknown_flags_and_commands_exit_2(capsys):
     assert info.value.code == 2
     out, err = capsys.readouterr()
     assert out == "" and "--threads" in err
+    # every n up to the sweep limit runs: there is no flag to unlock one
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--n", "8", "--quantity", "m", "--long-run"])
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "unrecognized arguments: --long-run" in err
 
 
 # ======================================================================

@@ -236,7 +236,7 @@ def _verify_cases():
     yield {"argv": ["verify", "--n", "4", "--quantity", "p2", "--expect", "7"]}
     yield {"argv": ["verify", "--n", "5", "--quantity", "m", "--shards", "3",
                     "--shard", "2"]}
-    for n, flags in [("1", []), ("8", []), ("9", ["--long-run"])]:
+    for n, flags in [("1", []), ("8", []), ("9", []), ("9", ["--long-run"])]:
         yield {"argv": ["verify", "--n", n, "--quantity", "m", *flags]}
     yield {"argv": ["verify", "--n", "4", "--quantity", "m", "--shards", "0"]}
     yield {"argv": ["verify", "--n", "4", "--quantity", "m", "--shards", "2",
@@ -265,7 +265,7 @@ def _checkpoint_error_cases():
     yield {"argv": n4_merge, "env": CHECKPOINTS, "files": N4_FILES}
     yield {"argv": N4_ARGS + ["--shard", "1"], "env": CHECKPOINTS, "files": N4_FILES}
     for line in ["x,2,C~\n", "0,2,C]\n", "1,2,C],C^,Cl\n", "1,2,C],C^,D~{\n",
-                 "1,2,C\xff\n", "1,2\n", ""]:
+                 "1,2,C\xff\n", "1,2\n", "", "1,2,C!\n", "1,2,\n"]:
         files = dict(N4_FILES, **{"sweep_p2_n4_s2_1.txt": line})
         yield {"argv": n4_merge, "env": CHECKPOINTS, "files": files}
     yield {"argv": n4_merge, "env": CHECKPOINTS,

@@ -184,7 +184,7 @@ def test_n8_records_are_canonical_and_score_their_max(quantity):
 
 @pytest.mark.parametrize("quantity", QUANTITIES)
 def test_n8_resweep_matches_the_golden_records(quantity):
-    result = exhaustive_max(8, quantity, long_run=True)
+    result = exhaustive_max(8, quantity)
     assert {
         "max": result.max.value,
         "graphs_scanned": result.graphs_scanned,
@@ -651,14 +651,12 @@ def test_shard_geometry():
     with pytest.raises(InputError):
         shard_range(2, 3, 0)  # fewer codes than shards: an empty shard
     with pytest.raises(InputError):
-        shard_range(9, 1, 0)  # beyond the long-run limit
+        shard_range(9, 1, 0)  # beyond the sweep limit
 
 
 def test_input_errors():
     with pytest.raises(InputError):
-        exhaustive_max(8, "m")  # needs the long-run flag
-    with pytest.raises(InputError):
-        exhaustive_max(9, "m", long_run=True)
+        exhaustive_max(9, "m")
     with pytest.raises(InputError):
         exhaustive_max(5, "triangles")
     with pytest.raises(InputError):
@@ -667,14 +665,31 @@ def test_input_errors():
         quantity_of_graph(complete_graph(3), "q")
 
 
-def test_long_run_shard_at_n8():
+@pytest.mark.parametrize("n", [1, 9])
+def test_one_sweep_limit(n):
+    # shard_range is the one check of n, whoever calls it
+    message = f"sweeps need 2 <= n <= 8, got {n}"
+    for call in (lambda: exhaustive_max(n, "m"),
+                 lambda: shard_range(n, 1, 0),
+                 lambda: parse_checkpoint_line(n, "m", 2, "0,1,B~")):
+        with pytest.raises(InputError) as caught:
+            call()
+        assert str(caught.value) == message
+
+
+def test_long_run_is_no_longer_a_parameter():
+    with pytest.raises(TypeError):
+        exhaustive_max(8, "m", long_run=True)
+
+
+def test_last_shard_at_n8():
     # the last of 4096 shards of the 133,632 units at n = 8: the last
     # class on 7 vertices is K7 (one labelled copy), extended by the 33
     # largest neighbourhoods, all of K7 among them; so the best graph
     # is K8 (56 triangles)
     shards = 1 << 12
     assert shard_range(8, shards, shards - 1) == (133_599, 133_632)
-    part = exhaustive_max(8, "m", long_run=True, shards=shards, shard=shards - 1)
+    part = exhaustive_max(8, "m", shards=shards, shard=shards - 1)
     assert part.max.value == 56
     assert part.graphs_scanned == 33
     assert part.extremal_codes == {canon(complete_graph(8))}
@@ -770,3 +785,14 @@ def test_uniqueness_rejects_a_shard():
     report = verify_extremal_uniqueness(6, sweep=full)
     assert report.all_match and report.pairs_checked == 17
     assert report.central_multisets == {(2, 2), (4,)}
+
+
+def test_uniqueness_at_n8_from_the_golden_record():
+    # every extremal pair at n = 8 is the end pair of a path braid with
+    # central sizes (3, 3); the record stands in for a resweep
+    record = GOLDEN["8/p2"]
+    full = SweepResult(8, "p2", ExactCount(record["max"]),
+                       frozenset(record["extremal_codes"]), record["graphs_scanned"])
+    report = verify_extremal_uniqueness(8, full)
+    assert report.all_match and report.pairs_checked == 10
+    assert report.central_multisets == {(3, 3)}
