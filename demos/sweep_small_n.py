@@ -1,10 +1,10 @@
 """Exhaustive sweeps over all small graphs, and what the winners look like.
 
-For n up to 7 we can score every graph up to isomorphism and record which ones
-achieve the maximum induced-path count between some vertex pair.  The
-sweep confirms the closed form and the uniqueness report shows that
-every winner is a path braid with one of the predicted central
-cluster multisets.
+For n up to 8 (sweep.SWEEP_MAX_N) we can score every graph up to
+isomorphism and record which ones achieve the maximum induced-path count
+between some vertex pair.  The sweep confirms the closed form and the
+uniqueness report shows that every winner is a path braid with one of
+the predicted central cluster multisets.
 
 Run with:  python3 demos/sweep_small_n.py
 """

@@ -17,7 +17,8 @@ also accept --family/--n build the requested family member instead;
 exactly one input source must be given.
 
 Sharded sweeps checkpoint in the directory named by
-BRAIDCENSUS_CHECKPOINT_DIR, one file per shard: finished shard i of K
+BRAIDCENSUS_CHECKPOINT_DIR, one file per shard; with the variable unset
+or empty, no file is written and --merge exits 2.  Finished shard i of K
 writes its "shard,max,codes..." line to a temporary file, created before
 the sweep so that a bad directory fails at once, and moves it to
 sweep_<quantity>_n<n>_s<K>_<i>.txt with os.replace, so a reader sees the
@@ -187,7 +188,7 @@ def _cmd_atypical(args: argparse.Namespace) -> int:
 
 def _checkpoint_path(args: argparse.Namespace, shard: int) -> str | None:
     directory = os.environ.get(CHECKPOINT_DIR_VAR)
-    if directory is None or args.shards < 2:
+    if not directory or args.shards < 2:
         return None
     name = f"sweep_{args.quantity}_n{args.n}_s{args.shards}_{shard}.txt"
     return os.path.join(directory, name)

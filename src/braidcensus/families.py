@@ -6,9 +6,10 @@ which consecutive clusters are completely joined and every vertex of a
 has its whole neighborhood inside the three-cluster window around it.
 Edges inside a cluster are unrestricted.
 
-Every family's sizes are a residue row of 2s and 4s (the _*_SPECIALS
-tables, by n mod 3 for H and F, by n mod 6 otherwise) filled up with 3s;
-this module is their one owner, and formulas.py reads the path rows.
+Every family's sizes are a residue row of 2s and 4s filled up with 3s,
+by n mod 3 for H and F and by n mod 6 otherwise.  The rows of all seven
+families sit in one table, _SPECIALS, read by one function, _sizes; this
+module is their one owner, and formulas.py reads the path rows.
 Families built here (vertex numbering is cluster-major ascending, special
 clusters at the lowest indices, so output is reproducible):
 
@@ -173,31 +174,47 @@ def build_braid(spec: BraidSpec) -> tuple[Graph, ClusterPartition]:
 
 
 # ======================================================================
-# cyclic families: H, G, E
+# the residue table, and the cyclic families H, G, E
 # ======================================================================
 
 
-_H_SPECIALS = {0: [], 1: [4], 2: [2]}
-_G_SPECIALS = {0: [2, 2, 2], 1: [2, 2], 2: [2], 3: [], 4: [4], 5: [4, 4]}
-_E_SPECIALS = {0: [], 1: [4], 2: [4, 4], 3: [2, 2, 2], 4: [2, 2], 5: [2]}
+# tag -> (least n, vertices outside the sized clusters, rows): row n % len(rows)
+# lists the family's multisets of 2s and 4s, each filled up with 3s.  The
+# path families size the n - 2 central vertices, the cyclic ones all n.
+_SPECIALS = {
+    "H": (8, 0, [[[]], [[4]], [[2]]]),
+    "G": (14, 0, [[[2, 2, 2]], [[2, 2]], [[2]], [[]], [[4]], [[4, 4]]]),
+    "E": (14, 0, [[[]], [[4]], [[4, 4]], [[2, 2, 2]], [[2, 2]], [[2]]]),
+    "F": (4, 2, [[[4], [2, 2]], [[2]], [[]]]),
+    "F_odd": (10, 2, [[[4]], [[4, 4], [2, 2, 2, 2]], [[2, 2, 2]],
+                      [[2, 2]], [[2]], [[]]]),
+    "F_even": (10, 2, [[[2, 2]], [[2]], [[]], [[4]],
+                       [[4, 4], [2, 2, 2, 2]], [[2, 2, 2]]]),
+}
+# the odd holes: G's rows, with four 2s as a second multiset at n = 5 mod 6
+_SPECIALS["G_script"] = (*_SPECIALS["G"][:2], [
+    row + ([[2, 2, 2, 2]] if r == 5 else [])
+    for r, row in enumerate(_SPECIALS["G"][2])])
 
 
-def _threes(rest: int, what: str) -> list[int]:
-    """rest vertices as 3-clusters; a remainder means a residue table
-    row is wrong, which is a bug, not bad input."""
-    if rest < 0 or rest % 3:
-        raise InternalError(f"residue table broken for {what}: {rest} left over")
-    return [3] * (rest // 3)
-
-
-def _cyclic_sizes(n: int, specials: list[int], who: str, low: int) -> tuple[int, ...]:
-    if n < low:
-        raise InputError(f"build_{who} needs n >= {low}, got {n}")
-    return tuple(specials + _threes(n - sum(specials), f"{who} at n={n}"))
+def _sizes(tag: str, n: int) -> list[list[int]]:
+    """The cluster sizes of tag's multisets at n, special clusters first;
+    a remainder means a residue row is wrong, which is a bug, not bad input."""
+    least, outside, rows = _SPECIALS[tag]
+    if n < least:
+        raise InputError(f"{tag} needs n >= {least}, got {n}")
+    out = []
+    for specials in rows[n % len(rows)]:
+        rest = n - outside - sum(specials)
+        if rest < 0 or rest % 3:
+            raise InternalError(
+                f"residue table broken for {tag} at n={n}: {rest} left over")
+        out.append(specials + [3] * (rest // 3))
+    return out
 
 
 def h_sizes(n: int) -> tuple[int, ...]:
-    return _cyclic_sizes(n, _H_SPECIALS[n % 3], "H", 8)
+    return tuple(_sizes("H", n)[0])
 
 
 def build_H(n: int) -> tuple[Graph, ClusterPartition]:
@@ -207,11 +224,11 @@ def build_H(n: int) -> tuple[Graph, ClusterPartition]:
 
 
 def g_sizes(n: int) -> tuple[int, ...]:
-    return _cyclic_sizes(n, _G_SPECIALS[n % 6], "G", 14)
+    return tuple(_sizes("G", n)[0])
 
 
 def e_sizes(n: int) -> tuple[int, ...]:
-    return _cyclic_sizes(n, _E_SPECIALS[n % 6], "E", 14)
+    return tuple(_sizes("E", n)[0])
 
 
 def build_G(n: int) -> tuple[Graph, ClusterPartition]:
@@ -231,32 +248,12 @@ def build_E(n: int) -> tuple[Graph, ClusterPartition]:
 # path families: F, F_odd, F_even
 # ======================================================================
 
-_F_SPECIALS = {0: [[4], [2, 2]], 1: [[2]], 2: [[]]}
-_F_ODD_SPECIALS = {0: [[4]], 1: [[4, 4], [2, 2, 2, 2]], 2: [[2, 2, 2]],
-                   3: [[2, 2]], 4: [[2]], 5: [[]]}
-_F_EVEN_SPECIALS = {0: [[2, 2]], 1: [[2]], 2: [[]], 3: [[4]],
-                    4: [[4, 4], [2, 2, 2, 2]], 5: [[2, 2, 2]]}
-
-
 def f_central_multisets(n: int, parity: str = "all") -> list[tuple[int, ...]]:
     """Admissible central-size multisets (sorted tuples), in table order."""
-    budget = n - 2
-    if parity == "all":
-        if n < 4:
-            raise InputError(f"path family needs n >= 4, got {n}")
-        options = _F_SPECIALS[n % 3]
-    elif parity in ("odd", "even"):
-        if n < 10:
-            raise InputError(f"parity path families need n >= 10, got {n}")
-        table = _F_ODD_SPECIALS if parity == "odd" else _F_EVEN_SPECIALS
-        options = table[n % 6]
-    else:
+    tag = {"all": "F", "odd": "F_odd", "even": "F_even"}.get(parity)
+    if tag is None:
         raise InputError(f"parity must be all|odd|even, got {parity!r}")
-    out = []
-    for specials in options:
-        threes = _threes(budget - sum(specials), f"F {parity} at n={n}")
-        out.append(tuple(sorted(specials + threes)))
-    return out
+    return [tuple(sorted(sizes)) for sizes in _sizes(tag, n)]
 
 
 def f_central_sequences(n: int, parity: str = "all") -> list[tuple[int, ...]]:
@@ -292,13 +289,7 @@ def member_of_F(
 
 
 def script_g_multisets(n: int) -> list[tuple[int, ...]]:
-    if n < 14:
-        raise InputError(f"script-G needs n >= 14, got {n}")
-    out = [tuple(sorted(g_sizes(n)))]
-    if n % 6 == 5:
-        threes = _threes(n - 8, f"G_script at n={n}")
-        out.append(tuple(sorted([2, 2, 2, 2] + threes)))
-    return out
+    return [tuple(sorted(sizes)) for sizes in _sizes("G_script", n)]
 
 
 def _arrangements(multiset: tuple[int, ...], cyclic: bool) -> list[tuple[int, ...]]:

@@ -52,14 +52,7 @@ from __future__ import annotations
 import itertools
 import operator
 
-from .families import (
-    ClusterPartition,
-    FamilyId,
-    e_sizes,
-    g_sizes,
-    h_sizes,
-    script_g_multisets,
-)
+from .families import _SPECIALS, ClusterPartition, FamilyId, _sizes
 from .graphs import Graph, InputError, bits_of, mask_of, vertices_of
 from .graphs import _Record, _check_vertex, _layers
 
@@ -180,18 +173,8 @@ def _consecutive_arc(k: int, positions: list[int]) -> bool:
 def _family_profiles(n: int) -> dict[str, set[tuple[int, ...]]]:
     """Sorted cluster-size multisets of the cyclic families defined at n,
     by tag in report order."""
-    profiles = {}
-    for tag, multisets in (
-        ("H", lambda: [h_sizes(n)]),
-        ("G", lambda: [g_sizes(n)]),
-        ("E", lambda: [e_sizes(n)]),
-        ("G_script", lambda: script_g_multisets(n)),
-    ):
-        try:
-            profiles[tag] = {tuple(sorted(m)) for m in multisets()}
-        except InputError:
-            pass
-    return profiles
+    return {tag: {tuple(sorted(sizes)) for sizes in _sizes(tag, n)}
+            for tag in ("H", "G", "E", "G_script") if _SPECIALS[tag][0] <= n}
 
 
 def _match_families(

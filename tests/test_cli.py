@@ -446,6 +446,20 @@ def test_verify_merge_needs_checkpoints(capsys, monkeypatch):
     assert code == 2
 
 
+def test_empty_checkpoint_dir_is_unset(tmp_path, capsys, monkeypatch):
+    # os.path.join("", name) is a relative path: an empty value must not
+    # put checkpoint files in the working directory
+    monkeypatch.setenv("BRAIDCENSUS_CHECKPOINT_DIR", "")
+    monkeypatch.chdir(tmp_path)
+    args = ("verify", "--n", "4", "--quantity", "m", "--shards", "2")
+    code, doc, _ = run_json(capsys, *args, "--shard", "0")
+    assert code == 0 and doc == exhaustive_max(4, "m", shards=2).to_json_dict()
+    code, out, err = run(capsys, *args, "--merge")
+    assert code == 2 and out == ""
+    assert "--merge needs --shards > 1 and BRAIDCENSUS_CHECKPOINT_DIR set" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def _checkpointed_n4(tmp_path, capsys, monkeypatch):
     """Run both shards of the n = 4 p2 sweep; returns (args, the two
     checkpoint files)."""
@@ -881,7 +895,7 @@ from braidcensus import cli, families
 
 if __debug__:
     sys.exit("assertions are on: run with python -O")
-families._F_ODD_SPECIALS[2] = [[2, 2]]
+families._SPECIALS["F_odd"][2][2] = [[2, 2]]
 sys.exit(cli.main(["formula", "--name", "f2o", "--n", "14"]))
 """
 

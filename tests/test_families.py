@@ -30,7 +30,7 @@ from braidcensus.families import (
     script_g_multisets,
 )
 from braidcensus.formulas import f2, f2_even, f2_odd
-from braidcensus.graphs import Graph, InputError, InternalError, ball
+from braidcensus.graphs import FAMILY_TAGS, Graph, InputError, InternalError, ball
 
 from graph_helpers import random_intra
 
@@ -172,8 +172,15 @@ def test_g_and_e_sizes_by_residue():
             f(13)
 
 
+def _patch_row(monkeypatch, tag, r, row):
+    """Replace row r of tag's entry in the residue table for one test."""
+    least, outside, rows = families._SPECIALS[tag]
+    rows = [row if i == r else old for i, old in enumerate(rows)]
+    monkeypatch.setitem(families._SPECIALS, tag, (least, outside, rows))
+
+
 def test_broken_residue_table_is_an_internal_error(monkeypatch):
-    monkeypatch.setitem(families._G_SPECIALS, 2, [2, 2])
+    _patch_row(monkeypatch, "G", 2, [[2, 2]])
     with pytest.raises(InternalError):
         g_sizes(14)
 
@@ -181,17 +188,17 @@ def test_broken_residue_table_is_an_internal_error(monkeypatch):
 def test_parity_row_mixing_a_2_and_a_4_is_an_internal_error(monkeypatch):
     # the row for n = 14 sums right, but _arrangements orders only
     # multisets with one size other than 3
-    monkeypatch.setitem(families._F_ODD_SPECIALS, 2, [[2, 4]])
+    _patch_row(monkeypatch, "F_odd", 2, [[2, 4]])
     with pytest.raises(InternalError, match="two sizes other than 3"):
         f_central_sequences(14, "odd")
 
 
-@pytest.mark.parametrize("row, broken, sizes", [
-    ("_H_SPECIALS", [2, 2], h_sizes),
-    ("_F_SPECIALS", [[2, 2]], f_central_multisets),
+@pytest.mark.parametrize("tag, broken, sizes", [
+    ("H", [[2, 2]], h_sizes),
+    ("F", [[2, 2]], f_central_multisets),
 ])
-def test_broken_mod_3_row_is_an_internal_error(monkeypatch, row, broken, sizes):
-    monkeypatch.setitem(getattr(families, row), 2, broken)
+def test_broken_mod_3_row_is_an_internal_error(monkeypatch, tag, broken, sizes):
+    _patch_row(monkeypatch, tag, 2, broken)
     with pytest.raises(InternalError, match="residue table broken"):
         sizes(14)
 
@@ -218,6 +225,24 @@ def test_each_residue_row_fills_its_smallest_n(tag, low, period):
         for sizes in _rows(tag, n):
             assert sum(sizes) == n - 2 * central, (tag, n, sizes)
             assert set(sizes) <= {2, 3, 4}, (tag, n, sizes)
+
+
+def test_the_residue_table_names_every_family():
+    assert tuple(families._SPECIALS) == FAMILY_TAGS
+
+
+@pytest.mark.parametrize("tag", FAMILY_TAGS)
+def test_each_family_refuses_n_below_its_least(tag):
+    least = families._SPECIALS[tag][0]
+    with pytest.raises(InputError, match=f"^{tag} needs n >= {least}, got {least - 1}$"):
+        _rows(tag, least - 1)
+
+
+def test_script_g_extends_g_by_four_2s_at_5_mod_6():
+    for n in range(14, 129):
+        multisets = script_g_multisets(n)
+        assert multisets[0] == tuple(sorted(g_sizes(n))), n
+        assert (len(multisets) == 2) == (n % 6 == 5), n
 
 
 def test_build_g_full_intra_build_e_empty():
