@@ -74,9 +74,11 @@ print(f"H_18, v=0: {len(report.exempt)} exempt vertices, no probes")
 # exempt, the two at distance 5 are atypical (the walk's second step,
 # with 5 unseen neighbours, lies in their ball), and every farther
 # cluster is typical.  Twin probes share their radius-4 ball, so the 93
-# probes have 31 distinct zones, and one search decides them all: its
-# value at each (seen, current vertex) state is a bitmask over the
-# zones.  Solving each zone on its own would expand 1,919 states.
+# probes have 31 distinct zones, each named by its first probe, and one
+# search decides them all: its value at each (seen, current vertex)
+# state is a bitmask over those probes.  The walk steps into one vertex
+# of each twin class only, since twins lead to states of equal value.
+# Searching each zone on its own would expand 1,215 states.
 
 g120, _ = build_H(120)
 report = atypical_set(g120, 0)
@@ -85,13 +87,15 @@ print(f"H_120, v=0: {split[0]} atypical, {split[1]} typical, {split[2]} exempt")
 assert split == (6, 87, 27), split
 
 probes = sorted(report.atypical + report.typical)
-zones = tuple(dict.fromkeys(ball(g120, w, 4) for w in probes))
+balls = [ball(g120, x, 4) for x in range(g120.n)]
+first = {balls[w]: w for w in reversed(probes)}
+zones = sum(1 << w for w in first.values())
 memo = {}
-wins = game._builder_wins(g120.adj, zones, memo, 0, 0, game._holding(zones))
-print(f"  one search over {len(zones)} zones expands {len(memo)} states")
-assert (len(zones), len(memo)) == (31, 223), (len(zones), len(memo))
-assert report.typical == tuple(
-    w for w in probes if wins >> zones.index(ball(g120, w, 4)) & 1)
+wins = game._builder_wins(g120.adj, balls, zones, memo, 0, 0,
+                          game._lone(g120.adj, balls, zones, 0))
+print(f"  one search over {len(first)} zones expands {len(memo)} states")
+assert (len(first), len(memo)) == (31, 75), (len(first), len(memo))
+assert report.typical == tuple(w for w in probes if wins >> first[balls[w]] & 1)
 
 # ----------------------------------------------------------------------
 # reading the cluster structure off a single vertex

@@ -21,10 +21,11 @@ and twins lead to memoized states.
 
 Atypical sets: a verdict depends only on (g, v, ball(g, w, 4)), and
 twin probes share that zone.  `atypical_set` decides every distinct
-zone in one search whose value at a state is a bitmask over the zones
-(`_builder_wins`), with one memo on (seen, cur) for all of them, so the
-walk from v that the zones' games share is expanded once.  The balls
-come from squaring closed neighborhoods twice.
+zone in one search whose value at a state is a mask over its zones'
+first probes (`_builder_wins`), with one memo on (seen, cur).  Balls
+are symmetric, so one AND with the ball of cur finds the zones holding
+cur.  A node tries one move of each twin class; the start, the one
+path vertex whose twin can still be a legal move, stands for none.
 
 Also here: the search for the local three-cluster pattern around a
 vertex (its own 3-set sandwiched by two non-adjacent 3-sets whose cross
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 
-from .graphs import Graph, InputError, ball, bits_of, distance, is_connected, mask_of, vertices_of
+from .graphs import Graph, InputError, bits_of, distance, is_connected, mask_of, vertices_of
 from .graphs import _Record, _check_vertex
 
 WINNER_BUILDER = "Builder"
@@ -126,46 +127,56 @@ class GameVerdict(_Record):
         }
 
 
-def _check_game_input(g: Graph, v: int, w: int) -> int:
+def _check_game_input(g: Graph, v: int, w: int) -> list[int]:
     _check_vertex(g, v)
     _check_vertex(g, w)
     if not is_connected(g):
         raise InputError("the game needs a connected graph")
-    if (d := distance(g, v, w)) <= 4:
+    balls = _balls(g)
+    if balls[w] >> v & 1:
         raise InputError(f"w={w} must lie outside the radius-4 ball of v={v}: "
-                         f"distance is {d}")
-    return ball(g, w, 4)
+                         f"distance is {distance(g, v, w)}")
+    return balls
 
 
-def _holding(zones: tuple[int, ...]) -> dict[int, int]:
-    """Vertex -> mask of the zones that hold it."""
-    holding: dict[int, int] = {}
-    for j, zone in enumerate(zones):
-        for x in bits_of(zone):
-            holding[x] = holding.get(x, 0) | 1 << j
-    return holding
+def _lone(adj: tuple[int, ...], balls: list[int], zones: int, v: int) -> int:
+    """One vertex of each twin class (equal open or equal closed rows,
+    and equal zone membership), never the start v."""
+    first: dict[tuple[int, int], int] = {}
+    lone = 0
+    for x, row in enumerate(adj):
+        if x != v:
+            inside = balls[x] & zones
+            if (first.setdefault((row, inside), x)
+                    == first.setdefault((row | 1 << x, inside), x) == x):
+                lone |= 1 << x
+    return lone
 
 
-def _builder_wins(adj: tuple[int, ...], zones: tuple[int, ...], memo: dict,
-                  seen: int, cur: int, holding: dict[int, int]) -> int:
-    """Mask of the zones the walker beats from (seen, cur): bit j is set
-    when the walker wins the game against the probe zone zones[j].
+def _builder_wins(adj: tuple[int, ...], balls: list[int], zones: int, memo: dict,
+                  seen: int, cur: int, lone: int) -> int:
+    """Mask of the zones the walker beats from (seen, cur): bit r of
+    zones is the zone balls[r], and the result's bit r is set when the
+    walker wins against it.
 
-    One search serves every zone.  At a node the blocker moves for the
-    zones that hold cur: the bad-vertex rule clears their bits, and the
-    rest take the AND of the children.  The walker moves for the other
-    zones, which take the OR.  A leaf sets bit j iff zones[j] is
-    dominated.  A node stops as soon as no AND bit is left set and every
-    OR bit is set; otherwise its value is fixed after its last child.
+    Balls of one radius are symmetric, so the zones holding cur are
+    balls[cur] & zones.  The blocker moves for them: the bad-vertex rule
+    clears their bits, and the rest take the AND of the children.  The
+    walker moves for the other zones, which take the OR.  A leaf sets the
+    bit of each zone r not holding cur iff balls[r] is dominated.
+
+    Only the moves in lone are tried.  Twin moves grow equal seen sets
+    with equal moves, zone membership and leaf tests, so they have one
+    value.  The start is kept out of lone: it is the one path vertex whose
+    twin can be a legal move, so any other member of lone is legal
+    whenever its twins are.
 
     Depth-first over the moves in ascending order with an explicit
     stack, so the walk length is no limit.  The open node is (key, its
-    grown seen set, moves not yet tried, its OR bits, its open bits):
-    an open bit is an AND bit still set or an OR bit still clear, so
-    the node stops when none is left.  memo maps (seen, cur) to masks
-    and is valid for one zones tuple; holding is _holding(zones), which a
-    caller that searches many times builds once."""
-    every = (1 << len(zones)) - 1
+    grown seen set, moves not yet tried, its OR bits, its open bits): an
+    open bit is an AND bit still set or an OR bit still clear, and the
+    node stops when none is left.  memo maps (seen, cur) to masks and is
+    valid for one (balls, zones, lone)."""
     stack = []
     key = grown = todo = ors = rest = None
     while True:
@@ -174,19 +185,19 @@ def _builder_wins(adj: tuple[int, ...], zones: tuple[int, ...], memo: dict,
             # the zones that hold cur lose to the bad-vertex rule
             win = 0
             undominated = ~(seen | adj[cur])
-            for j, zone in enumerate(zones):
-                if not (zone >> cur & 1 or zone & undominated):
-                    win |= 1 << j
+            for r in bits_of(zones & ~balls[cur]):
+                if not balls[r] & undominated:
+                    win |= 1 << r
         else:
             win = memo.get((seen, cur))
             if win is None:
-                inside = holding.get(cur, 0)
-                live = every if moves.bit_count() == 3 else every ^ inside
+                inside = balls[cur] & zones
+                live = zones if moves.bit_count() == 3 else zones ^ inside
                 if live:
                     if key is not None:
                         stack.append((key, grown, todo, ors, rest))
-                    key, grown, todo, ors, rest = (
-                        (seen, cur), seen | adj[cur] | (1 << cur), moves, every ^ inside, live)
+                    key, grown, todo, ors, rest = ((seen, cur), seen | adj[cur] | (1 << cur),
+                                                   moves & lone, zones ^ inside, live)
                 else:
                     win = 0
         while win is not None:
@@ -204,35 +215,28 @@ def _builder_wins(adj: tuple[int, ...], zones: tuple[int, ...], memo: dict,
         seen, cur = grown, bit.bit_length() - 1
 
 
-def _solve(g: Graph, v: int, n4w: int) -> tuple[bool, tuple[int, ...], str | None]:
+def _solve(g: Graph, v: int, balls: list[int], w: int) -> tuple[bool, tuple[int, ...], str | None]:
     adj = g.adj
-    zones = (n4w,)
-    holding = _holding(zones)
+    zones = 1 << w
+    lone = _lone(adj, balls, zones, v)
     memo: dict[tuple[int, int], int] = {}
     # one optimal line: each active player takes its first winning move
-    seen, cur = 0, v
-    trace = [v]
-    reason = None
+    seen, cur, trace, reason = 0, v, [v], None
     while True:
         moves = adj[cur] & ~seen
-        in_zone = (n4w >> cur) & 1
+        in_zone = (balls[w] >> cur) & 1
         if in_zone and moves.bit_count() != 3:
             reason = REASON_BAD_VERTEX
             break
+        grown = seen | adj[cur] | (1 << cur)
         if not moves:
-            dominated = seen | adj[cur] | (1 << cur)
-            if n4w & ~dominated:
+            if balls[w] & ~grown:
                 reason = REASON_UNSEEN_VERTEX
             break
-        grown = seen | adj[cur] | (1 << cur)
-        want = 0 if in_zone else 1  # builder hunts wins, the blocker hunts losses
-        pick = None
-        for m in bits_of(moves):
-            if _builder_wins(adj, zones, memo, grown, m, holding) == want:
-                pick = m
-                break
-        if pick is None:
-            pick = (moves & -moves).bit_length() - 1
+        want = 0 if in_zone else zones  # builder hunts wins, the blocker hunts losses
+        pick = next((m for m in bits_of(moves)
+                     if _builder_wins(adj, balls, zones, memo, grown, m, lone) == want),
+                    (moves & -moves).bit_length() - 1)
         seen, cur = grown, pick
         trace.append(pick)
     return reason is None, tuple(trace), reason
@@ -242,8 +246,8 @@ def solve_typical_game(g: Graph, v: int, w: int) -> GameVerdict:
     """Exact verdict of the probe-w game started at v, with one optimal
     line of play.  Raises when w is within distance 4 of v or the graph
     is disconnected."""
-    n4w = _check_game_input(g, v, w)
-    builder, trace, reason = _solve(g, v, n4w)
+    balls = _check_game_input(g, v, w)
+    builder, trace, reason = _solve(g, v, balls, w)
     return GameVerdict(
         winner=WINNER_BUILDER if builder else WINNER_ADVERSARY,
         trace=trace,
@@ -281,26 +285,31 @@ def atypical_set(g: Graph, v: int) -> AtypicalReport:
     _check_vertex(g, v)
     if not is_connected(g):
         raise InputError("the game needs a connected graph")
-    # radius-4 balls by squaring closed neighborhoods: B2 = B1 B1, B4 = B2 B2
-    b1 = [row | 1 << x for x, row in enumerate(g.adj)]
-    b2 = _compose(b1, b1)
-    b4 = _compose(b2, b2)
-    exempt_mask = b4[v]
+    balls = _balls(g)
+    exempt_mask = balls[v]
     probes = vertices_of(g.full_mask() & ~exempt_mask)
-    zones = tuple(dict.fromkeys(b4[w] for w in probes))
-    wins = _builder_wins(g.adj, zones, {}, 0, v, _holding(zones))
-    won = {zone for j, zone in enumerate(zones) if wins >> j & 1}
+    rep = {balls[w]: w for w in reversed(probes)}  # each distinct ball's first probe
+    zones = mask_of(rep.values())
+    wins = _builder_wins(g.adj, balls, zones, {}, 0, v, _lone(g.adj, balls, zones, v))
     return AtypicalReport(
         v=v,
-        atypical=tuple(w for w in probes if b4[w] not in won),
-        typical=tuple(w for w in probes if b4[w] in won),
+        atypical=tuple(w for w in probes if not wins >> rep[balls[w]] & 1),
+        typical=tuple(w for w in probes if wins >> rep[balls[w]] & 1),
         exempt=vertices_of(exempt_mask),
     )
 
 
+def _balls(g: Graph) -> list[int]:
+    """Radius-4 balls: B2 spreads closed rows over open ones, B4 = B2 B2."""
+    closed = [row | 1 << x for x, row in enumerate(g.adj)]
+    b2 = [ball | 1 << x for x, ball in enumerate(_compose(closed, g.adj))]
+    return _compose(b2, b2)
+
+
 def _compose(rows: list[int], masks: list[int]) -> list[int]:
     """For each mask, the union of rows[x] over its vertices x.  Each
-    distinct mask is spread once, so twins share the work."""
+    distinct mask is spread once, so twins share the work: false twins
+    when masks are open rows, false and true twins when they are balls."""
     spread: dict[int, int] = {}
     for mask in set(masks):
         out = 0

@@ -18,7 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from braidcensus import cli, game
-from braidcensus.families import BraidSpec, build_braid, build_H
+from braidcensus.families import BraidSpec, build_braid, build_G, build_H
 from braidcensus.game import (
     REASON_BAD_VERTEX,
     REASON_UNSEEN_VERTEX,
@@ -295,28 +295,33 @@ def test_verdict_label_invariance():
         assert mapped.winner == original.winner
 
 
+def balls_of(g: Graph, radius: int) -> list[int]:
+    return [ball(g, x, radius) for x in range(g.n)]
+
+
 @st.composite
 def game_inputs(draw):
-    """A graph on up to 14 vertices, a start and any probe zone: the
-    solver itself needs neither connectivity nor distance."""
+    """A graph on up to 14 vertices, a start, a probe and the balls of
+    one radius 0-4 around every vertex: the solver itself needs neither
+    connectivity nor distance."""
     n = draw(st.integers(2, 14))
     g = graph_from_pair_bits(n, draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1)))
     v, w = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-    return g, v, ball(g, w, draw(st.integers(0, 4)))
+    return g, v, balls_of(g, draw(st.integers(0, 4))), w
 
 
 @settings(max_examples=300, deadline=None)
 @given(game_inputs())
 def test_stack_solver_matches_recursive_reference(case):
-    g, v, n4w = case
-    assert _solve(g, v, n4w) == recursive_solve(g, v, n4w)
+    g, v, balls, w = case
+    assert _solve(g, v, balls, w) == recursive_solve(g, v, balls[w])
 
 
 def test_stack_solver_matches_recursive_reference_on_braids():
     for g in (build_custom34()[0], build_H(30)[0], build_H(36)[0], build_H(45)[0]):
+        balls = balls_of(g, 4)
         for w in range(g.n):
-            n4w = ball(g, w, 4)
-            assert _solve(g, 0, n4w) == recursive_solve(g, 0, n4w), w
+            assert _solve(g, 0, balls, w) == recursive_solve(g, 0, balls[w]), w
 
 
 @st.composite
@@ -354,24 +359,24 @@ def probed_graphs(draw):
 
 @st.composite
 def zone_sets(draw):
-    """A graph on up to 14 vertices, a start and 1-6 zones: balls of
-    radius 0-4 around any centres, the start's own included."""
+    """A graph on up to 14 vertices, a start, the balls of one radius 0-4
+    around every vertex and 1-6 zones named by their centres, the start
+    included."""
     n = draw(st.integers(2, 14))
     g = graph_from_pair_bits(n, draw(st.integers(0, (1 << (n * (n - 1) // 2)) - 1)))
     v = draw(st.integers(0, n - 1))
-    zones = draw(st.lists(st.builds(lambda w, r: ball(g, w, r), st.integers(0, n - 1),
-                                    st.integers(0, 4)), min_size=1, max_size=6))
-    return g, v, tuple(zones)
+    centres = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=6))
+    return g, v, balls_of(g, draw(st.integers(0, 4))), mask_of(centres)
 
 
 @settings(max_examples=300, deadline=None)
 @given(zone_sets())
 def test_mask_search_matches_per_zone_solves(case):
-    g, v, zones = case
-    wins = game._builder_wins(g.adj, zones, {}, 0, v, game._holding(zones))
-    assert wins >> len(zones) == 0
-    for j, zone in enumerate(zones):
-        assert (wins >> j) & 1 == recursive_solve(g, v, zone)[0], j
+    g, v, balls, zones = case
+    wins = game._builder_wins(g.adj, balls, zones, {}, 0, v, game._lone(g.adj, balls, zones, v))
+    assert wins & ~zones == 0
+    for r in bits_of(zones):
+        assert (wins >> r) & 1 == recursive_solve(g, v, balls[r])[0], r
 
 
 @settings(max_examples=150, deadline=None)
@@ -385,6 +390,26 @@ def test_atypical_set_matches_per_probe_solves(case):
     assert report.atypical == tuple(w for w in sorted(builder) if not builder[w])
     assert report.typical == tuple(w for w in sorted(builder) if builder[w])
     assert report.exempt == tuple(bits_of(exempt))
+
+
+@pytest.mark.parametrize("k", [13, 14, 15, 16])
+def test_true_twins_match_per_probe_solves(k):
+    # G(3k) has clique clusters, so its twins are true twins: adjacent,
+    # with equal closed rows
+    g = build_G(3 * k)[0]
+    rng = random.Random(k)
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    g = g.relabeled(perm)
+    balls = balls_of(g, 4)
+    assert any(g.has_edge(x, y) and g.adj[x] | 1 << x == g.adj[y] | 1 << y
+               for x, y in itertools.combinations(range(g.n), 2))
+    for v in rng.sample(range(g.n), 3):
+        report = atypical_set(g, v)
+        for w in report.typical + report.atypical:
+            builder, *_ = want = recursive_solve(g, v, balls[w])
+            assert builder == (w in report.typical), (v, w)
+            assert _solve(g, v, balls, w) == want, (v, w)
 
 
 @pytest.mark.parametrize("k", [13, 20, 40])
@@ -412,29 +437,30 @@ def test_h_ring_cluster_distance_rule(k):
 
 def test_atypical_set_is_one_search(monkeypatch):
     # H(120) from 0: 93 probes in 31 clusters, twins share a zone, and one
-    # search decides all 31 zones.  Per-zone solves expand 1,919 states
-    # in all, of which 211 are distinct; the mask search expands each of
-    # the states it needs once.
+    # search decides all 31 zones.  Per-zone searches expand 1,215 states
+    # in all, of which 75 are distinct; the mask search expands each of
+    # the states it needs once, one twin move per cluster.
     memos = []
     search = game._builder_wins
 
-    def counted(adj, zones, memo, *rest):
-        memos.append((zones, memo))
-        return search(adj, zones, memo, *rest)
+    def counted(adj, balls, zones, memo, *rest):
+        memos.append((balls, zones, memo))
+        return search(adj, balls, zones, memo, *rest)
 
     monkeypatch.setattr(game, "_builder_wins", counted)
     g = build_H(120)[0]
     report = atypical_set(g, 0)
     assert (len(report.atypical), len(report.typical), len(report.exempt)) == (6, 87, 27)
     assert len(memos) == 1
-    zones, memo = memos[0]
-    assert len(zones) == len(set(zones)) == 31
-    assert len(memo) <= 250
+    balls, zones, memo = memos[0]
+    assert balls == balls_of(g, 4)
+    assert zones.bit_count() == len({balls[r] for r in bits_of(zones)}) == 31
+    assert len(memo) == 75
     # a node stops once every bit is decided: one zone alone expands the
-    # 56 states of a per-zone solve
-    memo, zones = {}, (ball(g, 60, 4),)
-    search(g.adj, zones, memo, 0, 0, game._holding(zones))
-    assert len(memo) == 56
+    # 38 states of a per-zone search
+    memo, zones = {}, 1 << 60
+    search(g.adj, balls, zones, memo, 0, 0, game._lone(g.adj, balls, zones, 0))
+    assert len(memo) == 38
 
 
 def test_long_walks():
