@@ -29,9 +29,9 @@ from importlib import import_module as _import_module
 # home module -> the public names it defines
 _EXPORTS = {
     "census": (
-        "CycleCensus", "PathCensus", "TreeStats", "count_cycles_through",
-        "count_induced_cycles", "count_induced_st_paths", "cycles_per_vertex",
-        "p2_max", "path_tree_stats", "slow_census", "visit_induced_cycles",
+        "CycleCensus", "PathCensus", "TreeStats", "count_induced_cycles",
+        "count_induced_st_paths", "cycles_per_vertex", "p2_max",
+        "path_tree_stats", "slow_census", "visit_induced_cycles",
     ),
     "families": (
         "BraidSpec", "ClusterPartition", "FamilyId", "build_braid", "build_E",

@@ -69,14 +69,10 @@ handed out; the anchor takes the root's total.  Each vertex's credits
 are kept as (base, packed) like the memo's values, so a long cycle does
 not cost O(n^2) bits per vertex.
 
-count_cycles_through(g, v) is a second route: one fold per neighbour u1
-of v, with no anchor order (every vertex but v may be used) and closure
-only at the neighbours of v that follow u1 in the order above.  It
-shares the fold but none of the crediting.  visit_induced_cycles walks
-every cycle with the plain search, which keeps the id orientation (the
-anchor's smaller cycle-neighbor first), so its roots do not follow the
-fold's; that walk and slow_census share nothing with the memo.  With the
-second route and the identity sum_v f_v(L) = L c_L, checked on every
+visit_induced_cycles walks every cycle with the plain search, which keeps
+the id orientation (the anchor's smaller cycle-neighbor first), so its
+roots do not follow the fold's; that walk and slow_census share nothing
+with the memo.  With the identity sum_v f_v(L) = L c_L, checked on every
 call of cycles_per_vertex, they are the checks on the memo and the
 credits.
 
@@ -101,7 +97,7 @@ from __future__ import annotations
 
 
 from .graphs import Graph, InputError, InternalError, UnsupportedError, bits_of
-from .graphs import _Record, _check_vertex, _layers
+from .graphs import _Record, _layers
 
 SLOW_CENSUS_MAX_N = 24
 
@@ -504,16 +500,6 @@ def visit_induced_cycles(g: Graph, visit) -> None:
     for a in range(g.n):
         for u1 in bits_of(g.adj[a] & (-1 << (a + 1))):
             _scan_root(g, a, u1, visit)
-
-
-def count_cycles_through(g: Graph, v: int) -> CycleCensus:
-    """Census restricted to induced cycles containing v: one fold per
-    neighbour of v but the one with the most neighbours (ties: the
-    highest id), with every other vertex allowed on the cycle."""
-    _check_vertex(g, v)
-    width = g.n + 1
-    return CycleCensus(_unpack(
-        _cycles_through(g.adj, v, g.full_mask() & ~(1 << v), width), width, 1))
 
 
 def cycles_per_vertex(g: Graph) -> list[CycleCensus]:

@@ -3,20 +3,21 @@
 Everything here is exact integer arithmetic but the per-vertex cycle
 bound, whose exponent (n - d - 1)/3 need not be an integer.
 
-The induced-path maxima f2, f2_odd and f2_even are the products of the
-central cluster sizes of the extremal path braids F, F_odd and F_even, read
-from the residue rows that families.py owns (imported only when a path form
-is asked for).  Tests check them against an independent maximizer (max
-product of parts with a given part-count parity) and against the path
-census of the built graphs.  m_lower keeps its own residue dispatch: an
-induced-cycle count adds short-cycle terms to the product of cluster sizes.
+Every family's cluster sizes come from the residue rows that families.py
+owns, imported only when a form needs them.  f2, f2_odd and f2_even are the
+central-size products of the path braids F, F_odd and F_even; tests check
+them against an independent maximizer (max product of parts with a given
+part-count parity) and the path census of the built graphs.  m_lower is
+the total of _ring_census, the cycle census of a ring of empty clusters,
+on H's sizes.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 
-from .graphs import InputError, InternalError, UnsupportedError, _Record
+from .graphs import InputError, UnsupportedError, _Record
 
 # The one upper limit of the exact counts, checked by _check_n: on a 2-core
 # Xeon, short_cycle_mass and its decimal form take 0.1 s at 10^5, 13 s at 10^6.
@@ -46,10 +47,24 @@ def _check_n(name: str, n: int, low: int) -> None:
         raise UnsupportedError(f"{name} supports n <= {EXACT_MAX_N}")
 
 
-def _pow3(k: int) -> int:
-    if k < 0:
-        raise InternalError(f"negative exponent {k} means a residue rule is wrong")
-    return 3 ** k
+def _power_product(sizes) -> int:
+    """The product of sizes, taken as a power of each distinct size: a
+    running product over H's 33,333 sizes at n = 10^5 costs about 25 ms
+    on a 2-core Xeon."""
+    return math.prod(s ** sizes.count(s) for s in set(sizes))
+
+
+def _ring_census(sizes: tuple[int, ...]) -> dict[int, int]:
+    """Induced cycles by length of the cyclic braid with k >= 4 empty
+    clusters of these sizes, in ring order.  A cluster's vertices are false
+    twins, so a cycle through two of B_i is a C4 closing in B_{i+1} or via
+    both neighbours; every other cycle takes one vertex of each cluster."""
+    before, after = sizes[-1:] + sizes[:-1], sizes[1:] + sizes[:1]
+    windows = Counter(zip(before, sizes, after))
+    census = Counter({4: sum(count * math.comb(s, 2) * (a * b + math.comb(b, 2))
+                             for (a, s, b), count in windows.items())})
+    census[len(sizes)] += _power_product(sizes)
+    return dict(+census)  # + drops a zero count of C4s
 
 
 def _central_product(n: int, parity: str) -> ExactCount:
@@ -57,9 +72,7 @@ def _central_product(n: int, parity: str) -> ExactCount:
     multiset of the family's residue row has the same one, so read the first."""
     from .families import f_central_multisets
 
-    sizes = f_central_multisets(n, parity)[0]
-    others = [s for s in sizes if s != 3]
-    return ExactCount(3 ** (len(sizes) - len(others)) * math.prod(others))
+    return ExactCount(_power_product(f_central_multisets(n, parity)[0]))
 
 
 def f2(n: int) -> ExactCount:
@@ -81,16 +94,13 @@ def f2_even(n: int) -> ExactCount:
 
 
 def m_lower(n: int) -> ExactCount:
-    """Induced cycle count of the cyclic extremal construction; equals the
-    true maximum for all sufficiently large n and (verified in tests)
-    equals the census of build_H(n) for every n in 12..21."""
+    """Induced cycle count of the cyclic extremal construction H; equals
+    the true maximum for all sufficiently large n, and (verified in tests)
+    the census of build_H(n) for every n in 12..128."""
     _check_n("m_lower", n, 12)
-    r = n % 3
-    if r == 0:
-        return ExactCount(_pow3(n // 3) + 12 * n)
-    if r == 1:
-        return ExactCount(4 * _pow3((n - 4) // 3) + 12 * n + 51)
-    return ExactCount(2 * _pow3((n - 2) // 3) + 12 * n - 36)
+    from .families import h_sizes
+
+    return ExactCount(sum(_ring_census(h_sizes(n)).values()))
 
 
 def vertex_cycle_bound(n: int, d: int) -> RealBound:

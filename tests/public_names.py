@@ -65,7 +65,6 @@ PUBLIC_NAMES = {
     "count_induced_st_paths": (CLI, "paths"),
     "p2_max": (CLI, "verify --quantity p2"),
     "cycles_per_vertex": (DEMO, "census_tour"),
-    "count_cycles_through": (ORACLE, "second route of cycles_per_vertex"),
     "slow_census": (ORACLE, "the subset oracle"),
     "visit_induced_cycles": (ORACLE, "the fold's enumerating oracle"),
     "path_tree_stats": (BENCHMARK_ONLY, "no question of the paper reads it"),

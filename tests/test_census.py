@@ -9,10 +9,11 @@ blow-ups of small graphs and on braids up to n = 120; path-tree
 statistics are checked against a plain recursive walk, among others on
 every ordered pair of every graph class up to seven vertices.  The
 per-vertex counts are checked against a tally of the enumerated cycles,
-against the single rooted fold of count_cycles_through, and by the
-identity sum_v f_v(L) = L c_L, whose built-in check must also fire
+against the deletion identity c_v(G) = census(G) - census(G - v), and by
+the identity sum_v f_v(L) = L c_L, whose built-in check must also fire
 under -O.  On cyclic braids whose clusters hold any graph, both counts
-also meet a closed form over the clusters, which are modules.  Spies
+also meet a closed form over the clusters, which are modules, and the
+ring form of formulas.py meets that closed form and the fold.  Spies
 check where each search starts, and that each hand-picked example still
 reaches the branch of the fold it was found for.
 """
@@ -35,7 +36,6 @@ from braidcensus.census import (
     CycleCensus,
     PathCensus,
     TreeStats,
-    count_cycles_through,
     count_induced_cycles,
     count_induced_st_paths,
     cycles_per_vertex,
@@ -55,7 +55,7 @@ from braidcensus.families import (
     h_sizes,
     member_of_F,
 )
-from braidcensus.formulas import f2, f2_even, f2_odd, m_lower, vertex_cycle_bound
+from braidcensus.formulas import _ring_census, f2, f2_even, f2_odd, m_lower, vertex_cycle_bound
 from braidcensus.graphs import (
     Graph,
     InputError,
@@ -144,6 +144,20 @@ def per_vertex_tally(g: Graph) -> list[dict[int, int]]:
 
     visit_induced_cycles(g, visit)
     return tables
+
+
+def cycles_through_by_deletion(g: Graph, v: int) -> dict[int, int]:
+    """The induced cycles through v, by length: census(G) - census(G - v).
+    G - v numbers the vertices above v one lower, so its folds take other
+    roots than G's; it shares the fold but none of the crediting.  It
+    costs 10 to 70 times cycles_per_vertex, so it is a check only."""
+    if g.n < 3:
+        return {}  # no cycle, and G - v may have no vertex at all
+    rest = Graph.from_edge_list(g.n - 1, [
+        (a - (a > v), b - (b > v)) for a, b in g.edges() if v not in (a, b)])
+    whole, without = count_induced_cycles(g).by_length, count_induced_cycles(rest).by_length
+    return {length: count - without.get(length, 0) for length, count in whole.items()
+            if count != without.get(length, 0)}
 
 
 def exploration_leaves(g: Graph, v: int) -> tuple[int, int]:
@@ -348,6 +362,15 @@ def test_cycle_census_braids_at_scale():
             [Graph.from_edge_list(s, ()) for s in part.sizes()])[0], f"E({n})"
 
 
+def test_ring_form_matches_the_module_closed_form():
+    # clusters of one vertex hold no pair, so some rings have no C4
+    rng = random.Random(37)
+    for _ in range(300):
+        sizes = tuple(rng.randint(1, 5) for _ in range(rng.randint(5, 9)))
+        want = cyclic_braid_census([Graph.from_edge_list(size, ()) for size in sizes])[0]
+        assert _ring_census(sizes) == want, sizes
+
+
 def test_cycle_pins_small():
     assert count_induced_cycles(cycle_graph(5)).by_length == {5: 1}
     c5 = count_induced_cycles(cycle_graph(5))
@@ -362,10 +385,17 @@ def test_cycle_pins_small():
 
 
 def test_cycle_census_h_family_closed_form():
-    # the lower-bound formula is exactly the census of the H construction
-    for n in range(12, 22):
-        g, _ = build_H(n)
-        assert count_induced_cycles(g).f == m_lower(n).value, f"n={n}"
+    # the lower-bound formula is exactly the census of the H construction,
+    # and the ring form it sums is the census by length of every ring of
+    # empty clusters the families build with k >= 4 (H from n = 11, E
+    # from n = 14)
+    cases = [(build_H, n) for n in range(11, 129)] + [(build_E, n) for n in range(14, 129)]
+    for build, n in cases:
+        g, part = build(n)
+        census = count_induced_cycles(g).by_length
+        assert _ring_census(part.sizes()) == census, (build.__name__, n)
+        if build is build_H and n >= 12:
+            assert m_lower(n).value == sum(census.values()), n
 
 
 def test_cycle_census_h13_by_length():
@@ -435,23 +465,16 @@ def test_visit_induced_cycles_masks():
 
 
 def test_cycles_through_pins():
-    c5 = cycle_graph(5)
-    for v in range(5):
-        assert count_cycles_through(c5, v).f == 1
-    k4 = complete_graph(4)
-    for v in range(4):
-        assert count_cycles_through(k4, v).f == 3
+    for g, through in ((cycle_graph(5), {5: 1}), (complete_graph(4), {3: 3})):
+        assert [c.by_length for c in cycles_per_vertex(g)] == [through] * g.n
+        for v in range(g.n):
+            assert cycles_through_by_deletion(g, v) == through
 
 
 def test_cycles_through_h12_uniform():
     g, _ = build_H(12)
     counts = {c.f for c in cycles_per_vertex(g)}
     assert len(counts) == 1
-
-
-def test_cycles_through_range_error():
-    with pytest.raises(InputError):
-        count_cycles_through(cycle_graph(5), 5)
 
 
 @settings(max_examples=60, deadline=None)
@@ -463,7 +486,7 @@ def test_per_vertex_sum_identity(g):
         length * cnt for length, cnt in total.by_length.items()
     )
     for v in range(g.n):
-        assert per_vertex[v].by_length == count_cycles_through(g, v).by_length
+        assert per_vertex[v].by_length == cycles_through_by_deletion(g, v)
 
 
 def test_per_vertex_bound_random():
@@ -536,11 +559,12 @@ def gadget_ring(k: int) -> Graph:
 @example(MIXED_INTRA_BRAID)
 @example(gadget_ring(3))
 def test_per_vertex_censuses_match_enumeration(g):
-    # both fast routes against the cycles the plain search walks, twin-rich
-    # blow-ups included, where twins form the crediting fold's groups
+    # the crediting fold and the deletion identity against the cycles the
+    # plain search walks, twin-rich blow-ups included, where twins form
+    # the crediting fold's groups
     want = per_vertex_tally(g)
     assert [c.by_length for c in cycles_per_vertex(g)] == want
-    assert [count_cycles_through(g, v).by_length for v in range(g.n)] == want
+    assert [cycles_through_by_deletion(g, v) for v in range(g.n)] == want
 
 
 def line_of(fn, text: str) -> int:
@@ -614,9 +638,7 @@ def test_each_search_starts_at_its_thin_end(monkeypatch):
     flipped = 0
     for g in cases:
         adj = g.adj
-        runs = [lambda: count_induced_cycles(g), lambda: cycles_per_vertex(g)]
-        runs += [lambda v=v: count_cycles_through(g, v) for v in range(g.n)]
-        for run in runs:
+        for run in (lambda: count_induced_cycles(g), lambda: cycles_per_vertex(g)):
             roots.clear()
             run()
             for start, close, above in roots:
@@ -643,15 +665,15 @@ def test_per_vertex_census_where_memo_hits_are_rare():
     # G(n, p) graphs have almost no twins: few siblings share a state and
     # few children hit the memo, so nearly every credit comes from the
     # fold's own search tree.  The graphs above stop at n = 10 and the
-    # braids below are group-rich; the second route shares the fold but
-    # none of the crediting.
+    # braids below are group-rich; the deletion identity shares the fold
+    # but none of the crediting.
     for seed, (n, p) in enumerate([(24, 0.35), (26, 0.3), (28, 0.25), (30, 0.15)]):
         rng = random.Random(seed)
         g = Graph.from_edge_list(
             n, [e for e in itertools.combinations(range(n), 2) if rng.random() < p])
         per_vertex = cycles_per_vertex(g)
         for v in range(n):
-            assert per_vertex[v] == count_cycles_through(g, v), (n, p, v)
+            assert per_vertex[v].by_length == cycles_through_by_deletion(g, v), (n, p, v)
 
 
 def test_per_vertex_census_braids_at_scale():
@@ -689,7 +711,8 @@ def test_per_vertex_census_braids_at_scale():
                 assert sum(c.by_length.get(length, 0) for c in per_vertex) == \
                     length * count, (name, n, length)
             for v in (0, n // 2, n - 1):
-                assert count_cycles_through(g, v) == per_vertex[v], (name, n, v)
+                assert cycles_through_by_deletion(g, v) == per_vertex[v].by_length, \
+                    (name, n, v)
         # 3 divides n, so H(n) is a ring of equal clusters: vertex-transitive
         h = build_H(n)[0]
         share = {length: length * count // n
@@ -779,7 +802,7 @@ def test_exploration_tree_leaf_bound():
         cases.append((g, rng.randrange(n)))
     for g, v in cases:
         leaves, closures = exploration_leaves(g, v)
-        f_v = count_cycles_through(g, v).f
+        f_v = cycles_per_vertex(g)[v].f
         assert closures == 2 * f_v
         assert 2 * f_v <= leaves
 
@@ -1098,7 +1121,7 @@ def test_long_cycle_per_vertex():
     g = cycle_graph(LONG_N)
     tables, peak = traced_peak(lambda: cycles_per_vertex(g))
     assert tables == [CycleCensus({LONG_N: 1})] * LONG_N
-    assert count_cycles_through(g, LONG_N // 2) == tables[0]
+    assert cycles_through_by_deletion(g, LONG_N // 2) == {LONG_N: 1}
     assert peak < LONG_PEAK_BYTES
 
 

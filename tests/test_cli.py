@@ -811,7 +811,7 @@ SWEEP = {"census", "formulas", "sweep"}
     (("game", "--input", H30_G6, "--v", "0", "--w", "15"), {"game"}),
     (("atypical", "--input", H30_G6, "--v", "0"), {"game"}),
     (("formula", "--name", "f2", "--n", "40"), {"families", "formulas"}),
-    (("formula", "--name", "m_lower", "--n", "40"), {"formulas"}),
+    (("formula", "--name", "m_lower", "--n", "40"), {"families", "formulas"}),
     (("formula", "--name", "short_mass", "--n", "40"), {"formulas"}),
     (("formula", "--name", "vertex_bound", "--n", "40", "--d", "3"), {"formulas"}),
     (("verify", "--n", "4", "--quantity", "m"), SWEEP),

@@ -29,7 +29,7 @@ from braidcensus.families import (
     members_of_script_G,
     script_g_multisets,
 )
-from braidcensus.formulas import f2, f2_even, f2_odd
+from braidcensus.formulas import f2, f2_even, f2_odd, m_lower
 from braidcensus.graphs import FAMILY_TAGS, Graph, InputError, InternalError, ball
 
 from graph_helpers import random_intra
@@ -196,6 +196,7 @@ def test_parity_row_mixing_a_2_and_a_4_is_an_internal_error(monkeypatch):
 @pytest.mark.parametrize("tag, broken, sizes", [
     ("H", [[2, 2]], h_sizes),
     ("F", [[2, 2]], f_central_multisets),
+    ("H", [[2, 2]], m_lower),
 ])
 def test_broken_mod_3_row_is_an_internal_error(monkeypatch, tag, broken, sizes):
     _patch_row(monkeypatch, tag, 2, broken)

@@ -23,7 +23,6 @@ import braidcensus
 from braidcensus.census import (
     CycleCensus,
     PathCensus,
-    count_cycles_through,
     count_induced_st_paths,
     path_tree_stats,
 )
@@ -296,7 +295,6 @@ VERTEX_CALLS = {
     "ball": lambda g, x: ball(g, x, 1),
     "distance-from": lambda g, x: distance(g, x, 0),
     "distance-to": lambda g, x: distance(g, 0, x),
-    "count_cycles_through": count_cycles_through,
     "count_induced_st_paths": lambda g, x: count_induced_st_paths(g, x, 1),
     "path_tree_stats": lambda g, x: path_tree_stats(g, 0, x),
     "local_structure": local_structure,
